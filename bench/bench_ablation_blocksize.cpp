@@ -30,14 +30,15 @@ void epilogue() {
   std::vector<Row> rows;
   for (const auto level : {kernels::OptLevel::kB, kernels::OptLevel::kF}) {
     for (const int tpb : {64, 128, 256, 512}) {
-      const auto& r = Registry::instance().get(key(level, tpb));
+      const auto* r = Registry::instance().find(key(level, tpb));
+      if (r == nullptr) continue;
       rows.push_back(Row{std::string(kernels::to_string(level)) + " tpb=" +
                              std::to_string(tpb),
-                         {r.speedup,
-                          1e3 * r.kernel_timing.total_seconds *
-                              fullhd_ratio(r.config),
-                          100.0 * r.occupancy.achieved,
-                          static_cast<double>(r.occupancy.blocks_per_sm)}});
+                         {r->speedup,
+                          1e3 * r->kernel_timing.total_seconds *
+                              fullhd_ratio(r->config),
+                          100.0 * r->occupancy.achieved,
+                          static_cast<double>(r->occupancy.blocks_per_sm)}});
     }
   }
   print_table("Ablation — threads per block (B vs F kernels)",

@@ -52,38 +52,32 @@ BENCHMARK(tiled_fused_postproc)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 void epilogue() {
   std::vector<Row> rows;
-  {
-    const auto& f = Registry::instance().get("F (untiled)");
+  if (const auto* f = Registry::instance().find("F (untiled)"))
     rows.push_back(Row{"F (untiled)",
-                       {f.speedup, 97.0,
-                        100.0 * f.per_frame.memory_access_efficiency(), 0,
-                        100.0 * f.occupancy.achieved,
-                        1e3 * f.kernel_timing.total_seconds *
-                            fullhd_ratio(f.config)}});
-  }
-  const double paper_speedup[6] = {0, 0, 0, 101, 0, 0};
-  int i = 0;
+                       {f->speedup, 97.0,
+                        100.0 * f->per_frame.memory_access_efficiency(), 0,
+                        100.0 * f->occupancy.achieved,
+                        1e3 * f->kernel_timing.total_seconds *
+                            fullhd_ratio(f->config)}});
   for (const int g : {1, 2, 4, 8, 16, 32}) {
-    const auto& r = Registry::instance().get("g" + std::to_string(g));
+    const auto* r = Registry::instance().find("g" + std::to_string(g));
+    if (r == nullptr) continue;
     // Latency until a frame's mask is available: the whole group must finish.
     const double group_latency_ms =
-        1e3 * r.kernel_timing.total_seconds * fullhd_ratio(r.config) * g;
+        1e3 * r->kernel_timing.total_seconds * fullhd_ratio(r->config) * g;
     rows.push_back(Row{"tiled g=" + std::to_string(g),
-                       {r.speedup, paper_speedup[i],
-                        100.0 * r.per_frame.memory_access_efficiency(),
+                       {r->speedup, g == 8 ? 101.0 : 0.0,
+                        100.0 * r->per_frame.memory_access_efficiency(),
                         g == 1 ? 90.0 : (g == 32 ? 60.0 : 0.0),
-                        100.0 * r.occupancy.achieved, group_latency_ms}});
-    ++i;
+                        100.0 * r->occupancy.achieved, group_latency_ms}});
   }
-  {
-    const auto& r = Registry::instance().get("g8+G");
+  if (const auto* r = Registry::instance().find("g8+G"))
     rows.push_back(Row{"tiled g=8 + G",
-                       {r.speedup, 0,
-                        100.0 * r.per_frame.memory_access_efficiency(), 0,
-                        100.0 * r.occupancy.achieved,
-                        1e3 * r.kernel_timing.total_seconds *
-                            fullhd_ratio(r.config) * 8}});
-  }
+                       {r->speedup, 0,
+                        100.0 * r->per_frame.memory_access_efficiency(), 0,
+                        100.0 * r->occupancy.achieved,
+                        1e3 * r->kernel_timing.total_seconds *
+                            fullhd_ratio(r->config) * 8}});
   print_table("Fig. 10 — tiled MoG vs frame-group size (double, K=3)",
               {"speedup", "paper_spd", "mem_eff%", "paper_me%", "occup%",
                "latency_ms"},

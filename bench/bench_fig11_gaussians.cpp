@@ -30,17 +30,17 @@ void epilogue() {
   const double paper3[6] = {13, 41, 57, 85, 86, 97};
   const double paper5[6] = {0, 0, 44, 0, 0, 92};
   std::vector<Row> rows;
-  int i = 0;
   for (const auto level : kernels::kAllLevels) {
-    const auto& r3 = Registry::instance().get(key(level, 3));
-    const auto& r5 = Registry::instance().get(key(level, 5));
+    const auto* r3 = Registry::instance().find(key(level, 3));
+    const auto* r5 = Registry::instance().find(key(level, 5));
+    if (r3 == nullptr || r5 == nullptr) continue;
+    const auto i = static_cast<std::size_t>(level);
     rows.push_back(Row{std::string("level ") + kernels::to_string(level),
-                       {r3.speedup, paper3[i], r5.speedup, paper5[i],
-                        100.0 * r5.per_frame.branch_efficiency(),
-                        100.0 * r5.per_frame.memory_access_efficiency(),
-                        100.0 * r5.occupancy.achieved,
-                        static_cast<double>(r5.per_frame.regs_per_thread)}});
-    ++i;
+                       {r3->speedup, paper3[i], r5->speedup, paper5[i],
+                        100.0 * r5->per_frame.branch_efficiency(),
+                        100.0 * r5->per_frame.memory_access_efficiency(),
+                        100.0 * r5->occupancy.achieved,
+                        static_cast<double>(r5->per_frame.regs_per_thread)}});
   }
   print_table("Fig. 11 — 3 vs 5 Gaussian components (double)",
               {"spd_K3", "paper_K3", "spd_K5", "paper_K5", "K5_br_eff%",

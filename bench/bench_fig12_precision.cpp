@@ -34,18 +34,18 @@ void epilogue() {
   const double paper64[6] = {13, 41, 57, 85, 86, 97};
   const double paper32[6] = {0, 0, 0, 0, 0, 105};
   std::vector<Row> rows;
-  int i = 0;
   for (const auto level : kernels::kAllLevels) {
-    const auto& r64 = Registry::instance().get(key(level, Precision::kDouble));
-    const auto& r32 = Registry::instance().get(key(level, Precision::kFloat));
+    const auto* r64 = Registry::instance().find(key(level, Precision::kDouble));
+    const auto* r32 = Registry::instance().find(key(level, Precision::kFloat));
+    if (r64 == nullptr || r32 == nullptr) continue;
+    const auto i = static_cast<std::size_t>(level);
     rows.push_back(
         Row{std::string("level ") + kernels::to_string(level),
-            {r64.speedup, paper64[i], r32.speedup, paper32[i],
-             100.0 * r32.per_frame.branch_efficiency(),
-             100.0 * r32.per_frame.memory_access_efficiency(),
-             100.0 * r32.occupancy.achieved,
-             static_cast<double>(r32.per_frame.regs_per_thread)}});
-    ++i;
+            {r64->speedup, paper64[i], r32->speedup, paper32[i],
+             100.0 * r32->per_frame.branch_efficiency(),
+             100.0 * r32->per_frame.memory_access_efficiency(),
+             100.0 * r32->occupancy.achieved,
+             static_cast<double>(r32->per_frame.regs_per_thread)}});
   }
   print_table("Fig. 12 — double vs float (3 Gaussians)",
               {"spd_f64", "paper_f64", "spd_f32", "paper_f32", "f32_br%",

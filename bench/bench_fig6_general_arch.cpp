@@ -24,20 +24,21 @@ void epilogue() {
   const double paper_store_m[3] = {13.3, 2.0, 2.0};
   const double paper_regs[3] = {30, 36, 36};
   std::vector<Row> rows;
-  int i = 0;
   for (const auto level :
        {kernels::OptLevel::kA, kernels::OptLevel::kB, kernels::OptLevel::kC}) {
-    const auto& r = Registry::instance().get(kernels::to_string(level));
-    const double ratio = fullhd_ratio(r.config);
+    const auto* r = Registry::instance().find(kernels::to_string(level));
+    if (r == nullptr) continue;
+    const auto i = static_cast<std::size_t>(level);
+    const double ratio = fullhd_ratio(r->config);
     rows.push_back(
         Row{std::string("level ") + kernels::to_string(level),
-            {100.0 * r.per_frame.memory_access_efficiency(), paper_eff[i],
-             static_cast<double>(r.per_frame.store_transactions) * ratio / 1e6,
+            {100.0 * r->per_frame.memory_access_efficiency(), paper_eff[i],
+             static_cast<double>(r->per_frame.store_transactions) * ratio /
+                 1e6,
              paper_store_m[i],
-             static_cast<double>(r.per_frame.load_transactions) * ratio / 1e6,
-             static_cast<double>(r.per_frame.regs_per_thread), paper_regs[i],
-             100.0 * r.occupancy.achieved}});
-    ++i;
+             static_cast<double>(r->per_frame.load_transactions) * ratio / 1e6,
+             static_cast<double>(r->per_frame.regs_per_thread), paper_regs[i],
+             100.0 * r->occupancy.achieved}});
   }
   print_table("Fig. 6 — general optimizations: memory & registers",
               {"mem_eff%", "paper_eff%", "st_tr(M/fr)", "paper_st(M)",

@@ -49,17 +49,17 @@ void epilogue() {
                 kernels::describe(level));
 
   std::vector<Row> rows;
-  int i = 0;
   for (const auto level : kernels::kAllLevels) {
-    const auto& r = Registry::instance().get(kernels::to_string(level));
+    const auto* r = Registry::instance().find(kernels::to_string(level));
+    if (r == nullptr) continue;
+    const auto i = static_cast<std::size_t>(level);
     rows.push_back(Row{std::string("level ") + kernels::to_string(level),
-                       {kPaperSpeedup[i], r.speedup,
-                        1e3 * r.gpu_seconds_fullhd450 / 450,
-                        100.0 * r.per_frame.branch_efficiency(),
+                       {kPaperSpeedup[i], r->speedup,
+                        1e3 * r->gpu_seconds_fullhd450 / 450,
+                        100.0 * r->per_frame.branch_efficiency(),
                         kPaperBranchEff[i],
-                        100.0 * r.per_frame.memory_access_efficiency(),
-                        100.0 * r.occupancy.achieved, kPaperOccupancy[i]}});
-    ++i;
+                        100.0 * r->per_frame.memory_access_efficiency(),
+                        100.0 * r->occupancy.achieved, kPaperOccupancy[i]}});
   }
   print_table(
       "Fig. 8 — optimization ladder (3 Gaussians, double)",
@@ -70,20 +70,19 @@ void epilogue() {
       "that level (G extends the paper's ladder).");
 
   // Step G's headline: the fused epilogue vs the same stages unfused.
-  const auto& unfused = Registry::instance().get("F+pp");
-  const auto& fused = Registry::instance().get("G");
+  std::vector<Row> fusion;
+  for (const auto& [label, key] :
+       {std::pair{"F + unfused chain", "F+pp"}, std::pair{"G (fused)", "G"}}) {
+    const auto* r = Registry::instance().find(key);
+    if (r == nullptr) continue;
+    fusion.push_back(Row{label,
+                         {r->launches_per_frame,
+                          1e3 * r->gpu_seconds_fullhd450 / 450,
+                          1e-6 * static_cast<double>(
+                                     r->per_frame.bytes_transferred())}});
+  }
   print_table("Step G — kernel fusion of the postproc chain",
-              {"launches/frame", "ms/frame", "dram_MB/frame"},
-              {Row{"F + unfused chain",
-                   {unfused.launches_per_frame,
-                    1e3 * unfused.gpu_seconds_fullhd450 / 450,
-                    1e-6 * static_cast<double>(
-                               unfused.per_frame.bytes_transferred())}},
-               Row{"G (fused)",
-                   {fused.launches_per_frame,
-                    1e3 * fused.gpu_seconds_fullhd450 / 450,
-                    1e-6 * static_cast<double>(
-                               fused.per_frame.bytes_transferred())}}},
+              {"launches/frame", "ms/frame", "dram_MB/frame"}, fusion,
               "identical cleaned masks; the deltas are pure fusion.");
 }
 

@@ -1,108 +1,24 @@
-// Serving-layer scaling: N camera streams multiplexed onto one simulated
-// device through serve::StreamServer.
+// Serving-layer scaling through cluster::DeviceFleet, the serving API.
 //
-// For streams in {1, 2, 4, 8} every stream submits the full frame budget at
-// t = 0 and the scheduler drains the backlog; the report captures the
-// aggregate modeled throughput, the end-to-end latency distribution
-// (arrival -> mask download complete), and the shared-device makespan. One
-// stream reproduces the Fig. 5(b) overlapped pipeline; more streams trade
-// per-stream latency for aggregate throughput on the single copy engine —
-// the serving-layer analogue of the paper's transfer/kernel overlap story.
-// The fleet benches extend the surface to devices x streams: the same backlog
-// sharded across N single-device planes by cluster::DeviceFleet, plus
-// device-loss runs where device 0 dies mid-backlog and its streams fail over
-// live (model checkpoint carried across, queued frames requeued).
+// The s<N> cases put N camera streams on one device (a fleet with
+// devices = 1): every stream submits the full frame budget at t = 0 and the
+// scheduler drains the backlog; the report captures the aggregate modeled
+// throughput, the end-to-end latency distribution (arrival -> mask download
+// complete), and the device makespan. One stream reproduces the Fig. 5(b)
+// overlapped pipeline; more streams trade per-stream latency for aggregate
+// throughput on the single copy engine — the serving-layer analogue of the
+// paper's transfer/kernel overlap story. The d<D>s<N> cases extend the
+// surface to devices x streams: the same backlog sharded across D
+// single-device planes, plus device-loss runs where device 0 dies
+// mid-backlog and its streams fail over live (model checkpoint carried
+// across, queued frames requeued).
 #include "bench_util.hpp"
 
 #include "mog/cluster/device_fleet.hpp"
-#include "mog/serve/stream_server.hpp"
 #include "mog/video/scene.hpp"
 
 namespace mog::bench {
 namespace {
-
-struct ServeResult {
-  int streams = 0;
-  int frames_per_stream = 0;
-  double makespan_seconds = 0;
-  double aggregate_fps = 0;
-  telemetry::Rollup latency;
-  std::uint64_t masks = 0;
-};
-
-std::map<int, ServeResult>& serve_results() {
-  static std::map<int, ServeResult> r;
-  return r;
-}
-
-void serve_streams(benchmark::State& state) {
-  const int streams = static_cast<int>(state.range(0));
-  const ExperimentConfig base = base_config();
-
-  ServeResult result;
-  const auto wall_start = std::chrono::steady_clock::now();
-  for (auto _ : state) {
-    serve::ServeConfig cfg;
-    cfg.max_streams = streams;
-    cfg.queue_depth = static_cast<std::size_t>(base.frames);
-    cfg.collect_masks = false;  // counters only; masks would dominate memory
-    serve::StreamServer<double> server{cfg};
-
-    serve::StreamServer<double>::GpuConfig gpu;
-    gpu.width = base.width;
-    gpu.height = base.height;
-    gpu.level = kernels::OptLevel::kF;
-    for (int s = 0; s < streams; ++s) server.open_stream(gpu);
-
-    for (int s = 0; s < streams; ++s) {
-      SceneConfig sc;
-      sc.width = base.width;
-      sc.height = base.height;
-      sc.seed = 1000 + static_cast<std::uint64_t>(s);
-      const SyntheticScene scene{sc};
-      for (int t = 0; t < base.frames; ++t)
-        server.submit(s, scene.frame(t));
-    }
-    server.drain();
-
-    result.streams = streams;
-    result.frames_per_stream = base.frames;
-    result.makespan_seconds = server.makespan_seconds();
-    result.masks = server.masks_delivered();
-    result.aggregate_fps =
-        static_cast<double>(result.masks) / result.makespan_seconds;
-    result.latency = server.aggregate_latency_rollup();
-  }
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - wall_start)
-          .count();
-
-  state.counters["streams"] = streams;
-  state.counters["aggregate_fps"] = result.aggregate_fps;
-  state.counters["latency_p99_ms"] = 1e3 * result.latency.p99;
-  serve_results()[streams] = result;
-
-  reporter().set_workload(base.width, base.height, base.frames);
-  reporter()
-      .add_case("s" + std::to_string(streams))
-      .metric("aggregate_fps", result.aggregate_fps)
-      .metric("makespan_seconds", result.makespan_seconds)
-      .metric("latency_p50_ms", 1e3 * result.latency.p50)
-      .metric("latency_p99_ms", 1e3 * result.latency.p99)
-      .metric("latency_mean_ms", 1e3 * result.latency.mean)
-      .metric("masks_delivered", static_cast<double>(result.masks))
-      .metric("wall_ms", wall_ms);
-}
-BENCHMARK(serve_streams)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-// --- device fleet: devices x streams, with and without device loss ----------
 
 struct FleetResult {
   int devices = 0;
@@ -134,7 +50,7 @@ FleetResult run_fleet(int devices, int streams, bool kill_device_zero) {
   cfg.serve.collect_masks = false;
   cluster::DeviceFleet<double> fleet{cfg};
 
-  typename serve::StreamServer<double>::GpuConfig gpu;
+  cluster::DeviceFleet<double>::GpuConfig gpu;
   gpu.width = base.width;
   gpu.height = base.height;
   gpu.level = kernels::OptLevel::kF;
@@ -177,6 +93,51 @@ FleetResult run_fleet(int devices, int streams, bool kill_device_zero) {
   r.migrations = fleet.migration_stats();
   return r;
 }
+
+// --- streams sharing one device --------------------------------------------
+
+std::map<int, FleetResult>& serve_results() {
+  static std::map<int, FleetResult> r;
+  return r;
+}
+
+void serve_streams(benchmark::State& state) {
+  const int streams = static_cast<int>(state.range(0));
+  const ExperimentConfig base = base_config();
+
+  FleetResult result;
+  const auto wall_start = std::chrono::steady_clock::now();
+  for (auto _ : state) result = run_fleet(1, streams, false);
+  const double wall_ms =
+      std::chrono::duration<double, std::milli>(
+          std::chrono::steady_clock::now() - wall_start)
+          .count();
+
+  state.counters["streams"] = streams;
+  state.counters["aggregate_fps"] = result.aggregate_fps;
+  state.counters["latency_p99_ms"] = 1e3 * result.latency.p99;
+  serve_results()[streams] = result;
+
+  reporter().set_workload(base.width, base.height, base.frames);
+  reporter()
+      .add_case("s" + std::to_string(streams))
+      .metric("aggregate_fps", result.aggregate_fps)
+      .metric("makespan_seconds", result.makespan_seconds)
+      .metric("latency_p50_ms", 1e3 * result.latency.p50)
+      .metric("latency_p99_ms", 1e3 * result.latency.p99)
+      .metric("latency_mean_ms", 1e3 * result.latency.mean)
+      .metric("masks_delivered", static_cast<double>(result.masks))
+      .metric("wall_ms", wall_ms);
+}
+BENCHMARK(serve_streams)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond);
+
+// --- devices x streams, with and without device loss ------------------------
 
 void fleet_surface(benchmark::State& state) {
   const int devices = static_cast<int>(state.range(0));

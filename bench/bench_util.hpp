@@ -149,17 +149,17 @@ class Registry {
   }
   void put(const std::string& key, const ExperimentResult& result) {
     results_[key] = result;
-    order_.push_back(key);
   }
-  const ExperimentResult& get(const std::string& key) const {
-    return results_.at(key);
+  /// The recorded result, or nullptr when that case did not run (a
+  /// --benchmark_filter subset or --benchmark_list_tests); epilogues skip
+  /// such rows.
+  const ExperimentResult* find(const std::string& key) const {
+    const auto it = results_.find(key);
+    return it != results_.end() ? &it->second : nullptr;
   }
-  bool has(const std::string& key) const { return results_.count(key) > 0; }
-  const std::vector<std::string>& order() const { return order_; }
 
  private:
   std::map<std::string, ExperimentResult> results_;
-  std::vector<std::string> order_;
 };
 
 /// Run one experiment inside a benchmark body, exporting headline counters
@@ -214,10 +214,12 @@ struct Row {
   std::vector<double> values;
 };
 
+/// Print a titled table; nothing at all when no row ran.
 inline void print_table(const std::string& title,
                         const std::vector<std::string>& columns,
                         const std::vector<Row>& rows,
                         const std::string& footnote = {}) {
+  if (rows.empty()) return;
   std::printf("\n=== %s ===\n", title.c_str());
   std::printf("%-22s", "");
   for (const auto& c : columns) std::printf("%16s", c.c_str());

@@ -28,12 +28,14 @@
 // fail over to the surviving devices, and keep serving — watch the
 // mog_fleet_migrations_total counters move on /metrics.
 //
-// --obs-port P exposes the live observability plane (GET /metrics, /healthz,
-// /statusz, /profilez) on 127.0.0.1:P for the fleet's lifetime (P=0 picks an
-// ephemeral port, printed at startup) and mirrors structured logs to stderr
-// as JSON lines. --hold-seconds S keeps the process (and thus the endpoints)
-// alive S seconds after the run so a scraper can collect the final counters
-// or grab a sampling profile (/profilez?seconds=1&hz=997).
+// --obs-port P exposes the fleet's observability plane (GET /metrics,
+// /healthz, /statusz, /profilez) on 127.0.0.1:P for the fleet's lifetime
+// (P=0 picks an ephemeral port, printed at startup) and mirrors structured
+// logs to stderr as JSON lines. Per-stream series and health lines carry the
+// fleet stream id, whichever device hosts the stream; at exit the demo prints
+// the same /statusz page. --hold-seconds S keeps the process (and thus the
+// endpoints) alive S seconds after the run so a scraper can collect the final
+// counters or grab a sampling profile (/profilez?seconds=1&hz=997).
 //
 // Masks, mask counts, and the modeled makespan are deterministic, but the
 // latency percentiles vary run to run: which scheduler round ingests a
@@ -316,7 +318,7 @@ int main(int argc, char** argv) try {
   fleet.stop();
   fleet.drain();
 
-  std::printf("%s\n", fleet.summary().c_str());
+  std::printf("%s", fleet.statusz().c_str());
   const mog::telemetry::Rollup lat = fleet.aggregate_latency_rollup();
   std::printf(
       "aggregate: %llu masks in %.3f s modeled  (%.1f fps, p99 latency %.2f "
@@ -326,9 +328,6 @@ int main(int argc, char** argv) try {
       static_cast<double>(fleet.masks_delivered()) / fleet.makespan_seconds(),
       1e3 * lat.p99,
       static_cast<unsigned long long>(fleet.frames_dropped()));
-  if (fail_device >= 0)
-    std::printf("failover: %s\n",
-                fleet.migration_stats().summary().c_str());
   if (hold_seconds > 0) {
     std::printf("holding %d s for scrapers...\n", hold_seconds);
     std::fflush(stdout);

@@ -7,17 +7,36 @@
 
 #include "mog/common/strutil.hpp"
 #include "mog/cpu/model_io.hpp"
+#include "mog/fault/model_health.hpp"
 #include "mog/obs/flame.hpp"
 #include "mog/obs/prometheus.hpp"
 #include "mog/telemetry/telemetry.hpp"
 
 namespace mog::cluster {
 
+namespace {
+
+/// Degradation strikes (streams stepping down the recovery ladder) charged
+/// to a device before it is declared lost and evacuated.
+constexpr int kDeviceLossStrikes = 1;
+
+/// Recovery actions exported per stream, as `action=` labels.
+using fault::RecoveryStats;
+constexpr std::pair<const char*, std::uint64_t RecoveryStats::*>
+    kRecoveryActions[] = {
+        {"retry", &RecoveryStats::retries},
+        {"mask_reused", &RecoveryStats::masks_reused},
+        {"frame_lost", &RecoveryStats::frames_lost},
+        {"checkpoint", &RecoveryStats::checkpoints},
+        {"rollback", &RecoveryStats::rollbacks},
+        {"degradation", &RecoveryStats::degradations},
+        {"deadline", &RecoveryStats::deadline_exceeded},
+};
+
+}  // namespace
+
 void FleetConfig::validate() const {
   MOG_CHECK(devices >= 1, "a fleet needs at least one device");
-  MOG_CHECK(vnodes_per_device >= 1, "ring needs at least one vnode");
-  MOG_CHECK(device_loss_strikes >= 1,
-            "device loss needs at least one strike");
   MOG_CHECK(obs_port <= 65535, "obs_port out of range");
   serve.validate();
 }
@@ -38,16 +57,12 @@ std::string MigrationStats::summary() const {
 }
 
 template <typename T>
-DeviceFleet<T>::DeviceFleet(const FleetConfig& config)
-    : config_(config), scheduler_(config.vnodes_per_device) {
+DeviceFleet<T>::DeviceFleet(const FleetConfig& config) : config_(config) {
   config_.validate();
-  serve::ServeConfig member = config_.serve;
-  member.obs_port = -1;  // the fleet owns the observability endpoint
   nodes_.reserve(static_cast<std::size_t>(config_.devices));
   for (int d = 0; d < config_.devices; ++d) {
-    member.profile_label = strprintf("dev%d", d);
     DeviceNode node;
-    node.server = std::make_unique<serve::StreamServer<T>>(member);
+    node.server = std::make_unique<serve::StreamServer<T>>(config_.serve, d);
     nodes_.push_back(std::move(node));
     scheduler_.add_device(d);
   }
@@ -278,7 +293,7 @@ void DeviceFleet<T>::supervise_locked() {
     rec.last_tier = tier;
   }
   for (std::size_t d = 0; d < nodes_.size(); ++d)
-    if (nodes_[d].alive && nodes_[d].strikes >= config_.device_loss_strikes)
+    if (nodes_[d].alive && nodes_[d].strikes >= kDeviceLossStrikes)
       declare_lost_locked(static_cast<int>(d), "degradation strikes");
 }
 
@@ -289,7 +304,6 @@ void DeviceFleet<T>::declare_lost_locked(int d, const char* reason) {
   node.alive = false;
   log_.error("device lost",
              {{"device", d}, {"reason", reason}, {"strikes", node.strikes}});
-  if (!config_.auto_migrate) return;
   for (std::size_t i = 0; i < recs_.size(); ++i)
     if (recs_[i].open && recs_[i].device == d)
       migrate_stream_locked(static_cast<int>(i));
@@ -354,21 +368,13 @@ bool DeviceFleet<T>::migrate_stream_locked(int id) {
                {{"stream", id}});
   }
 
-  // 4. Carry the victim incarnation's history, then retire it.
-  rec.masks_stash += src.stream_stats(local).masks_delivered;
-  {
-    std::vector<FrameU8> masks = src.take_masks(local);
-    rec.mask_stash.insert(rec.mask_stash.end(),
-                          std::make_move_iterator(masks.begin()),
-                          std::make_move_iterator(masks.end()));
-  }
-  {
-    const std::vector<double> lat = src.latency_samples(local);
-    rec.latency_stash.insert(rec.latency_stash.end(), lat.begin(), lat.end());
-  }
+  // 4. Retire the victim incarnation. Its plane keeps the masks, latencies
+  //    and counters it produced; the fleet reads them through `retired`.
   src.close_stream(local);
+  rec.retired.push_back(Placement{src_d, local});
 
   // 5. Requeue the stolen frames on the target, oldest first.
+  rec.requeued += stolen.size();
   for (serve::QueuedFrame& qf : stolen) {
     ++migration_stats_.frames_requeued;
     if (!dst.resubmit(nl, std::move(qf)))
@@ -379,7 +385,6 @@ bool DeviceFleet<T>::migrate_stream_locked(int id) {
   // victim returns to its full tier.
   rec.last_tier = rec.gpu.tiled ? fault::ExecutionTier::kTiledGpu
                                 : fault::ExecutionTier::kGpuDirect;
-  ++rec.migrations;
   ++nodes_[static_cast<std::size_t>(src_d)].migrations_out;
   ++nodes_[static_cast<std::size_t>(dst_d)].migrations_in;
   ++migration_stats_.completed;
@@ -423,14 +428,12 @@ int DeviceFleet<T>::stream_device(int id) const {
 template <typename T>
 std::vector<FrameU8> DeviceFleet<T>::take_masks(int id) {
   std::lock_guard<std::mutex> lock(mu_);
-  StreamRec& rec = rec_at(id);
-  std::vector<FrameU8> out = std::move(rec.mask_stash);
-  rec.mask_stash.clear();
-  std::vector<FrameU8> cur =
-      nodes_[static_cast<std::size_t>(rec.device)].server->take_masks(
-          rec.local_id);
-  out.insert(out.end(), std::make_move_iterator(cur.begin()),
-             std::make_move_iterator(cur.end()));
+  std::vector<FrameU8> out;
+  for (const Placement& p : incarnations(rec_at(id))) {
+    std::vector<FrameU8> masks = plane(p).take_masks(p.local_id);
+    out.insert(out.end(), std::make_move_iterator(masks.begin()),
+               std::make_move_iterator(masks.end()));
+  }
   return out;
 }
 
@@ -441,36 +444,63 @@ FleetStreamInfo DeviceFleet<T>::stream_info(int id) const {
   FleetStreamInfo info;
   info.device = rec.device;
   info.open = rec.open;
-  info.migrations = rec.migrations;
-  info.serve = nodes_[static_cast<std::size_t>(rec.device)]
-                   .server->stream_stats(rec.local_id);
+  info.migrations = rec.retired.size();
+  for (const Placement& p : incarnations(rec)) {
+    info.serve = plane(p).stream_stats(p.local_id);  // the current one last
+    info.masks_delivered += info.serve.masks_delivered;
+  }
   info.tier = info.serve.tier;
-  info.masks_delivered = rec.masks_stash + info.serve.masks_delivered;
   return info;
 }
 
 template <typename T>
-const MigrationStats& DeviceFleet<T>::migration_stats() const {
+MigrationStats DeviceFleet<T>::migration_stats() const {
+  std::lock_guard<std::mutex> lock(mu_);
   return migration_stats_;
+}
+
+template <typename T>
+serve::StreamStats DeviceFleet<T>::totals_locked(const StreamRec& rec) const {
+  serve::StreamStats sum;
+  for (const Placement& p : incarnations(rec)) {
+    const serve::StreamStats st = plane(p).stream_stats(p.local_id);
+    sum.queue.submitted += st.queue.submitted;
+    sum.queue.dropped += st.queue.dropped;
+    sum.queue.high_water = std::max(sum.queue.high_water, st.queue.high_water);
+    sum.queue_depth += st.queue_depth;
+    sum.frames_scheduled += st.frames_scheduled;
+    sum.masks_delivered += st.masks_delivered;
+    for (const auto& action : kRecoveryActions)
+      sum.recovery.*action.second += st.recovery.*action.second;
+    sum.tier = st.tier;  // the current incarnation is last
+  }
+  // A requeued frame was offered once, whichever queues it passed through.
+  sum.queue.submitted -= rec.requeued;
+  return sum;
+}
+
+template <typename T>
+std::vector<double> DeviceFleet<T>::latencies_locked(
+    const StreamRec& rec) const {
+  std::vector<double> all;
+  for (const Placement& p : incarnations(rec)) {
+    const std::vector<double> lat = plane(p).latency_samples(p.local_id);
+    all.insert(all.end(), lat.begin(), lat.end());
+  }
+  return all;
 }
 
 template <typename T>
 telemetry::Rollup DeviceFleet<T>::latency_rollup(int id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const StreamRec& rec = rec_at(id);
-  std::vector<double> all = rec.latency_stash;
-  const std::vector<double> cur =
-      nodes_[static_cast<std::size_t>(rec.device)].server->latency_samples(
-          rec.local_id);
-  all.insert(all.end(), cur.begin(), cur.end());
-  return telemetry::make_rollup(all);
+  return telemetry::make_rollup(latencies_locked(rec_at(id)));
 }
 
 template <typename T>
 telemetry::Rollup DeviceFleet<T>::aggregate_latency_rollup() const {
   std::lock_guard<std::mutex> lock(mu_);
-  // Member servers retain closed victims' samples, so no stash here (it
-  // would double count migrated streams).
+  // Every incarnation lives on exactly one plane, so the planes' aggregates
+  // count each delivered mask once.
   std::vector<double> all;
   for (const DeviceNode& node : nodes_) {
     const std::vector<double> lat = node.server->aggregate_latencies();
@@ -538,6 +568,19 @@ const typename DeviceFleet<T>::StreamRec& DeviceFleet<T>::rec_at(
   MOG_CHECK(id >= 0 && id < static_cast<int>(recs_.size()),
             "unknown stream id");
   return recs_[static_cast<std::size_t>(id)];
+}
+
+template <typename T>
+std::vector<typename DeviceFleet<T>::Placement> DeviceFleet<T>::incarnations(
+    const StreamRec& rec) const {
+  std::vector<Placement> all = rec.retired;
+  all.push_back(Placement{rec.device, rec.local_id});
+  return all;
+}
+
+template <typename T>
+serve::StreamServer<T>& DeviceFleet<T>::plane(const Placement& p) const {
+  return *nodes_[static_cast<std::size_t>(p.device)].server;
 }
 
 template <typename T>
@@ -689,7 +732,7 @@ std::string DeviceFleet<T>::metrics_text_locked() const {
     f.type = MetricType::kCounter;
     for (std::size_t i = 0; i < recs_.size(); ++i)
       f.samples.push_back({{{"stream", strprintf("%zu", i)}},
-                           static_cast<double>(recs_[i].migrations)});
+                           static_cast<double>(recs_[i].retired.size())});
     families.push_back(std::move(f));
   }
   {
@@ -706,8 +749,85 @@ std::string DeviceFleet<T>::metrics_text_locked() const {
     families.push_back(std::move(f));
   }
 
-  // Global telemetry sinks, when installed (same dedup rule as the member
-  // servers: labelled fleet families win over registry rollups).
+  // Per-stream families, keyed by fleet stream id.
+  std::vector<serve::StreamStats> totals;
+  for (const StreamRec& rec : recs_) totals.push_back(totals_locked(rec));
+  const auto stream_label = [](std::size_t i) {
+    return obs::LabelSet{{"stream", strprintf("%zu", i)}};
+  };
+  struct StreamSpec {
+    const char* name;
+    const char* help;
+    MetricType type;
+    std::uint64_t (*value)(const serve::StreamStats&);
+  };
+  const StreamSpec specs[] = {
+      {"mog_serve_frames_submitted_total", "Frames offered to submit()",
+       MetricType::kCounter,
+       [](const serve::StreamStats& s) { return s.queue.submitted; }},
+      {"mog_serve_frames_dropped_total",
+       "Frames lost to the queue drop policy", MetricType::kCounter,
+       [](const serve::StreamStats& s) { return s.queue.dropped; }},
+      {"mog_serve_frames_scheduled_total", "Frames popped into the pipeline",
+       MetricType::kCounter,
+       [](const serve::StreamStats& s) { return s.frames_scheduled; }},
+      {"mog_serve_masks_delivered_total", "Masks completed end to end",
+       MetricType::kCounter,
+       [](const serve::StreamStats& s) { return s.masks_delivered; }},
+      {"mog_serve_queue_depth",
+       "Frames currently waiting in the ingress queue", MetricType::kGauge,
+       [](const serve::StreamStats& s) { return s.queue_depth; }},
+      {"mog_serve_queue_high_water", "Maximum ingress queue depth observed",
+       MetricType::kGauge,
+       [](const serve::StreamStats& s) { return s.queue.high_water; }},
+      {"mog_serve_stream_tier",
+       "Degradation-ladder tier (0 tiled GPU, 1 direct GPU, 2 CPU)",
+       MetricType::kGauge,
+       [](const serve::StreamStats& s) {
+         return static_cast<std::uint64_t>(s.tier);
+       }},
+  };
+  for (const StreamSpec& spec : specs) {
+    MetricFamily f;
+    f.name = spec.name;
+    f.help = spec.help;
+    f.type = spec.type;
+    for (std::size_t i = 0; i < totals.size(); ++i)
+      f.samples.push_back(
+          {stream_label(i), static_cast<double>(spec.value(totals[i]))});
+    families.push_back(std::move(f));
+  }
+  {
+    MetricFamily f;
+    f.name = "mog_serve_latency_seconds";
+    f.help = "End-to-end modeled latency per delivered mask";
+    f.type = MetricType::kHistogram;
+    for (std::size_t i = 0; i < recs_.size(); ++i)
+      f.histograms.push_back(
+          obs::make_histogram(latencies_locked(recs_[i]), stream_label(i)));
+    families.push_back(std::move(f));
+  }
+  {
+    MetricFamily f;
+    f.name = "mog_serve_recovery_actions_total";
+    f.help = "Recovery actions taken by each stream's resilient pipeline";
+    f.type = MetricType::kCounter;
+    for (std::size_t i = 0; i < totals.size(); ++i)
+      for (const auto& [action, field] : kRecoveryActions) {
+        obs::LabelSet labels = stream_label(i);
+        labels.emplace_back("action", action);
+        const double count = static_cast<double>(totals[i].recovery.*field);
+        f.samples.push_back({std::move(labels), count});
+      }
+    families.push_back(std::move(f));
+  }
+
+  // Global telemetry sinks, when installed: kernel-counter rollups and
+  // trace-recorder drop health. The planes record their own custom series
+  // (serve.latency_seconds, serve.queue_depth) into the registry, which
+  // append_counter_registry would render under the same mog_serve_* names
+  // as the per-stream families above — drop the duplicates, the labelled
+  // families win.
   std::vector<MetricFamily> global;
   if (const telemetry::CounterRegistry* reg = telemetry::counters())
     obs::append_counter_registry(*reg, global);
@@ -733,22 +853,27 @@ bool DeviceFleet<T>::healthz_locked(std::string& detail) const {
   int alive = 0;
   for (const DeviceNode& node : nodes_) alive += node.alive ? 1 : 0;
   bool ok = alive > 0;
+  const fault::ResilienceConfig& res = config_.serve.resilience;
   for (std::size_t d = 0; d < nodes_.size(); ++d) {
     const DeviceNode& node = nodes_[d];
     detail += strprintf("device %zu: %s, %d stream(s), %d strike(s)\n", d,
                         node.alive ? "alive" : "LOST",
                         node.server->open_streams(), node.strikes);
-    std::string sub;
-    const bool node_ok = node.server->healthz(sub);
-    // A stream stranded on a lost device (capacity exhausted fleet-wide)
-    // keeps the fleet unhealthy until it is back on a GPU tier somewhere.
-    ok = ok && node_ok;
-    std::size_t pos = 0;
-    while (pos < sub.size()) {
-      const std::size_t nl = sub.find('\n', pos);
-      detail += "  " + sub.substr(pos, nl - pos) + "\n";
-      if (nl == std::string::npos) break;
-      pos = nl + 1;
+    for (std::size_t i = 0; i < recs_.size(); ++i) {
+      const StreamRec& rec = recs_[i];
+      if (!rec.open || rec.device != static_cast<int>(d)) continue;
+      const fault::ExecutionTier tier =
+          node.server->stream_stats(rec.local_id).tier;
+      // Subsampled watchdog scan — same check the rollback machinery uses.
+      const fault::ModelHealth health = fault::validate_model(
+          node.server->stream_model(rec.local_id), res.health_check_stride);
+      const bool model_ok = health.healthy(res.weight_drift_tolerance);
+      // A stream stranded on a lost device (capacity exhausted fleet-wide)
+      // keeps the fleet unhealthy until it is back on a GPU tier somewhere.
+      ok = ok && tier != fault::ExecutionTier::kCpuSerial && model_ok;
+      detail += strprintf("  stream %zu: tier=%s model=%s\n", i,
+                          fault::to_string(tier),
+                          model_ok ? "healthy" : health.summary().c_str());
     }
   }
   return ok;
@@ -770,28 +895,44 @@ std::string DeviceFleet<T>::statusz_locked() const {
   out += migration_stats_.summary() + "\n";
   for (std::size_t d = 0; d < nodes_.size(); ++d) {
     const DeviceNode& node = nodes_[d];
+    const gpusim::SharedTimeline& tl = node.server->timeline();
     out += strprintf(
-        "-- device %zu [%s, %d strike(s), %llu in / %llu out migrations]\n",
+        "-- device %zu [%s, %d strike(s), %llu in / %llu out migrations]: "
+        "%d open stream(s), makespan %.3f s, device memory %s, "
+        "engines dma %.3f s + kernel %.3f s busy\n",
         d, node.alive ? "alive" : "LOST", node.strikes,
         static_cast<unsigned long long>(node.migrations_in),
-        static_cast<unsigned long long>(node.migrations_out));
-    out += node.server->statusz();
+        static_cast<unsigned long long>(node.migrations_out),
+        node.server->open_streams(), node.server->makespan_seconds(),
+        human_bytes(static_cast<double>(node.server->device_bytes_in_use()))
+            .c_str(),
+        tl.dma_busy_seconds(), tl.kernel_busy_seconds());
   }
-  return out;
-}
-
-template <typename T>
-std::string DeviceFleet<T>::summary() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  int alive = 0;
-  for (const DeviceNode& node : nodes_) alive += node.alive ? 1 : 0;
-  std::string out = strprintf(
-      "fleet: %zu device(s), %d alive, %zu stream(s), %s", nodes_.size(),
-      alive, recs_.size(), migration_stats_.summary().c_str());
-  for (std::size_t d = 0; d < nodes_.size(); ++d)
-    out += strprintf("\ndevice %zu [%s]: %s", d,
-                     nodes_[d].alive ? "alive" : "LOST",
-                     nodes_[d].server->summary().c_str());
+  out += "== streams ==\n";
+  for (std::size_t i = 0; i < recs_.size(); ++i) {
+    const StreamRec& rec = recs_[i];
+    const serve::StreamStats sum = totals_locked(rec);
+    const telemetry::Rollup lat =
+        telemetry::make_rollup(latencies_locked(rec));
+    out += strprintf(
+        "stream %zu [%s%s] on device %d, %zu migration(s): %llu in / %llu "
+        "masks / %llu dropped, latency p50 %.3f ms p99 %.3f ms\n",
+        i, fault::to_string(sum.tier), rec.open ? "" : ", closed", rec.device,
+        rec.retired.size(),
+        static_cast<unsigned long long>(sum.queue.submitted),
+        static_cast<unsigned long long>(sum.masks_delivered),
+        static_cast<unsigned long long>(sum.queue.dropped), lat.p50 * 1e3,
+        lat.p99 * 1e3);
+    // The full recovery digest of the current incarnation's pipeline.
+    const serve::StreamStats cur =
+        plane({rec.device, rec.local_id}).stream_stats(rec.local_id);
+    out += strprintf("  on device %d: %s\n", rec.device,
+                     cur.recovery.summary().c_str());
+  }
+  if (const telemetry::CounterRegistry* reg = telemetry::counters()) {
+    out += "== kernel counters ==\n";
+    out += reg->summary() + "\n";
+  }
   return out;
 }
 

@@ -1,8 +1,9 @@
 // Multi-device fleet: N simulated devices behind one serving front end.
 //
-// A DeviceFleet owns N device nodes. Each node is a full single-device
-// serving plane — a serve::StreamServer with its own gpusim::SharedTimeline
-// (DMA + compute engines), its own device-memory admission budget, its own
+// DeviceFleet is the serving API (devices = 1 for a single GPU). It owns N
+// device nodes. Each node is a single-device serving plane — a
+// serve::StreamServer with its own gpusim::SharedTimeline (DMA + compute
+// engines), its own device-memory admission budget, its own
 // pump, and optionally its own fault::FaultInjector. The injector makes the
 // node a *fault domain*: every stream placed on the node shares it, so an
 // injected device failure correlates across exactly the streams that live
@@ -15,9 +16,10 @@
 // live load vector.
 //
 // Live migration (the headline robustness mechanism): when a device is
-// declared lost — explicitly via fail_device(), or automatically when
-// streams on it take degradation strikes from repeated launch/transfer
-// failures — every stream it hosts is moved to a healthy device:
+// declared lost — explicitly via fail_device(), or automatically on the
+// first degradation strike, when a stream on it steps down the recovery
+// ladder after repeated launch/transfer failures — every stream it hosts is
+// moved to a healthy device:
 //
 //   1. freeze   — steal the stream's queued frames (stamps and trace
 //                 tickets preserved), flush its partial tiled group;
@@ -35,10 +37,15 @@
 // in place. Admitted frames are never dropped by a failover; a migration is
 // observable in MigrationStats, the obs log, and /metrics.
 //
-// Observability: the fleet serves aggregated /metrics (per-device families
-// + fleet-level migration counters + a devices-spanning latency histogram),
-// /healthz (per-device and per-stream verdicts; 503 while any admitted
-// stream is off-GPU or model-drifted), and /statusz.
+// Observability: the fleet is the only owner of the HTTP endpoint and
+// renders every page once: /metrics (per-device mog_fleet_* families, fleet
+// migration counters, a devices-spanning latency histogram, and the
+// per-stream mog_serve_* families labelled by fleet stream id), /healthz
+// (per-device and per-stream verdicts; 503 while any admitted stream is
+// off-GPU or model-drifted), and /statusz. A migrated stream leaves a closed
+// incarnation, counters intact, on each device it left; the per-stream
+// families sum over a stream's incarnations, so a failover never resets a
+// counter.
 //
 // Thread safety: public methods lock the fleet mutex; member servers have
 // their own locks (always acquired after the fleet's, never the reverse).
@@ -54,29 +61,22 @@
 #include <vector>
 
 #include "mog/cluster/placement.hpp"
+#include "mog/obs/http_server.hpp"
 #include "mog/serve/stream_server.hpp"
+#include "mog/telemetry/counters.hpp"
 
 namespace mog::cluster {
 
 struct FleetConfig {
-  int devices = 2;  ///< device nodes (each a full serving plane)
+  int devices = 2;  ///< device nodes (each a single-device serving plane)
 
-  /// Template applied to every device node. obs_port is ignored for members
-  /// (the fleet owns the observability endpoint — set FleetConfig::obs_port).
+  /// Template applied to every device node.
   serve::ServeConfig serve;
 
-  int vnodes_per_device = 64;  ///< consistent-hash ring smoothing
-
-  /// Degradation strikes (streams stepping down the recovery ladder) charged
-  /// to a device before it is declared lost and evacuated.
-  int device_loss_strikes = 1;
-
-  /// Migrate streams off lost devices. Off = streams ride the per-stream
-  /// CPU ladder in place (the pre-fleet behavior).
-  bool auto_migrate = true;
-
-  /// Fleet-level observability endpoint (/metrics, /healthz, /statusz);
-  /// -1 disables, 0 binds an ephemeral loopback port.
+  /// Observability endpoint (/metrics, /healthz, /statusz, /profilez),
+  /// served from a thread the fleet owns for its whole lifetime: -1
+  /// disables it, 0 binds an ephemeral loopback port (read it back via
+  /// obs_port()), >0 binds that port.
   int obs_port = -1;
 
   void validate() const;
@@ -154,8 +154,8 @@ class DeviceFleet {
   void start();
   void stop();
 
-  /// Operator/chaos entry point: declare device `d` lost now and (with
-  /// auto_migrate) evacuate its streams.
+  /// Operator/chaos entry point: declare device `d` lost now and evacuate
+  /// its streams.
   void fail_device(int d);
 
   int devices() const;
@@ -167,7 +167,7 @@ class DeviceFleet {
   std::vector<FrameU8> take_masks(int id);
 
   FleetStreamInfo stream_info(int id) const;
-  const MigrationStats& migration_stats() const;
+  MigrationStats migration_stats() const;  ///< a copy taken under the lock
 
   telemetry::Rollup latency_rollup(int id) const;
   telemetry::Rollup aggregate_latency_rollup() const;
@@ -182,11 +182,25 @@ class DeviceFleet {
 
   const FleetConfig& config() const { return config_; }
 
-  // --- observability plane -------------------------------------------------
+  // --- observability plane (the /metrics, /healthz, /statusz bodies; also
+  // callable directly so tests and embedders need no socket) ---------------
+
+  /// Prometheus text exposition: the mog_fleet_* families, the per-stream
+  /// mog_serve_* families keyed by fleet stream id, plus the global
+  /// CounterRegistry and trace health when telemetry sinks are installed.
   std::string metrics_text() const;
+
+  /// Liveness verdict: true while some device is alive and every open
+  /// stream is on a GPU tier with a model that passes
+  /// fault::validate_model(). `detail` gets one line per device and per
+  /// open stream either way (the /healthz body).
   bool healthz(std::string& detail) const;
+
+  /// Human-readable status page: devices, migrations, and per-stream
+  /// traffic, latency and recovery.
   std::string statusz() const;
-  std::string summary() const;
+
+  /// Bound observability port; -1 when FleetConfig::obs_port disabled it.
   int obs_port() const { return obs_http_.port(); }
 
   /// Test hook: mutate the serialized snapshot between encode and decode
@@ -204,6 +218,12 @@ class DeviceFleet {
     std::uint64_t migrations_out = 0;
   };
 
+  /// Where one incarnation of a fleet stream lives.
+  struct Placement {
+    int device = -1;
+    int local_id = -1;  ///< stream id on that device's plane
+  };
+
   struct StreamRec {
     bool open = true;
     int device = -1;
@@ -211,16 +231,18 @@ class DeviceFleet {
     GpuConfig gpu;
     std::shared_ptr<fault::FaultInjector> own_injector;
     std::string key;
-    std::uint64_t migrations = 0;
     fault::ExecutionTier last_tier = fault::ExecutionTier::kGpuDirect;
-    /// History carried across migrations (prior incarnations).
-    std::vector<FrameU8> mask_stash;
-    std::vector<double> latency_stash;
-    std::uint64_t masks_stash = 0;
+    /// Closed incarnations a migration left behind, oldest first; their
+    /// planes keep their masks, latencies and counters.
+    std::vector<Placement> retired;
+    std::uint64_t requeued = 0;  ///< frames migrations moved between queues
   };
 
   StreamRec& rec_at(int id);
   const StreamRec& rec_at(int id) const;
+  /// Every incarnation of `rec`, oldest first; the current one is last.
+  std::vector<Placement> incarnations(const StreamRec& rec) const;
+  serve::StreamServer<T>& plane(const Placement& p) const;
   std::vector<DeviceLoad> loads_locked(int exclude_device = -1) const;
   int open_on_some_device_locked(StreamRec& rec, int exclude_device);
   int pump_locked();
@@ -228,6 +250,10 @@ class DeviceFleet {
   void declare_lost_locked(int d, const char* reason);
   bool migrate_stream_locked(int id);
   void start_obs_server();
+  /// `rec`'s counters summed over its incarnations (tier: the current one's;
+  /// recovery: the exported action counts only).
+  serve::StreamStats totals_locked(const StreamRec& rec) const;
+  std::vector<double> latencies_locked(const StreamRec& rec) const;
   std::string metrics_text_locked() const;
   bool healthz_locked(std::string& detail) const;
   std::string statusz_locked() const;

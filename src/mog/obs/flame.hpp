@@ -42,16 +42,15 @@ FlameProfile profile_from_report_json(const telemetry::Json& prof);
 /// Terminal table: per-frame self/total sample shares, hottest first.
 std::string render_flame_table(const FlameProfile& profile, int top_n = 20);
 
-/// The GET /profilez handler, shared by StreamServer and DeviceFleet.
+/// The GET /profilez handler of the DeviceFleet observability endpoint.
 /// Blocks the (single) observability server thread while it captures from
 /// Sampler::global() — bounded by the clamp on `seconds`.
 ///   ?seconds=N  capture window, (0, 30], default 1
 ///   ?hz=M       sampling rate, [1, 10000], default 997
 ///   ?format=    collapsed (default) | speedscope | table
 /// Out-of-range or unknown values get 400; a capture already in flight
-/// gets 503. The sampler is process-global, so on a fleet every device
-/// plane's threads appear in one capture regardless of which node's
-/// endpoint was hit.
+/// gets 503. The sampler is process-global, so every device plane's
+/// threads ("dev<i>.pump", "exec<w>") appear in one capture.
 HttpResponse profilez_response(const HttpRequest& request);
 
 }  // namespace mog::obs

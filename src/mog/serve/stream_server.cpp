@@ -5,9 +5,7 @@
 #include <utility>
 
 #include "mog/common/strutil.hpp"
-#include "mog/obs/flame.hpp"
 #include "mog/obs/frame_ticket.hpp"
-#include "mog/obs/prometheus.hpp"
 #include "mog/obs/sampler.hpp"
 #include "mog/telemetry/telemetry.hpp"
 
@@ -27,49 +25,18 @@ std::int64_t to_us(double seconds) {
 void ServeConfig::validate() const {
   MOG_CHECK(max_streams >= 1, "serving needs at least one stream slot");
   MOG_CHECK(queue_depth >= 1, "queue depth must be positive");
-  MOG_CHECK(obs_port <= 65535, "obs_port out of range");
   resilience.validate();
 }
 
 template <typename T>
-StreamServer<T>::StreamServer(const ServeConfig& config) : config_(config) {
+StreamServer<T>::StreamServer(const ServeConfig& config, int device)
+    : config_(config), device_(device) {
   config_.validate();
-  start_obs_server();
 }
 
 template <typename T>
 StreamServer<T>::~StreamServer() {
-  obs_http_.stop();  // no scrape may touch a half-destroyed server
   stop();
-}
-
-template <typename T>
-void StreamServer<T>::start_obs_server() {
-  if (config_.obs_port < 0) return;
-  obs_http_.handle("/metrics", [this](const obs::HttpRequest&) {
-    obs::HttpResponse r;
-    r.content_type = obs::kPrometheusContentType;
-    r.body = metrics_text();
-    return r;
-  });
-  obs_http_.handle("/healthz", [this](const obs::HttpRequest&) {
-    obs::HttpResponse r;
-    std::string detail;
-    const bool ok = healthz(detail);
-    r.status = ok ? 200 : 503;
-    r.body = (ok ? "ok\n" : "unhealthy\n") + detail;
-    return r;
-  });
-  obs_http_.handle("/statusz", [this](const obs::HttpRequest&) {
-    obs::HttpResponse r;
-    r.body = statusz();
-    return r;
-  });
-  obs_http_.handle("/profilez", obs::profilez_response);
-  obs_http_.start(config_.obs_port);
-  log_.info("observability endpoint up",
-            {{"port", obs_http_.port()},
-             {"endpoints", "/metrics /healthz /statusz /profilez"}});
 }
 
 template <typename T>
@@ -99,6 +66,7 @@ int StreamServer<T>::open_stream(
         human_bytes(static_cast<double>(budget)).c_str())};
 
   auto s = std::make_unique<Stream>();
+  s->last_tier = pipeline->tier();
   s->pipeline = std::move(pipeline);
   s->queue = std::make_unique<BoundedFrameQueue>(config_.queue_depth,
                                                  config_.drop_policy);
@@ -126,6 +94,7 @@ void StreamServer<T>::close_stream(int id) {
   bytes_in_use_ -= s.device_bytes;
   s.device_bytes = 0;
   s.last_tier = s.pipeline->tier();
+  s.last_recovery = s.pipeline->recovery_stats();
   s.pipeline.reset();
   s.open = false;
   log_.info("stream closed",
@@ -160,13 +129,6 @@ bool StreamServer<T>::submit(int id, FrameU8 frame, double arrival_seconds,
   }
   cv_.notify_all();
   return accepted;
-}
-
-template <typename T>
-typename StreamServer<T>::GpuConfig StreamServer<T>::stream_gpu_config(
-    int id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stream_at(id).gpu_config;
 }
 
 template <typename T>
@@ -463,7 +425,7 @@ void StreamServer<T>::start() {
   stop_requested_ = false;
   running_ = true;
   worker_ = std::thread([this] {
-    obs::prof_set_thread_name((config_.profile_label + ".pump").c_str());
+    obs::prof_set_thread_name(strprintf("dev%d.pump", device_).c_str());
     std::unique_lock<std::mutex> lk(mu_);
     while (!stop_requested_) {
       if (pump_locked() > 0) continue;
@@ -512,27 +474,15 @@ StreamStats StreamServer<T>::stream_stats(int id) const {
   const Stream& s = stream_at(id);
   StreamStats st;
   st.queue = s.queue->stats();
+  st.queue_depth = s.queue->size();
   st.frames_scheduled = s.frames_scheduled;
   st.masks_delivered = s.masks_delivered;
   st.dma_seconds = s.dma_seconds;
   st.kernel_seconds = s.kernel_seconds;
   st.tier = s.pipeline != nullptr ? s.pipeline->tier() : s.last_tier;
+  st.recovery = s.pipeline != nullptr ? s.pipeline->recovery_stats()
+                                      : s.last_recovery;
   return st;
-}
-
-template <typename T>
-telemetry::Rollup StreamServer<T>::latency_rollup(int id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return telemetry::make_rollup(stream_at(id).latencies);
-}
-
-template <typename T>
-telemetry::Rollup StreamServer<T>::aggregate_latency_rollup() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<double> all;
-  for (const auto& s : streams_)
-    all.insert(all.end(), s->latencies.begin(), s->latencies.end());
-  return telemetry::make_rollup(all);
 }
 
 template <typename T>
@@ -566,36 +516,6 @@ template <typename T>
 std::size_t StreamServer<T>::device_bytes_in_use() const {
   std::lock_guard<std::mutex> lock(mu_);
   return bytes_in_use_;
-}
-
-template <typename T>
-std::string StreamServer<T>::summary() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  double span = timeline_.makespan_seconds();
-  for (const auto& s : streams_) {
-    span = std::max(span, s->cpu_clock);
-    span = std::max(span, s->last_completion);
-  }
-  std::string out = strprintf(
-      "serve: %d stream(s), makespan %.3f s, device memory %s",
-      static_cast<int>(streams_.size()), span,
-      human_bytes(static_cast<double>(bytes_in_use_)).c_str());
-  for (std::size_t i = 0; i < streams_.size(); ++i) {
-    const Stream& s = *streams_[i];
-    const QueueStats q = s.queue->stats();
-    const telemetry::Rollup lat = telemetry::make_rollup(s.latencies);
-    out += strprintf(
-        "\n  stream %zu [%s]: %llu in / %llu masks, %llu dropped, "
-        "latency p50 %.3f ms p99 %.3f ms, device %.3f s dma + %.3f s kernel",
-        i,
-        fault::to_string(s.pipeline != nullptr ? s.pipeline->tier()
-                                               : s.last_tier),
-        static_cast<unsigned long long>(q.submitted),
-        static_cast<unsigned long long>(s.masks_delivered),
-        static_cast<unsigned long long>(q.dropped), lat.p50 * 1e3,
-        lat.p99 * 1e3, s.dma_seconds, s.kernel_seconds);
-  }
-  return out;
 }
 
 template <typename T>
@@ -636,265 +556,6 @@ void StreamServer<T>::emit_flow(char phase, std::uint64_t ticket, int id,
     tr->flow_step("frame", "serve.flow", ticket, tid, to_us(seconds));
   else
     tr->flow_end("frame", "serve.flow", ticket, tid, to_us(seconds));
-}
-
-template <typename T>
-std::string StreamServer<T>::metrics_text() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return metrics_text_locked();
-}
-
-template <typename T>
-std::string StreamServer<T>::metrics_text_locked() const {
-  using obs::MetricFamily;
-  using obs::MetricType;
-  std::vector<MetricFamily> families;
-
-  const auto stream_label = [](std::size_t i) {
-    return obs::LabelSet{{"stream", strprintf("%zu", i)}};
-  };
-
-  // Queue / delivery counters, one sample per stream.
-  struct CounterSpec {
-    const char* name;
-    const char* help;
-    std::uint64_t (*value)(const Stream&);
-  };
-  const CounterSpec specs[] = {
-      {"mog_serve_frames_submitted_total", "Frames offered to submit()",
-       [](const Stream& s) { return s.queue->stats().submitted; }},
-      {"mog_serve_frames_dropped_total",
-       "Frames lost to the queue drop policy",
-       [](const Stream& s) { return s.queue->stats().dropped; }},
-      {"mog_serve_frames_scheduled_total",
-       "Frames popped into the pipeline",
-       [](const Stream& s) { return s.frames_scheduled; }},
-      {"mog_serve_masks_delivered_total", "Masks completed end to end",
-       [](const Stream& s) { return s.masks_delivered; }},
-  };
-  for (const CounterSpec& spec : specs) {
-    MetricFamily f;
-    f.name = spec.name;
-    f.help = spec.help;
-    f.type = MetricType::kCounter;
-    for (std::size_t i = 0; i < streams_.size(); ++i)
-      f.samples.push_back(
-          {stream_label(i), static_cast<double>(spec.value(*streams_[i]))});
-    families.push_back(std::move(f));
-  }
-
-  {
-    MetricFamily f;
-    f.name = "mog_serve_queue_depth";
-    f.help = "Frames currently waiting in the ingress queue";
-    for (std::size_t i = 0; i < streams_.size(); ++i)
-      f.samples.push_back(
-          {stream_label(i), static_cast<double>(streams_[i]->queue->size())});
-    families.push_back(std::move(f));
-  }
-  {
-    MetricFamily f;
-    f.name = "mog_serve_queue_high_water";
-    f.help = "Maximum ingress queue depth observed";
-    for (std::size_t i = 0; i < streams_.size(); ++i)
-      f.samples.push_back({stream_label(i),
-                           static_cast<double>(
-                               streams_[i]->queue->stats().high_water)});
-    families.push_back(std::move(f));
-  }
-  {
-    MetricFamily f;
-    f.name = "mog_serve_stream_tier";
-    f.help = "Degradation-ladder tier (0 tiled GPU, 1 direct GPU, 2 CPU)";
-    for (std::size_t i = 0; i < streams_.size(); ++i) {
-      const Stream& s = *streams_[i];
-      const fault::ExecutionTier tier =
-          s.pipeline != nullptr ? s.pipeline->tier() : s.last_tier;
-      f.samples.push_back(
-          {stream_label(i), static_cast<double>(static_cast<int>(tier))});
-    }
-    families.push_back(std::move(f));
-  }
-
-  // End-to-end latency histograms (arrival -> mask download complete).
-  {
-    MetricFamily f;
-    f.name = "mog_serve_latency_seconds";
-    f.help = "End-to-end modeled latency per delivered mask";
-    f.type = MetricType::kHistogram;
-    for (std::size_t i = 0; i < streams_.size(); ++i)
-      f.histograms.push_back(
-          obs::make_histogram(streams_[i]->latencies, stream_label(i)));
-    families.push_back(std::move(f));
-  }
-
-  // Recovery actions, labelled by action kind.
-  {
-    MetricFamily f;
-    f.name = "mog_serve_recovery_actions_total";
-    f.help = "Recovery actions taken by each stream's resilient pipeline";
-    f.type = MetricType::kCounter;
-    for (std::size_t i = 0; i < streams_.size(); ++i) {
-      const Stream& s = *streams_[i];
-      if (s.pipeline == nullptr) continue;
-      const fault::RecoveryStats& r = s.pipeline->recovery_stats();
-      const std::pair<const char*, std::uint64_t> actions[] = {
-          {"retry", r.retries},          {"mask_reused", r.masks_reused},
-          {"frame_lost", r.frames_lost}, {"checkpoint", r.checkpoints},
-          {"rollback", r.rollbacks},     {"degradation", r.degradations},
-          {"deadline", r.deadline_exceeded},
-      };
-      for (const auto& [action, count] : actions) {
-        obs::LabelSet labels = stream_label(i);
-        labels.emplace_back("action", action);
-        f.samples.push_back({std::move(labels), static_cast<double>(count)});
-      }
-    }
-    families.push_back(std::move(f));
-  }
-
-  // Shared-engine utilization: which engine is the multi-stream bottleneck.
-  const double span = timeline_.makespan_seconds();
-  {
-    MetricFamily f;
-    f.name = "mog_timeline_engine_busy_seconds";
-    f.help = "Cumulative busy time of the shared device engines";
-    f.samples.push_back(
-        {{{"engine", "dma"}}, timeline_.dma_busy_seconds()});
-    f.samples.push_back(
-        {{{"engine", "kernel"}}, timeline_.kernel_busy_seconds()});
-    families.push_back(std::move(f));
-  }
-  {
-    MetricFamily f;
-    f.name = "mog_timeline_engine_utilization";
-    f.help = "Engine busy time over the modeled makespan (0 when idle)";
-    f.samples.push_back(
-        {{{"engine", "dma"}},
-         span > 0 ? timeline_.dma_busy_seconds() / span : 0.0});
-    f.samples.push_back(
-        {{{"engine", "kernel"}},
-         span > 0 ? timeline_.kernel_busy_seconds() / span : 0.0});
-    families.push_back(std::move(f));
-  }
-  {
-    MetricFamily f;
-    f.name = "mog_timeline_makespan_seconds";
-    f.help = "Modeled completion time across engines and CPU-tier clocks";
-    double makespan = span;
-    for (const auto& s : streams_) {
-      makespan = std::max(makespan, s->cpu_clock);
-      makespan = std::max(makespan, s->last_completion);
-    }
-    f.samples.push_back({{}, makespan});
-    families.push_back(std::move(f));
-  }
-  {
-    MetricFamily f;
-    f.name = "mog_serve_open_streams";
-    f.help = "Streams currently admitted";
-    int open_count = 0;
-    for (const auto& s : streams_) open_count += s->open ? 1 : 0;
-    f.samples.push_back({{}, static_cast<double>(open_count)});
-    families.push_back(std::move(f));
-  }
-  {
-    MetricFamily f;
-    f.name = "mog_serve_device_memory_bytes";
-    f.help = "Aggregate device memory held by admitted streams";
-    f.samples.push_back({{}, static_cast<double>(bytes_in_use_)});
-    families.push_back(std::move(f));
-  }
-
-  // Global telemetry sinks, when installed: kernel-counter rollups and
-  // trace-recorder drop health. The server records its own custom series
-  // (serve.latency_seconds, serve.queue_depth) into the registry, and
-  // append_counter_registry would render those under the same mog_serve_*
-  // names as the richer per-stream families above — drop the duplicates, the
-  // labelled families win.
-  std::vector<MetricFamily> global;
-  if (const telemetry::CounterRegistry* reg = telemetry::counters())
-    obs::append_counter_registry(*reg, global);
-  if (const telemetry::TraceRecorder* tr = telemetry::tracer())
-    obs::append_trace_health(*tr, global);
-  for (MetricFamily& f : global) {
-    bool duplicate = false;
-    for (const MetricFamily& own : families) duplicate |= own.name == f.name;
-    if (!duplicate) families.push_back(std::move(f));
-  }
-
-  return obs::render(families);
-}
-
-template <typename T>
-bool StreamServer<T>::healthz(std::string& detail) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return healthz_locked(detail);
-}
-
-template <typename T>
-bool StreamServer<T>::healthz_locked(std::string& detail) const {
-  bool ok = true;
-  for (std::size_t i = 0; i < streams_.size(); ++i) {
-    const Stream& s = *streams_[i];
-    if (!s.open) continue;
-    const fault::ExecutionTier tier = s.pipeline->tier();
-    const bool on_gpu = tier != fault::ExecutionTier::kCpuSerial;
-    // Subsampled watchdog scan — same check the rollback machinery uses.
-    const fault::ModelHealth health = fault::validate_model(
-        s.pipeline->model(), config_.resilience.health_check_stride);
-    const bool model_ok =
-        health.healthy(config_.resilience.weight_drift_tolerance);
-    ok = ok && on_gpu && model_ok;
-    detail += strprintf("stream %zu: tier=%s model=%s\n", i,
-                        fault::to_string(tier),
-                        model_ok ? "healthy" : health.summary().c_str());
-  }
-  return ok;
-}
-
-template <typename T>
-std::string StreamServer<T>::statusz() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return statusz_locked();
-}
-
-template <typename T>
-std::string StreamServer<T>::statusz_locked() const {
-  std::string out = "== serve ==\n";
-  double span = timeline_.makespan_seconds();
-  for (const auto& s : streams_) {
-    span = std::max(span, s->cpu_clock);
-    span = std::max(span, s->last_completion);
-  }
-  out += strprintf(
-      "streams: %zu, makespan %.3f s, device memory %s\n"
-      "engines: dma %.3f s busy, kernel %.3f s busy\n",
-      streams_.size(), span,
-      human_bytes(static_cast<double>(bytes_in_use_)).c_str(),
-      timeline_.dma_busy_seconds(), timeline_.kernel_busy_seconds());
-  for (std::size_t i = 0; i < streams_.size(); ++i) {
-    const Stream& s = *streams_[i];
-    const QueueStats q = s.queue->stats();
-    const telemetry::Rollup lat = telemetry::make_rollup(s.latencies);
-    out += strprintf(
-        "stream %zu [%s]: %llu in / %llu masks / %llu dropped, "
-        "latency p50 %.3f ms p99 %.3f ms\n",
-        i,
-        fault::to_string(s.pipeline != nullptr ? s.pipeline->tier()
-                                               : s.last_tier),
-        static_cast<unsigned long long>(q.submitted),
-        static_cast<unsigned long long>(s.masks_delivered),
-        static_cast<unsigned long long>(q.dropped), lat.p50 * 1e3,
-        lat.p99 * 1e3);
-    if (s.pipeline != nullptr)
-      out += "  " + s.pipeline->recovery_stats().summary() + "\n";
-  }
-  if (const telemetry::CounterRegistry* reg = telemetry::counters()) {
-    out += "== kernel counters ==\n";
-    out += reg->summary() + "\n";
-  }
-  return out;
 }
 
 template class StreamServer<float>;

@@ -1,11 +1,14 @@
-// Multi-stream serving layer: one simulated device, N camera streams.
+// Per-device serving plane: one simulated device, N camera streams.
 //
-// A StreamServer multiplexes independent camera streams onto one simulated
-// GPU. Functionally each stream owns a fault::ResilientPipeline (its own
-// model state — masks are bit-identical to running that stream alone, which
-// tests assert); *temporally* all streams share one gpusim::SharedTimeline:
-// a single DMA copy engine and a single compute engine, the C2075 contention
-// model of Fig. 5 generalized to incremental multi-stream arrival.
+// A StreamServer is the device plane of a cluster::DeviceFleet, which is the
+// serving API: the fleet places streams, migrates them, and owns the one
+// observability endpoint. The plane multiplexes independent camera streams
+// onto one simulated GPU. Functionally each stream owns a
+// fault::ResilientPipeline (its own model state — masks are bit-identical to
+// running that stream alone, which tests assert); *temporally* all streams
+// share one gpusim::SharedTimeline: a single DMA copy engine and a single
+// compute engine, the C2075 contention model of Fig. 5 generalized to
+// incremental multi-stream arrival.
 //
 // Scheduling is a synchronous round pump. Each pump() round, in round-robin
 // order starting from a rotating cursor (fairness: no stream moves two
@@ -34,10 +37,10 @@
 // windows on trace track TraceRecorder::kServeTrackBase + id, end-to-end
 // latencies into CounterRegistry custom series "serve.latency_seconds".
 //
-// Thread safety: every public method locks the server mutex; submit() may be
+// Thread safety: every public method locks the plane mutex; submit() may be
 // called from capture threads while the scheduler pumps. start()/stop() run
-// the pump on a background thread for live use; deterministic callers
-// (tests, benches) call pump()/drain() synchronously instead.
+// the pump on a background thread for live use; deterministic callers call
+// pump()/drain() synchronously instead.
 #pragma once
 
 #include <condition_variable>
@@ -51,10 +54,8 @@
 
 #include "mog/fault/resilient_pipeline.hpp"
 #include "mog/gpusim/stream_sim.hpp"
-#include "mog/obs/http_server.hpp"
 #include "mog/obs/log.hpp"
 #include "mog/serve/frame_queue.hpp"
-#include "mog/telemetry/counters.hpp"
 
 namespace mog::serve {
 
@@ -81,30 +82,20 @@ struct ServeConfig {
   /// runs / benches that only need counters.
   bool collect_masks = true;
 
-  /// Observability HTTP endpoint (/metrics, /healthz, /statusz, /profilez),
-  /// served from a thread the server owns: -1 disables it (default), 0 binds
-  /// an ephemeral loopback port (tests read it back via obs_port()), >0
-  /// binds that port. The listener runs for the server's whole lifetime, not
-  /// just while the pump thread does — a scrape between pumps is the normal
-  /// case.
-  int obs_port = -1;
-
-  /// Label prefix for this plane's threads in sampling profiles — the pump
-  /// thread shows up as "<profile_label>.pump". DeviceFleet sets "dev<i>"
-  /// per node so one /profilez capture attributes across devices.
-  std::string profile_label = "serve";
-
   void validate() const;
 };
 
-/// Per-stream observability snapshot.
+/// Per-stream observability snapshot. A closed stream keeps its counters,
+/// its last tier and its final recovery counters.
 struct StreamStats {
   QueueStats queue;
+  std::uint64_t queue_depth = 0;       ///< frames waiting right now
   std::uint64_t frames_scheduled = 0;  ///< frames popped into the pipeline
   std::uint64_t masks_delivered = 0;
   double dma_seconds = 0;     ///< shared copy-engine time reserved
   double kernel_seconds = 0;  ///< shared compute-engine time reserved
   fault::ExecutionTier tier = fault::ExecutionTier::kTiledGpu;
+  fault::RecoveryStats recovery;
 };
 
 template <typename T>
@@ -112,7 +103,9 @@ class StreamServer {
  public:
   using GpuConfig = typename GpuMogPipeline<T>::Config;
 
-  explicit StreamServer(const ServeConfig& config);
+  /// `device` is the plane's index in its fleet; it names the pump thread
+  /// ("dev<device>.pump") in sampling profiles.
+  explicit StreamServer(const ServeConfig& config, int device = 0);
   ~StreamServer();
 
   StreamServer(const StreamServer&) = delete;
@@ -168,9 +161,6 @@ class StreamServer {
   // --- migration hooks (used by cluster::DeviceFleet to move a live stream
   // to another device; see src/mog/cluster/) ------------------------------
 
-  /// The GPU configuration the stream was opened with.
-  GpuConfig stream_gpu_config(int id) const;
-
   /// Pop every frame still waiting in the stream's ingress queue, in order,
   /// preserving arrival stamps and trace tickets (they re-enter another
   /// device's queue via resubmit()). Counted as popped in QueueStats.
@@ -187,17 +177,15 @@ class StreamServer {
   /// Overwrite the stream's model with restored snapshot state.
   void restore_stream_model(int id, const MogModel<T>& m);
 
-  /// Recovery counters of the stream's resilient pipeline.
+  /// Recovery counters of the stream's resilient pipeline (throws for a
+  /// closed stream; stream_stats() keeps its final counters).
   fault::RecoveryStats stream_recovery_stats(int id) const;
 
-  /// Raw end-to-end latency samples (per stream / across all streams) — the
-  /// fleet merges these into device-spanning histograms.
+  /// Raw end-to-end latency samples, arrival -> mask download complete (per
+  /// stream / across all streams) — the fleet merges these into its rollups
+  /// and device-spanning histograms.
   std::vector<double> latency_samples(int id) const;
   std::vector<double> aggregate_latencies() const;
-
-  /// End-to-end latency (arrival -> mask download complete) rollups.
-  telemetry::Rollup latency_rollup(int id) const;
-  telemetry::Rollup aggregate_latency_rollup() const;
 
   std::uint64_t masks_delivered() const;  ///< aggregate across streams
   std::uint64_t frames_dropped() const;   ///< aggregate queue drops
@@ -210,30 +198,6 @@ class StreamServer {
   std::size_t device_bytes_in_use() const;
 
   const gpusim::SharedTimeline& timeline() const { return timeline_; }
-  const ServeConfig& config() const { return config_; }
-
-  /// Human-readable per-stream digest (examples, logs).
-  std::string summary() const;
-
-  // --- observability plane (the /metrics, /healthz, /statusz bodies; also
-  // callable directly so tests and embedders need no socket) ---------------
-
-  /// Prometheus text exposition: per-stream queue/drop/delivery counters and
-  /// latency histograms, recovery-action counters, shared-engine
-  /// utilization, plus the global CounterRegistry and trace health when
-  /// telemetry sinks are installed.
-  std::string metrics_text() const;
-
-  /// Liveness verdict: true when every open stream is on a GPU tier and its
-  /// model passes fault::validate_model(). `detail` gets one line per open
-  /// stream either way (the /healthz body).
-  bool healthz(std::string& detail) const;
-
-  /// Human-readable status page (summary + recovery + engine utilization).
-  std::string statusz() const;
-
-  /// Bound observability port; -1 when ServeConfig::obs_port disabled it.
-  int obs_port() const { return obs_http_.port(); }
 
  private:
   struct PendingDownload {
@@ -257,7 +221,9 @@ class StreamServer {
     int lane = -1;               ///< SharedTimeline stream index
     bool open = true;
     std::size_t device_bytes = 0;
+    /// Tier last seen; open_stream() starts it at the pipeline's own tier.
     fault::ExecutionTier last_tier = fault::ExecutionTier::kTiledGpu;
+    fault::RecoveryStats last_recovery;  ///< final counters, once closed
 
     std::uint64_t uploads_outstanding = 0;  ///< scheduled, kernel not yet
     double last_upload_end = 0;
@@ -285,19 +251,15 @@ class StreamServer {
   void emit_window(int id, const char* kind, double start_seconds,
                    double end_seconds);
   void emit_flow(char phase, std::uint64_t ticket, int id, double seconds);
-  void start_obs_server();
-  std::string metrics_text_locked() const;
-  bool healthz_locked(std::string& detail) const;
-  std::string statusz_locked() const;
 
   ServeConfig config_;
+  int device_;
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Stream>> streams_;
   gpusim::SharedTimeline timeline_;
   int cursor_ = 0;
   std::size_t bytes_in_use_ = 0;
   obs::ScopedLogger log_{"serve"};
-  obs::HttpServer obs_http_;
 
   std::condition_variable cv_;
   std::thread worker_;

@@ -5,6 +5,7 @@
 // submission against the background supervisor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -18,6 +19,7 @@
 #include "mog/cluster/placement.hpp"
 #include "mog/common/strutil.hpp"
 #include "mog/fault/fault_injector.hpp"
+#include "mog/obs/prometheus.hpp"
 #include "mog/obs/sampler.hpp"
 #include "mog/pipeline/gpu_pipeline.hpp"
 #include "mog/video/scene.hpp"
@@ -395,15 +397,27 @@ TEST(DeviceFleet, CapacityExhaustedFallsBackToCpuLadderInPlace) {
 TEST(DeviceFleet, MetricsHealthzStatuszReflectFleetState) {
   DeviceFleet<double> fleet{fleet_config(2)};
   const int id = fleet.open_stream(gpu_config());
-  for (int t = 0; t < 4; ++t)
+  // The second stream lands on the other device as that plane's stream 0,
+  // so only fleet ids tell the two streams apart.
+  const int other = fleet.open_stream(gpu_config());
+  ASSERT_NE(fleet.stream_device(id), fleet.stream_device(other));
+  for (int t = 0; t < 4; ++t) {
     ASSERT_TRUE(fleet.submit(id, scene_for(5).frame(t)));
+    ASSERT_TRUE(fleet.submit(other, scene_for(6).frame(t)));
+  }
   fleet.drain();
 
   std::string detail;
   EXPECT_TRUE(fleet.healthz(detail)) << detail;
   EXPECT_NE(detail.find("device 0: alive"), std::string::npos);
+  EXPECT_NE(detail.find(strprintf("stream %d: tier=", other)),
+            std::string::npos)
+      << detail;
 
   const int home = fleet.stream_device(id);
+  // Two frames still queued on the lost device move with the stream.
+  for (int t = 4; t < 6; ++t)
+    ASSERT_TRUE(fleet.submit(id, scene_for(5).frame(t)));
   fleet.fail_device(home);
   fleet.drain();
 
@@ -412,8 +426,28 @@ TEST(DeviceFleet, MetricsHealthzStatuszReflectFleetState) {
   detail.clear();
   EXPECT_TRUE(fleet.healthz(detail)) << detail;
   EXPECT_NE(detail.find("LOST"), std::string::npos);
+  for (const int s : {id, other})
+    EXPECT_NE(detail.find(strprintf("stream %d: tier=gpu-direct", s)),
+              std::string::npos)
+        << detail;
 
   const std::string metrics = fleet.metrics_text();
+  EXPECT_EQ(obs::validate_exposition(metrics), "") << metrics;
+  // Per-stream families are keyed by fleet id and span both incarnations of
+  // the migrated stream (4 masks on the lost device, 2 on the survivor); a
+  // requeued frame counts as submitted once.
+  ASSERT_EQ(fleet.stream_info(id).masks_delivered, 6u);
+  for (const int s : {id, other})
+    EXPECT_NE(metrics.find(strprintf(
+                  "mog_serve_masks_delivered_total{stream=\"%d\"} %llu\n", s,
+                  static_cast<unsigned long long>(
+                      fleet.stream_info(s).masks_delivered))),
+              std::string::npos)
+        << metrics;
+  EXPECT_NE(metrics.find(strprintf(
+                "mog_serve_frames_submitted_total{stream=\"%d\"} 6\n", id)),
+            std::string::npos)
+      << metrics;
   EXPECT_NE(metrics.find("# TYPE mog_fleet_devices gauge"),
             std::string::npos);
   EXPECT_NE(metrics.find("mog_fleet_devices{state=\"lost\"} 1"),
@@ -432,6 +466,16 @@ TEST(DeviceFleet, MetricsHealthzStatuszReflectFleetState) {
   EXPECT_NE(status.find("== fleet =="), std::string::npos);
   EXPECT_NE(status.find("migrations: 1 attempted, 1 completed"),
             std::string::npos);
+  EXPECT_NE(status.find(strprintf("stream %d [gpu-direct] on device %d, 1 "
+                                  "migration(s): 6 in / 6 masks",
+                                  id, fleet.stream_device(id))),
+            std::string::npos)
+      << status;
+  EXPECT_NE(status.find(strprintf("stream %d [gpu-direct] on device %d, 0 "
+                                  "migration(s)",
+                                  other, fleet.stream_device(other))),
+            std::string::npos)
+      << status;
 }
 
 TEST(DeviceFleet, ConcurrentSubmitWithBackgroundSupervisorAndFailover) {
@@ -447,6 +491,17 @@ TEST(DeviceFleet, ConcurrentSubmitWithBackgroundSupervisorAndFailover) {
     ASSERT_EQ(fleet.open_stream(gpu_config()), s);
 
   fleet.start();
+  // An operator thread reads the migration counters while fail_device() and
+  // the supervisor write them.
+  std::atomic<bool> polling{true};
+  std::uint64_t completed_seen = 0;
+  std::thread poller([&] {
+    while (polling.load()) {
+      completed_seen =
+          std::max(completed_seen, fleet.migration_stats().completed);
+      std::this_thread::yield();
+    }
+  });
   std::vector<std::thread> producers;
   for (int s = 0; s < kStreams; ++s)
     producers.emplace_back([&fleet, s] {
@@ -456,6 +511,9 @@ TEST(DeviceFleet, ConcurrentSubmitWithBackgroundSupervisorAndFailover) {
     });
   fleet.fail_device(0);
   for (std::thread& p : producers) p.join();
+  polling.store(false);
+  poller.join();
+  EXPECT_LE(completed_seen, fleet.migration_stats().completed);
 
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);

@@ -2,7 +2,7 @@
 // thresholds, deterministic rate limiting), Prometheus text exposition
 // (rendering + grammar validation), the embedded HTTP server over a real
 // socket, frame-ticket trace propagation, trace-truncation surfacing, and an
-// end-to-end /metrics + /healthz scrape of a running StreamServer.
+// end-to-end /metrics + /healthz scrape of a running one-device fleet.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "mog/cluster/device_fleet.hpp"
 #include "mog/fault/fault_injector.hpp"
 #include "mog/obs/flame.hpp"
 #include "mog/obs/frame_ticket.hpp"
@@ -26,7 +27,6 @@
 #include "mog/obs/log.hpp"
 #include "mog/obs/prometheus.hpp"
 #include "mog/obs/sampler.hpp"
-#include "mog/serve/stream_server.hpp"
 #include "mog/telemetry/telemetry.hpp"
 #include "mog/video/scene.hpp"
 
@@ -592,30 +592,35 @@ TEST(Trace, TruncationIsSurfacedInTheExport) {
     EXPECT_NE(ev.find("name")->as_string(), "trace.truncated");
 }
 
-// --- end-to-end: scraping a running StreamServer -----------------------------
+// --- end-to-end: scraping a running one-device fleet ------------------------
+
+cluster::FleetConfig one_device_fleet() {
+  cluster::FleetConfig cfg;
+  cfg.devices = 1;
+  cfg.obs_port = 0;  // ephemeral loopback port
+  return cfg;
+}
 
 TEST(ServerObs, MetricsHealthzStatuszOverHttp) {
   telemetry::CounterRegistry reg;
   telemetry::set_counters(&reg);
 
-  serve::ServeConfig cfg;
-  cfg.obs_port = 0;  // ephemeral loopback port
-  serve::StreamServer<double> server{cfg};
-  ASSERT_GT(server.obs_port(), 0);
+  cluster::DeviceFleet<double> fleet{one_device_fleet()};
+  ASSERT_GT(fleet.obs_port(), 0);
 
-  serve::StreamServer<double>::GpuConfig gpu;
+  cluster::DeviceFleet<double>::GpuConfig gpu;
   gpu.width = 48;
   gpu.height = 36;
   SceneConfig sc;
   sc.width = 48;
   sc.height = 36;
   const SyntheticScene scene{sc};
-  const int id = server.open_stream(gpu);
-  for (int t = 0; t < 6; ++t) server.submit(id, scene.frame(t), t / 30.0);
-  server.drain();
+  const int id = fleet.open_stream(gpu);
+  for (int t = 0; t < 6; ++t) fleet.submit(id, scene.frame(t), t / 30.0);
+  fleet.drain();
 
   // /metrics: Prometheus-parseable, right content type, live counters.
-  const std::string metrics = http_get(server.obs_port(), "/metrics");
+  const std::string metrics = http_get(fleet.obs_port(), "/metrics");
   EXPECT_NE(metrics.find("HTTP/1.1 200"), std::string::npos);
   EXPECT_NE(metrics.find(obs::kPrometheusContentType), std::string::npos);
   const std::string page = body_of(metrics);
@@ -626,16 +631,16 @@ TEST(ServerObs, MetricsHealthzStatuszOverHttp) {
   EXPECT_NE(page.find("mog_serve_masks_delivered_total{stream=\"0\"} 6"),
             std::string::npos);
   EXPECT_NE(page.find("mog_serve_latency_seconds_bucket"), std::string::npos);
-  EXPECT_NE(page.find("mog_timeline_engine_busy_seconds"), std::string::npos);
+  EXPECT_NE(page.find("mog_fleet_engine_busy_seconds"), std::string::npos);
   EXPECT_NE(page.find("mog_kernel_launches_total"), std::string::npos);
 
   // /healthz: all streams on a GPU tier, model validates -> 200.
-  const std::string health = http_get(server.obs_port(), "/healthz");
+  const std::string health = http_get(fleet.obs_port(), "/healthz");
   EXPECT_NE(health.find("HTTP/1.1 200"), std::string::npos);
   EXPECT_NE(body_of(health).find("stream 0: tier="), std::string::npos);
 
   // /statusz: human-readable digest.
-  const std::string status = http_get(server.obs_port(), "/statusz");
+  const std::string status = http_get(fleet.obs_port(), "/statusz");
   EXPECT_NE(status.find("HTTP/1.1 200"), std::string::npos);
   EXPECT_FALSE(body_of(status).empty());
 
@@ -643,53 +648,55 @@ TEST(ServerObs, MetricsHealthzStatuszOverHttp) {
 }
 
 TEST(ServerObs, HealthzFlipsTo503OnForcedDegradation) {
-  serve::ServeConfig cfg;
-  cfg.obs_port = 0;
-  cfg.resilience.retry.max_attempts = 2;
-  cfg.resilience.degrade_after_failures = 1;
-  serve::StreamServer<double> server{cfg};
+  cluster::FleetConfig cfg = one_device_fleet();
+  cfg.serve.resilience.retry.max_attempts = 2;
+  cfg.serve.resilience.degrade_after_failures = 1;
+  cluster::DeviceFleet<double> fleet{cfg};
 
   auto injector = std::make_shared<fault::FaultInjector>([] {
     fault::FaultConfig fc;
     fc.launch_fault_prob = 1.0;  // every launch dies -> ladder to CPU tier
     return fc;
   }());
-  serve::StreamServer<double>::GpuConfig gpu;
+  cluster::DeviceFleet<double>::GpuConfig gpu;
   gpu.width = 48;
   gpu.height = 36;
-  const int id = server.open_stream(gpu, injector);
+  const int id = fleet.open_stream(gpu, injector);
 
-  EXPECT_NE(http_get(server.obs_port(), "/healthz").find("HTTP/1.1 200"),
+  EXPECT_NE(http_get(fleet.obs_port(), "/healthz").find("HTTP/1.1 200"),
             std::string::npos);
 
   SceneConfig sc;
   sc.width = 48;
   sc.height = 36;
   const SyntheticScene scene{sc};
-  for (int t = 0; t < 4; ++t) server.submit(id, scene.frame(t));
-  server.drain();
-  ASSERT_EQ(server.stream_stats(id).tier, fault::ExecutionTier::kCpuSerial);
+  for (int t = 0; t < 4; ++t) fleet.submit(id, scene.frame(t));
+  fleet.drain();
+  // The lone device is lost on the first strike, with nowhere to migrate:
+  // the stream rides its own ladder down to the CPU tier in place.
+  ASSERT_EQ(fleet.stream_info(id).tier, fault::ExecutionTier::kCpuSerial);
 
-  const std::string sick = http_get(server.obs_port(), "/healthz");
+  const std::string sick = http_get(fleet.obs_port(), "/healthz");
   EXPECT_NE(sick.find("HTTP/1.1 503"), std::string::npos);
   EXPECT_NE(body_of(sick).find("cpu-serial"), std::string::npos);
 
   // The degraded tier is also visible on /metrics as a gauge.
-  const std::string page = body_of(http_get(server.obs_port(), "/metrics"));
+  const std::string page = body_of(http_get(fleet.obs_port(), "/metrics"));
   EXPECT_EQ(obs::validate_exposition(page), "") << page;
   EXPECT_NE(page.find("mog_serve_stream_tier{stream=\"0\"} 2"),
             std::string::npos);
 }
 
 TEST(ServerObs, ObsPortDisabledByDefault) {
-  serve::ServeConfig cfg;
-  serve::StreamServer<double> server{cfg};
-  EXPECT_EQ(server.obs_port(), -1);
+  cluster::FleetConfig cfg;
+  cfg.devices = 1;
+  cluster::DeviceFleet<double> fleet{cfg};
+  EXPECT_EQ(fleet.obs_port(), -1);
   // The in-process bodies still work without a socket.
   std::string detail;
-  EXPECT_TRUE(server.healthz(detail));
-  EXPECT_EQ(obs::validate_exposition(server.metrics_text()), "");
-  EXPECT_FALSE(server.statusz().empty());
+  EXPECT_TRUE(fleet.healthz(detail));
+  EXPECT_EQ(obs::validate_exposition(fleet.metrics_text()), "");
+  EXPECT_FALSE(fleet.statusz().empty());
 }
 
 // --- sampling profiler -------------------------------------------------------

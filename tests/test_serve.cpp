@@ -11,6 +11,7 @@
 
 #include "mog/fault/fault_injector.hpp"
 #include "mog/gpusim/transfer_model.hpp"
+#include "mog/obs/log.hpp"
 #include "mog/pipeline/gpu_pipeline.hpp"
 #include "mog/serve/frame_queue.hpp"
 #include "mog/serve/stream_server.hpp"
@@ -136,6 +137,8 @@ TEST(StreamServer, RoundRobinPumpIsFair) {
     for (int s = 0; s < kStreams; ++s)
       ASSERT_TRUE(server.submit(s, scene_for(s).frame(t)));
 
+  obs::RingBufferSink log;
+  obs::default_logger().add_sink(&log);
   while (server.pump() > 0) {
     std::uint64_t lo = ~0ull, hi = 0;
     for (int s = 0; s < kStreams; ++s) {
@@ -145,9 +148,14 @@ TEST(StreamServer, RoundRobinPumpIsFair) {
     }
     EXPECT_LE(hi - lo, 1u);
   }
+  obs::default_logger().remove_sink(&log);
   for (int s = 0; s < kStreams; ++s)
     EXPECT_EQ(server.stream_stats(s).masks_delivered,
               static_cast<std::uint64_t>(kFrames));
+  // Healthy untiled streams start and stay on the direct GPU tier: the plane
+  // must not report a degradation they never had.
+  for (const obs::LogRecord& r : log.snapshot())
+    EXPECT_NE(r.message, "stream degraded") << obs::format_jsonl(r);
 }
 
 TEST(StreamServer, DropNewestRefusesAtFullQueue) {
@@ -330,7 +338,8 @@ TEST(StreamServer, SingleStreamMakespanTracksOverlappedModel) {
   const double modeled = solo.modeled_seconds(kFrames);
   EXPECT_NEAR(server.makespan_seconds(), modeled, 0.05 * modeled);
 
-  const telemetry::Rollup lat = server.latency_rollup(id);
+  const telemetry::Rollup lat =
+      telemetry::make_rollup(server.latency_samples(id));
   EXPECT_EQ(lat.count, static_cast<std::size_t>(kFrames));
   EXPECT_GT(lat.p50, 0.0);
   EXPECT_LE(lat.p50, lat.p99);
@@ -351,7 +360,8 @@ TEST(StreamServer, ModeledTimesAreIdenticalAcrossExecutorThreads) {
     server.drain();
     std::vector<double> out{server.makespan_seconds()};
     for (int s = 0; s < 2; ++s) {
-      const telemetry::Rollup r = server.latency_rollup(s);
+      const telemetry::Rollup r =
+          telemetry::make_rollup(server.latency_samples(s));
       out.push_back(r.p50);
       out.push_back(r.p99);
       out.push_back(r.total);
@@ -411,7 +421,7 @@ TEST(StreamServer, ConcurrentProducersWithBackgroundScheduler) {
     accepted += server.stream_stats(s).queue.accepted;
   EXPECT_EQ(accepted, static_cast<std::uint64_t>(kStreams * kFrames));
   EXPECT_EQ(server.masks_delivered(), accepted);
-  EXPECT_GT(server.aggregate_latency_rollup().count, 0u);
+  EXPECT_FALSE(server.aggregate_latencies().empty());
 }
 
 TEST(StreamServer, FeedsGlobalTelemetrySinks) {
