@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "mog/common/strutil.hpp"
 #include "mog/obs/flame.hpp"
 #include "mog/obs/heatmap.hpp"
 #include "mog/obs/sampler.hpp"
@@ -35,17 +36,28 @@
 
 namespace mog::bench {
 
-inline int env_int(const char* name, int fallback) {
+/// Integer knob `name` from the environment, `fallback` when unset. A value
+/// that is not an integer in [min_value, max_value] ends the process with a
+/// one-line message and exit code 2 instead of an abort deep in a bench.
+inline int env_int(const char* name, int fallback, int min_value,
+                   int max_value) {
   const char* v = std::getenv(name);
-  return v != nullptr ? std::atoi(v) : fallback;
+  if (v == nullptr) return fallback;
+  try {
+    return parse_int(v, min_value, max_value, name);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(2);
+  }
 }
 
-/// Baseline experiment configuration for all benches.
+/// Baseline experiment configuration for all benches. Frames are at least
+/// 16x16 (SyntheticScene) and outnumber the 4 warm-up frames.
 inline ExperimentConfig base_config() {
   ExperimentConfig cfg;
-  cfg.width = env_int("MOG_BENCH_WIDTH", 512);
-  cfg.height = env_int("MOG_BENCH_HEIGHT", 288);
-  cfg.frames = env_int("MOG_BENCH_FRAMES", 16);
+  cfg.width = env_int("MOG_BENCH_WIDTH", 512, 16, 4096);
+  cfg.height = env_int("MOG_BENCH_HEIGHT", 288, 16, 4096);
+  cfg.frames = env_int("MOG_BENCH_FRAMES", 16, 5, 100000);
   cfg.warmup_frames = 4;
   return cfg;
 }
@@ -94,7 +106,7 @@ inline obs::HeatmapSink& bench_heatmap_sink() {
 inline void begin_bench_profile() {
   if (std::getenv("MOG_BENCH_PROFILE") == nullptr) return;
   obs::set_heatmap_sink(&bench_heatmap_sink());
-  const int hz = env_int("MOG_BENCH_PROFILE_HZ", 997);
+  const int hz = env_int("MOG_BENCH_PROFILE_HZ", 997, 1, 20000);
   if (!obs::Sampler::global().start(hz))
     std::fprintf(stderr, "bench profile: sampler already running\n");
 }

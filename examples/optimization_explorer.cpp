@@ -6,16 +6,22 @@
 //
 //   $ ./examples/optimization_explorer [width] [height] [frames]
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 
+#include "mog/common/strutil.hpp"
 #include "mog/kernels/opt_level.hpp"
 #include "mog/pipeline/experiment.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
+  if (argc > 4) {
+    std::fprintf(stderr,
+                 "usage: optimization_explorer [width] [height] [frames]\n");
+    return 2;
+  }
   mog::ExperimentConfig cfg;
-  cfg.width = argc > 1 ? std::atoi(argv[1]) : 512;
-  cfg.height = argc > 2 ? std::atoi(argv[2]) : 288;
-  cfg.frames = argc > 3 ? std::atoi(argv[3]) : 16;
+  cfg.width = argc > 1 ? mog::parse_int(argv[1], 16, 4096, "width") : 512;
+  cfg.height = argc > 2 ? mog::parse_int(argv[2], 16, 4096, "height") : 288;
+  cfg.frames = argc > 3 ? mog::parse_int(argv[3], 1, 100000, "frames") : 16;
   cfg.warmup_frames = cfg.frames / 4;
 
   std::printf("workload: %dx%d, %d frames, %d Gaussians, double precision\n",
@@ -65,4 +71,7 @@ int main(int argc, char** argv) {
       "  E->F  register diet: occupancy pays for the recomputation\n"
       "  tiled g=8: parameter traffic amortized across the frame group\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

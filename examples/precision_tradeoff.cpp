@@ -6,14 +6,19 @@
 //
 //   $ ./examples/precision_tradeoff [width] [height]
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 
+#include "mog/common/strutil.hpp"
 #include "mog/pipeline/experiment.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
+  if (argc > 3) {
+    std::fprintf(stderr, "usage: precision_tradeoff [width] [height]\n");
+    return 2;
+  }
   mog::ExperimentConfig base;
-  base.width = argc > 1 ? std::atoi(argv[1]) : 384;
-  base.height = argc > 2 ? std::atoi(argv[2]) : 216;
+  base.width = argc > 1 ? mog::parse_int(argv[1], 16, 4096, "width") : 384;
+  base.height = argc > 2 ? mog::parse_int(argv[2], 16, 4096, "height") : 216;
   base.frames = 24;
   base.warmup_frames = 8;
   base.level = mog::kernels::OptLevel::kF;
@@ -52,4 +57,7 @@ int main(int argc, char** argv) {
       "(K=5) buy robustness on multi-modal scenes at a linear CPU cost and "
       "a superlinear GPU cost (registers + divergence).\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -7,13 +7,19 @@
 // Writes frame / foreground-mask / background-estimate PGMs for the last
 // frame and prints the modeled GPU performance.
 #include <cstdio>
+#include <exception>
+#include <filesystem>
 #include <string>
 
 #include "mog/core/background_subtractor.hpp"
 #include "mog/video/pnm_io.hpp"
 #include "mog/video/scene.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
+  if (argc > 2 || (argc == 2 && !std::filesystem::is_directory(argv[1]))) {
+    std::fprintf(stderr, "usage: quickstart [existing_output_dir]\n");
+    return 2;
+  }
   const std::string out_dir = argc > 1 ? argv[1] : ".";
 
   // A deterministic synthetic scene stands in for a camera.
@@ -60,4 +66,7 @@ int main(int argc, char** argv) {
         100.0 * profile.per_frame.memory_access_efficiency());
   }
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

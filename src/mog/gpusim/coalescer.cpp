@@ -48,9 +48,13 @@ Coalescer::Coalescer(const DeviceSpec& spec, int effective_l1_segments)
       store_seg_shift_(shift_of(spec.store_segment_bytes)),
       page_shift_(shift_of(spec.dram_page_bytes)),
       l1_(effective_l1_segments) {
-  MOG_CHECK(spec.store_segment_bytes >= 1 && spec.store_segment_bytes <= 64,
+  MOG_CHECK(spec.store_segment_bytes <= 64,
             "store coverage bitmask requires store segments of at most "
             "64 bytes");
+  // access() sizes its segment list for lanes of at most 8 bytes touching at
+  // most two segments each, which holds only for segments of 8 bytes or more.
+  MOG_CHECK(spec.load_segment_bytes >= 8 && spec.store_segment_bytes >= 8,
+            "load and store segments must be at least 8 bytes");
 }
 
 void Coalescer::begin_warp() {
@@ -100,15 +104,64 @@ void Coalescer::access(Kind kind, std::span<const std::uint64_t> addrs,
   // last-recorded segment is a complete dedupe. Detect that cheaply and
   // keep the general path (arbitrary scatter) on a small open-addressed
   // index table instead of a per-lane linear scan (O(n²) across the warp).
+  // The SoA layout (Step B) goes further: nearly every access is a
+  // unit-stride run, lane i at a0 + i * bytes_per_lane, whose footprint is
+  // the one byte interval [a0, end). Its segments, coverage and replay lines
+  // follow in closed form, with no per-lane walk.
   bool monotone = true;
-  for (std::size_t i = 1; i < addrs.size(); ++i)
+  bool unit_stride = bytes_per_lane != 0;
+  for (std::size_t i = 1; i < addrs.size(); ++i) {
     monotone &= addrs[i] >= addrs[i - 1];
+    unit_stride &= addrs[i] - addrs[i - 1] == bytes_per_lane;
+  }
+
+  const std::uint64_t requested =
+      static_cast<std::uint64_t>(addrs.size()) * bytes_per_lane;
+  std::uint64_t transactions = 0;
+  std::uint64_t rmw_reads = 0;
+  // DRAM page of the last transaction this instruction recorded (~0 is no
+  // page: addresses are far below 2^64 bytes).
+  std::uint64_t last_page = ~0ull;
+  // One segment in visit order: the L1 LRU for loads, the ECC
+  // read-modify-write test for stores (`partial`: not every byte of the
+  // segment is written), then the DRAM row model.
+  const auto emit = [&](std::uint64_t s, bool partial) {
+    if (is_load && l1_.access(s)) return;  // L1 hit: no traffic
+    ++transactions;
+    // ECC read-modify-write: the C2075 runs with ECC on, so a store that
+    // covers only part of a segment forces the memory system to read the
+    // segment, merge, and write it back — the hidden cost of masked,
+    // scattered stores that the predicated variants avoid.
+    if (!is_load && partial) ++rmw_reads;
+    const std::uint64_t seg_base = s * seg_bytes;
+    const std::uint64_t page = page_shift_ >= 0
+                                   ? seg_base >> page_shift_
+                                   : seg_base / page_bytes_;
+    // The page just recorded is the open-row LRU's MRU entry: seeing it
+    // again is a hit that leaves the LRU as it was, so neither the inline
+    // LRU nor the block-order trace replay needs it (a 256-byte store would
+    // otherwise record its one page eight times).
+    if (page == last_page) return;
+    last_page = page;
+    if (page_trace_ != nullptr)
+      page_trace_->push_back(page);
+    else if (!rows_.access(page))
+      ++stats.dram_page_switches;
+  };
+
   // Distinct 128-byte L1 lines touched, for the LSU instruction-replay
   // charge below. On the monotone path they are counted as boundary
   // crossings in the same pass as the segments; the scatter path dedupes
   // with a sorted-insertion pass afterwards.
   int replay_lines = 0;
-  if (monotone) {
+  if (unit_stride) {
+    const std::uint64_t a0 = addrs[0];
+    const std::uint64_t end = a0 + requested;
+    replay_lines = static_cast<int>((end - 1) / 128 - a0 / 128 + 1);
+    const std::uint64_t last = seg_of(end - 1);
+    for (std::uint64_t s = seg_of(a0); s <= last; ++s)
+      emit(s, a0 > s * seg_bytes || end < (s + 1) * seg_bytes);
+  } else if (monotone) {
     std::uint64_t prev_line = 0;
     for (const std::uint64_t a : addrs) {
       const std::uint64_t first = seg_of(a);
@@ -185,29 +238,8 @@ void Coalescer::access(Kind kind, std::span<const std::uint64_t> addrs,
     }
     replay_lines = m;
   }
-
-  const std::uint64_t requested =
-      static_cast<std::uint64_t>(addrs.size()) * bytes_per_lane;
-  std::uint64_t transactions = 0;
-  std::uint64_t rmw_reads = 0;
-
-  for (int i = 0; i < n; ++i) {
-    if (is_load && l1_.access(segs[i])) continue;  // L1 hit: no traffic
-    ++transactions;
-    // ECC read-modify-write: the C2075 runs with ECC on, so a store that
-    // covers only part of a segment forces the memory system to read the
-    // segment, merge, and write it back — the hidden cost of masked,
-    // scattered stores that the predicated variants avoid.
-    if (!is_load && covered[i] != byte_mask(seg_bytes)) ++rmw_reads;
-    const std::uint64_t seg_base = segs[i] * seg_bytes;
-    const std::uint64_t page = page_shift_ >= 0
-                                   ? seg_base >> page_shift_
-                                   : seg_base / page_bytes_;
-    if (page_trace_ != nullptr)
-      page_trace_->push_back(page);
-    else if (!rows_.access(page))
-      ++stats.dram_page_switches;
-  }
+  for (int i = 0; i < n; ++i)
+    emit(segs[i], covered[i] != byte_mask(seg_bytes));
 
   // Instruction replay: the LSU re-issues the instruction once per 128-byte
   // L1 line beyond the first, regardless of access kind (store segments are

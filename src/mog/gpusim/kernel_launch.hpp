@@ -210,7 +210,10 @@ class Device {
   /// caches are reset at launch entry instead of rebuilt, and each worker's
   /// flat page-trace arena keeps its high-water capacity. Defined out of
   /// line (ctor needs timing constants private to kernel_launch.cpp).
-  struct WorkerState {
+  /// Cache-line aligned (a literal 64: gcc warns on
+  /// std::hardware_destructive_interference_size in a header) so no two
+  /// workers' hot stats, segment caches and trace end pointers share a line.
+  struct alignas(64) WorkerState {
     explicit WorkerState(const DeviceSpec& spec);
     KernelStats stats;
     Coalescer coalescer;

@@ -10,8 +10,10 @@ namespace detail {
 // with an FMA unit run the lane loop as vector vfmadd instructions (the
 // "fma" clone; glibc's ifunc resolver picks it at load time). Both clones
 // produce the one correctly-rounded IEEE 754 fma result per lane, so the
-// choice is invisible to every counter and mask byte.
-#if defined(__x86_64__) && defined(__GNUC__)
+// choice is invisible to every counter and mask byte. TSan builds take the
+// default clone only: gcc runs the ifunc resolver before the TSan runtime is
+// up, and every instrumented binary would crash at start.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__SANITIZE_THREAD__)
 #define MOG_FMA_CLONES __attribute__((target_clones("fma", "default")))
 #else
 #define MOG_FMA_CLONES

@@ -248,10 +248,10 @@ TEST_P(CpuConsistency, SimdFlavourAgreesWithSerialDecisions) {
 INSTANTIATE_TEST_SUITE_P(Sweep, CpuConsistency,
                          ::testing::Combine(::testing::Values(3, 5),
                                             ::testing::Bool()),
-                         [](const auto& info) {
+                         [](const auto& desc) {
                            return "K" +
-                                  std::to_string(std::get<0>(info.param)) +
-                                  (std::get<1>(info.param) ? "_float"
+                                  std::to_string(std::get<0>(desc.param)) +
+                                  (std::get<1>(desc.param) ? "_float"
                                                            : "_double");
                          });
 

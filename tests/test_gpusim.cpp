@@ -5,7 +5,11 @@
 // the timing model, and the transfer schedules.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <random>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "mog/gpusim/kernel_launch.hpp"
@@ -193,6 +197,180 @@ TEST(Coalescer, LsuReplayMatchesBetweenMonotoneAndScatterOrder) {
   const KernelStats a = run_access(Coalescer::Kind::kLoad, asc, 8);
   const KernelStats b = run_access(Coalescer::Kind::kLoad, perm, 8);
   EXPECT_EQ(a.issue_cycles, b.issue_cycles);
+}
+
+TEST(Coalescer, RejectsSegmentsUnderEightBytes) {
+  // An unaligned 8-byte lane spans three 4-byte segments, overflowing the
+  // two-segments-per-lane bound access() sizes its segment list by.
+  DeviceSpec spec;
+  spec.store_segment_bytes = 4;
+  EXPECT_THROW((Coalescer{spec, kEffectiveL1SegmentsPerWarp}), Error);
+  spec = DeviceSpec{};
+  spec.load_segment_bytes = 4;
+  EXPECT_THROW((Coalescer{spec, kEffectiveL1SegmentsPerWarp}), Error);
+  spec.load_segment_bytes = 8;
+  spec.store_segment_bytes = 8;
+  EXPECT_NO_THROW((Coalescer{spec, kEffectiveL1SegmentsPerWarp}));
+}
+
+/// Oracle for the unit-stride closed form: the coalescer's per-lane
+/// monotone walk, segment by segment, recording every DRAM-bound page
+/// (repeats included) inline or into a trace.
+class LaneWalkReference {
+ public:
+  void begin_warp() { l1_.clear(); }
+  void set_page_trace(std::vector<std::uint64_t>* trace) { trace_ = trace; }
+
+  void access(Coalescer::Kind kind, const std::vector<std::uint64_t>& addrs,
+              unsigned bytes_per_lane, KernelStats& stats) {
+    const DeviceSpec spec;
+    const bool is_load = kind == Coalescer::Kind::kLoad;
+    const std::uint64_t seg_bytes = static_cast<std::uint64_t>(
+        is_load ? spec.load_segment_bytes : spec.store_segment_bytes);
+    const auto page_bytes = static_cast<std::uint64_t>(spec.dram_page_bytes);
+    std::vector<std::uint64_t> segs;
+    std::vector<std::uint64_t> covered;
+    int replay_lines = 0;
+    std::uint64_t prev_line = 0;
+    for (const std::uint64_t a : addrs) {
+      for (std::uint64_t s = a / seg_bytes;
+           s <= (a + bytes_per_lane - 1) / seg_bytes; ++s) {
+        if (segs.empty() || segs.back() != s) {
+          segs.push_back(s);
+          covered.push_back(0);
+        }
+        if (is_load) continue;  // coverage is a 32-bit mask for stores only
+        const std::uint64_t lo = std::max(a, s * seg_bytes) - s * seg_bytes;
+        const std::uint64_t hi =
+            std::min(a + bytes_per_lane, (s + 1) * seg_bytes) - s * seg_bytes;
+        covered.back() |= ((1ull << (hi - lo)) - 1) << lo;  // hi - lo ≤ 8
+      }
+      const std::uint64_t line_first = a / 128;
+      const std::uint64_t line_last = (a + bytes_per_lane - 1) / 128;
+      if (replay_lines == 0 || line_first > prev_line) {
+        ++replay_lines;
+        prev_line = line_first;
+      }
+      if (line_last > prev_line) {
+        ++replay_lines;
+        prev_line = line_last;
+      }
+    }
+    const std::uint64_t full = is_load ? 0 : (1ull << seg_bytes) - 1;
+    std::uint64_t transactions = 0;
+    std::uint64_t rmw_reads = 0;
+    for (std::size_t i = 0; i < segs.size(); ++i) {
+      if (is_load && l1_.access(segs[i])) continue;
+      ++transactions;
+      if (!is_load && covered[i] != full) ++rmw_reads;
+      const std::uint64_t page = segs[i] * seg_bytes / page_bytes;
+      if (trace_ != nullptr)
+        trace_->push_back(page);
+      else if (!rows_.access(page))
+        ++stats.dram_page_switches;
+    }
+    if (replay_lines > 1)
+      stats.issue_cycles +=
+          static_cast<std::uint64_t>(replay_lines - 1) * kCyclesLsuReplay;
+    const std::uint64_t requested = addrs.size() * bytes_per_lane;
+    if (is_load) {
+      ++stats.load_instructions;
+      stats.load_transactions += transactions;
+      stats.bytes_requested_load += requested;
+      stats.bytes_transferred_load += transactions * seg_bytes;
+    } else {
+      ++stats.store_instructions;
+      stats.store_transactions += transactions;
+      stats.rmw_transactions += rmw_reads;
+      stats.bytes_requested_store += requested;
+      stats.bytes_transferred_store += (transactions + rmw_reads) * seg_bytes;
+    }
+  }
+
+ private:
+  SegmentCache l1_{kEffectiveL1SegmentsPerWarp};
+  DramRowLru rows_;
+  std::vector<std::uint64_t>* trace_ = nullptr;
+};
+
+/// Every exported counter plus the raw requested bytes, as "name=value"
+/// lines, so a mismatch prints the differing field.
+std::string stats_text(const KernelStats& s) {
+  std::ostringstream out;
+  visit_metrics(s, [&out](const char* name, double v, bool) {
+    out << name << '=' << v << '\n';
+  });
+  out << "bytes_requested_load=" << s.bytes_requested_load << '\n'
+      << "bytes_requested_store=" << s.bytes_requested_store << '\n';
+  return out.str();
+}
+
+std::uint64_t replay_switches(const std::vector<std::uint64_t>& trace) {
+  DramRowLru rows;
+  std::uint64_t switches = 0;
+  for (const std::uint64_t page : trace)
+    if (!rows.access(page)) ++switches;
+  return switches;
+}
+
+TEST(Coalescer, UnitStrideClosedFormMatchesLaneWalk) {
+  // Seeded random unit-stride runs (1-32 lanes of 1/2/4/8 bytes, loads and
+  // stores) whose bases sit at random offsets around 32-, 128- and
+  // 4096-byte boundaries, so runs straddle store segments, load segments /
+  // replay lines and DRAM pages. The L1 window and open rows carry across
+  // accesses; every counter must match the per-lane walk after every access,
+  // inline or with the page trace replayed through one DramRowLru.
+  constexpr unsigned kLaneBytes[] = {1, 2, 4, 8};
+  constexpr std::uint64_t kBoundaries[] = {32, 128, 4096};
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const bool traced = seed % 2 == 0;
+    std::mt19937_64 rng{seed};
+    const auto pick = [&rng](std::uint64_t n) { return rng() % n; };
+    DeviceSpec spec;
+    Coalescer fast{spec, kEffectiveL1SegmentsPerWarp};
+    LaneWalkReference ref;
+    std::vector<std::uint64_t> fast_trace;
+    std::vector<std::uint64_t> ref_trace;
+    if (traced) {
+      fast.set_page_trace(&fast_trace);
+      ref.set_page_trace(&ref_trace);
+    }
+    fast.begin_warp();
+    ref.begin_warp();
+    KernelStats fast_stats;
+    KernelStats ref_stats;
+    for (int c = 0; c < 64; ++c) {
+      if (pick(8) == 0) {
+        fast.begin_warp();
+        ref.begin_warp();
+      }
+      const auto kind =
+          pick(2) == 0 ? Coalescer::Kind::kLoad : Coalescer::Kind::kStore;
+      const unsigned bytes = kLaneBytes[pick(4)];
+      const std::uint64_t lanes = 1 + pick(32);
+      const std::uint64_t boundary = kBoundaries[pick(3)];
+      // A run ending at, crossing or starting at a boundary, somewhere in
+      // 64 pages: more pages than the 32 open rows.
+      const std::uint64_t boundary_at =
+          0x100000 + boundary * (1 + pick(64 * 4096 / boundary));
+      const std::uint64_t base = boundary_at - pick(lanes * bytes + 1);
+      std::vector<std::uint64_t> addrs;
+      for (std::uint64_t i = 0; i < lanes; ++i)
+        addrs.push_back(base + i * bytes);
+      fast.access(kind, addrs, bytes, fast_stats);
+      ref.access(kind, addrs, bytes, ref_stats);
+      ASSERT_EQ(stats_text(fast_stats), stats_text(ref_stats))
+          << "seed " << seed << " case " << c << ": "
+          << (kind == Coalescer::Kind::kLoad ? "load" : "store") << " of "
+          << lanes << " x " << bytes << " B at 0x" << std::hex << base
+          << (traced ? " (traced)" : " (inline)");
+    }
+    if (traced) {
+      EXPECT_EQ(replay_switches(fast_trace), replay_switches(ref_trace))
+          << "seed " << seed;
+      EXPECT_LE(fast_trace.size(), ref_trace.size()) << "seed " << seed;
+    }
+  }
 }
 
 TEST(SegmentCache, LruEviction) {

@@ -370,9 +370,10 @@ std::string http_raw(int port, const std::string& bytes,
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
-  if (!bytes.empty())
+  if (!bytes.empty()) {
     EXPECT_EQ(::send(fd, bytes.data(), bytes.size(), 0),
               static_cast<ssize_t>(bytes.size()));
+  }
   if (half_close) ::shutdown(fd, SHUT_WR);
   std::string response;
   char buf[4096];

@@ -62,8 +62,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(4.0, 1.0, 4.0),   // transfer-bound
                       std::make_tuple(3.0, 6.0, 3.0),   // balanced
                       std::make_tuple(0.1, 10.0, 0.1)), // transfers trivial
-    [](const auto& info) {
-      return "case" + std::to_string(info.index);
+    [](const auto& desc) {
+      return "case" + std::to_string(desc.index);
     });
 
 TEST(StreamSim, OverlappedNeverSlowerThanSequential) {
@@ -112,7 +112,9 @@ TEST(StreamSim, SteadyStateKernelsAreBackToBackWhenKernelBound) {
   double prev_end = -1;
   for (const TimelineOp& op : tl.ops) {
     if (op.engine != TimelineOp::Engine::kKernel || op.frame < 2) continue;
-    if (prev_end >= 0) EXPECT_NEAR(op.start_seconds, prev_end, 1e-9);
+    if (prev_end >= 0) {
+      EXPECT_NEAR(op.start_seconds, prev_end, 1e-9);
+    }
     prev_end = op.end_seconds;
   }
 }
