@@ -17,7 +17,7 @@ void tiled(benchmark::State& state) {
   cfg.tiled = true;
   cfg.tiled_config.frame_group = group;
   if (cfg.frames < 2 * group) cfg.frames = 2 * group;
-  run_and_record(state, "g" + std::to_string(group), cfg);
+  run_and_record(state, strprintf("g%d", group), cfg);
   state.counters["group"] = group;
 }
 BENCHMARK(tiled)
@@ -60,7 +60,7 @@ void epilogue() {
                         1e3 * f->kernel_timing.total_seconds *
                             fullhd_ratio(f->config)}});
   for (const int g : {1, 2, 4, 8, 16, 32}) {
-    const auto* r = Registry::instance().find("g" + std::to_string(g));
+    const auto* r = Registry::instance().find(strprintf("g%d", g));
     if (r == nullptr) continue;
     // Latency until a frame's mask is available: the whole group must finish.
     const double group_latency_ms =

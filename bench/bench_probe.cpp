@@ -3,29 +3,20 @@
 // to calibrate gpusim/timing_constants.hpp (DESIGN.md §5) and a useful
 // one-stop sanity check when modifying the simulator.
 #include <cstdio>
-#include <cstdlib>
 
-#include "mog/common/strutil.hpp"
-#include "mog/pipeline/experiment.hpp"
-#include "mog/telemetry/bench_report.hpp"
+#include "bench_util.hpp"
 
 using namespace mog;
+using bench::reporter;
 
 namespace {
 
-telemetry::BenchReporter& reporter() {
-  static telemetry::BenchReporter r;
-  return r;
-}
-
+/// MOG_PROBE_WIDTH/HEIGHT/FRAMES, in the ranges of MOG_BENCH_*.
 ExperimentConfig base_config() {
   ExperimentConfig cfg;
-  const char* w = std::getenv("MOG_PROBE_WIDTH");
-  const char* h = std::getenv("MOG_PROBE_HEIGHT");
-  const char* f = std::getenv("MOG_PROBE_FRAMES");
-  cfg.width = w ? std::atoi(w) : 512;
-  cfg.height = h ? std::atoi(h) : 288;
-  cfg.frames = f ? std::atoi(f) : 16;
+  cfg.width = bench::env_int("MOG_PROBE_WIDTH", 512, 16, 4096);
+  cfg.height = bench::env_int("MOG_PROBE_HEIGHT", 288, 16, 4096);
+  cfg.frames = bench::env_int("MOG_PROBE_FRAMES", 16, 5, 100000);
   cfg.warmup_frames = 4;
   return cfg;
 }
@@ -71,17 +62,18 @@ void print_result(const std::string& section, const ExperimentResult& r) {
 
 int main() {
   reporter().set_name("probe");
+  const ExperimentConfig base = base_config();  // bad input exits here
 
   std::printf("== optimization ladder (K=3, double) — paper: 13/41/57/85/86/97x ==\n");
   for (kernels::OptLevel level : kernels::kAllLevels) {
-    ExperimentConfig cfg = base_config();
+    ExperimentConfig cfg = base;
     cfg.level = level;
     print_result("ladder", run_gpu_experiment(cfg));
   }
 
   std::printf("\n== tiled sweep (double) — paper: peak 101x @ g=8; occ 40->38%%; mem_eff >90 -> <60%% ==\n");
   for (int g : {1, 2, 4, 8, 16, 32}) {
-    ExperimentConfig cfg = base_config();
+    ExperimentConfig cfg = base;
     cfg.level = kernels::OptLevel::kF;
     cfg.tiled = true;
     cfg.tiled_config.frame_group = g;
@@ -92,23 +84,18 @@ int main() {
   std::printf("\n== float (paper: F 105x) and 5-Gaussian (paper: C 44x, F 92x) ==\n");
   for (kernels::OptLevel level :
        {kernels::OptLevel::kC, kernels::OptLevel::kF}) {
-    ExperimentConfig cfg = base_config();
+    ExperimentConfig cfg = base;
     cfg.level = level;
     cfg.precision = Precision::kFloat;
     print_result("float", run_gpu_experiment(cfg));
   }
   for (kernels::OptLevel level :
        {kernels::OptLevel::kC, kernels::OptLevel::kF}) {
-    ExperimentConfig cfg = base_config();
+    ExperimentConfig cfg = base;
     cfg.level = level;
     cfg.params.num_components = 5;
     print_result("k5", run_gpu_experiment(cfg));
   }
 
-  if (std::getenv("MOG_BENCH_NO_REPORT") == nullptr) {
-    const char* dir = std::getenv("MOG_BENCH_REPORT_DIR");
-    const std::string path = reporter().write_file(dir != nullptr ? dir : ".");
-    std::printf("\nbench report: %s\n", path.c_str());
-  }
-  return 0;
+  return bench::finish_bench_report();
 }

@@ -120,7 +120,7 @@ void serve_streams(benchmark::State& state) {
 
   reporter().set_workload(base.width, base.height, base.frames);
   reporter()
-      .add_case("s" + std::to_string(streams))
+      .add_case(strprintf("s%d", streams))
       .metric("aggregate_fps", result.aggregate_fps)
       .metric("makespan_seconds", result.makespan_seconds)
       .metric("latency_p50_ms", 1e3 * result.latency.p50)
@@ -155,8 +155,7 @@ void fleet_surface(benchmark::State& state) {
   state.counters["devices"] = devices;
   state.counters["streams"] = streams;
   state.counters["aggregate_fps"] = result.aggregate_fps;
-  const std::string name =
-      "d" + std::to_string(devices) + "s" + std::to_string(streams);
+  const std::string name = strprintf("d%ds%d", devices, streams);
   fleet_results()[name] = result;
 
   reporter().set_workload(base.width, base.height, base.frames);
@@ -195,8 +194,7 @@ void fleet_device_loss(benchmark::State& state) {
   // The fault-free run with the same shape is the latency yardstick: the
   // acceptance bar is zero admitted-frame loss and surviving-device p99
   // within 2x of fault-free.
-  const std::string fault_free_name =
-      "d" + std::to_string(devices) + "s" + std::to_string(streams);
+  const std::string fault_free_name = strprintf("d%ds%d", devices, streams);
   const double fault_free_p99 =
       fleet_results().count(fault_free_name) != 0
           ? fleet_results()[fault_free_name].latency.p99

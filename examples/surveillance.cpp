@@ -9,15 +9,17 @@
 //
 //   $ ./examples/surveillance [frames] [output_dir] [fault_rate]
 //
-// `fault_rate` (default 0.02) drives the transfer/launch fault probability;
-// pass 0 for a fault-free run.
+// `fault_rate` (default 0.02, in [0, 1]) drives the transfer/launch fault
+// probability; pass 0 for a fault-free run. `output_dir` must exist. A bad
+// argument prints one line and exits 2.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "mog/common/strutil.hpp"
 #include "mog/fault/fault_injector.hpp"
 #include "mog/fault/resilient_pipeline.hpp"
 #include "mog/metrics/confusion.hpp"
@@ -76,12 +78,22 @@ std::vector<Blob> find_blobs(const mog::FrameU8& mask, int min_area) {
 }  // namespace
 
 int main(int argc, char** argv) try {
-  const int frames = argc > 1 ? std::atoi(argv[1]) : 80;
-  const std::string out_dir = argc > 2 ? argv[2] : ".";
-  const double fault_rate = argc > 3 ? std::atof(argv[3]) : 0.02;
-  if (frames <= 0) {
+  int frames = 80;
+  std::string out_dir = ".";
+  double fault_rate = 0.02;
+  try {
+    if (argc > 4) throw mog::Error{"too many arguments"};
+    if (argc > 1) frames = mog::parse_int(argv[1], 1, 1000000, "frames");
+    if (argc > 2) out_dir = argv[2];
+    if (argc > 3)
+      fault_rate = mog::parse_double(argv[3], 0.0, 1.0, "fault_rate");
+    if (!std::filesystem::is_directory(out_dir))
+      throw mog::Error{"output_dir is not an existing directory: " + out_dir};
+  } catch (const mog::Error& e) {
     std::fprintf(stderr,
-                 "usage: surveillance [frames>0] [output_dir] [fault_rate]\n");
+                 "error: %s (usage: surveillance [frames] [output_dir] "
+                 "[fault_rate])\n",
+                 e.what());
     return 2;
   }
 
@@ -198,7 +210,7 @@ int main(int argc, char** argv) try {
   mog::telemetry::set_tracer(nullptr);
   mog::telemetry::set_counters(nullptr);
   return 0;
-} catch (const mog::Error& e) {
+} catch (const std::exception& e) {
   std::fprintf(stderr, "error: %s\n", e.what());
   return 1;
 }

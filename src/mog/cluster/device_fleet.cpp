@@ -823,21 +823,11 @@ std::string DeviceFleet<T>::metrics_text_locked() const {
   }
 
   // Global telemetry sinks, when installed: kernel-counter rollups and
-  // trace-recorder drop health. The planes record their own custom series
-  // (serve.latency_seconds, serve.queue_depth) into the registry, which
-  // append_counter_registry would render under the same mog_serve_* names
-  // as the per-stream families above — drop the duplicates, the labelled
-  // families win.
-  std::vector<MetricFamily> global;
+  // trace-recorder drop health.
   if (const telemetry::CounterRegistry* reg = telemetry::counters())
-    obs::append_counter_registry(*reg, global);
+    obs::append_counter_registry(*reg, families);
   if (const telemetry::TraceRecorder* tr = telemetry::tracer())
-    obs::append_trace_health(*tr, global);
-  for (MetricFamily& f : global) {
-    bool duplicate = false;
-    for (const MetricFamily& own : families) duplicate |= own.name == f.name;
-    if (!duplicate) families.push_back(std::move(f));
-  }
+    obs::append_trace_health(*tr, families);
 
   return obs::render(families);
 }

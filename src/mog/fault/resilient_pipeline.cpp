@@ -51,8 +51,6 @@ const char* to_string(ExecutionTier tier) {
 
 void RetryPolicy::validate() const {
   MOG_CHECK(max_attempts >= 1, "retry policy needs at least one attempt");
-  MOG_CHECK(backoff_base_seconds >= 0.0, "backoff base must be >= 0");
-  MOG_CHECK(backoff_multiplier >= 1.0, "backoff multiplier must be >= 1");
 }
 
 void ResilienceConfig::validate() const {
@@ -243,8 +241,8 @@ bool ResilientPipeline<T>::process(const FrameU8& frame, FrameU8& fg) {
 template <typename T>
 bool ResilientPipeline<T>::backoff_before_retry(int attempt,
                                                 double& frame_backoff) {
-  const double delay = res_.retry.backoff_base_seconds *
-                       std::pow(res_.retry.backoff_multiplier, attempt - 2);
+  // Attempt 2 is retry 1: 1 ms, doubling per retry (RetryPolicy).
+  const double delay = 1e-3 * std::pow(2.0, attempt - 2);
   // A sick device must fail over, not stall its stream through the whole
   // exponential ladder: once this frame's accumulated backoff would cross
   // the deadline, stop retrying and let the abandonment path run now.

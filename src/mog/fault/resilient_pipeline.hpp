@@ -40,10 +40,9 @@ enum class ExecutionTier { kTiledGpu, kGpuDirect, kCpuSerial };
 
 const char* to_string(ExecutionTier tier);
 
+/// Retry k of an operation waits 1 ms * 2^(k-1) of modeled time first.
 struct RetryPolicy {
-  int max_attempts = 4;                ///< total attempts per operation
-  double backoff_base_seconds = 1e-3;  ///< modeled delay before retry 1
-  double backoff_multiplier = 2.0;     ///< exponential growth per retry
+  int max_attempts = 4;  ///< total attempts per operation
 
   void validate() const;
 };

@@ -76,40 +76,7 @@ struct KernelStats {
   /// launches of different block shapes is an error in every build type —
   /// the per-launch resource fields (and the occupancy derived from them)
   /// would silently describe neither launch.
-  KernelStats& operator+=(const KernelStats& other) {
-    MOG_CHECK(threads_per_block == 0 || other.threads_per_block == 0 ||
-                  threads_per_block == other.threads_per_block,
-              "accumulating KernelStats across mismatched launch shapes "
-              "(threads_per_block differs)");
-    load_instructions += other.load_instructions;
-    store_instructions += other.store_instructions;
-    load_transactions += other.load_transactions;
-    store_transactions += other.store_transactions;
-    rmw_transactions += other.rmw_transactions;
-    bytes_requested_load += other.bytes_requested_load;
-    bytes_requested_store += other.bytes_requested_store;
-    bytes_transferred_load += other.bytes_transferred_load;
-    bytes_transferred_store += other.bytes_transferred_store;
-    dram_page_switches += other.dram_page_switches;
-    branches_executed += other.branches_executed;
-    branches_divergent += other.branches_divergent;
-    issue_cycles += other.issue_cycles;
-    warp_instructions += other.warp_instructions;
-    shared_accesses += other.shared_accesses;
-    shared_cycles += other.shared_cycles;
-    shared_bytes_per_block =
-        other.shared_bytes_per_block > shared_bytes_per_block
-            ? other.shared_bytes_per_block
-            : shared_bytes_per_block;
-    regs_per_thread = other.regs_per_thread > regs_per_thread
-                          ? other.regs_per_thread
-                          : regs_per_thread;
-    if (other.threads_per_block != 0)
-      threads_per_block = other.threads_per_block;
-    num_blocks += other.num_blocks;
-    num_warps += other.num_warps;
-    return *this;
-  }
+  KernelStats& operator+=(const KernelStats& other);
 
   /// Counter-wise difference against an earlier snapshot of the same
   /// accumulator: `after.counters_since(before)` is what ran in between.
@@ -117,58 +84,81 @@ struct KernelStats {
   /// properties, not counters — they pass through from `*this`. Used by the
   /// per-block stats seam (Device snapshots the worker accumulator around
   /// each block).
-  KernelStats counters_since(const KernelStats& before) const {
-    KernelStats d = *this;
-    d.load_instructions -= before.load_instructions;
-    d.store_instructions -= before.store_instructions;
-    d.load_transactions -= before.load_transactions;
-    d.store_transactions -= before.store_transactions;
-    d.rmw_transactions -= before.rmw_transactions;
-    d.bytes_requested_load -= before.bytes_requested_load;
-    d.bytes_requested_store -= before.bytes_requested_store;
-    d.bytes_transferred_load -= before.bytes_transferred_load;
-    d.bytes_transferred_store -= before.bytes_transferred_store;
-    d.dram_page_switches -= before.dram_page_switches;
-    d.branches_executed -= before.branches_executed;
-    d.branches_divergent -= before.branches_divergent;
-    d.issue_cycles -= before.issue_cycles;
-    d.warp_instructions -= before.warp_instructions;
-    d.shared_accesses -= before.shared_accesses;
-    d.shared_cycles -= before.shared_cycles;
-    d.num_blocks -= before.num_blocks;
-    d.num_warps -= before.num_warps;
-    return d;
-  }
+  KernelStats counters_since(const KernelStats& before) const;
 
   /// Per-launch average after accumulating n launches (resource fields are
   /// already per-launch and pass through unchanged). n must be positive:
   /// averaging over zero launches is a caller bookkeeping bug, not a
   /// quantity with a meaningful value.
-  KernelStats averaged_over(std::uint64_t n) const {
-    MOG_CHECK(n > 0, "cannot average KernelStats over zero launches");
-    KernelStats s = *this;
-    if (n == 1) return s;
-    s.load_instructions /= n;
-    s.store_instructions /= n;
-    s.load_transactions /= n;
-    s.store_transactions /= n;
-    s.rmw_transactions /= n;
-    s.bytes_requested_load /= n;
-    s.bytes_requested_store /= n;
-    s.bytes_transferred_load /= n;
-    s.bytes_transferred_store /= n;
-    s.dram_page_switches /= n;
-    s.branches_executed /= n;
-    s.branches_divergent /= n;
-    s.issue_cycles /= n;
-    s.warp_instructions /= n;
-    s.shared_accesses /= n;
-    s.shared_cycles /= n;
-    s.num_blocks /= n;
-    s.num_warps /= n;
-    return s;
-  }
+  KernelStats averaged_over(std::uint64_t n) const;
 };
+
+/// One additive counter of KernelStats: its name and its member.
+struct KernelCounter {
+  const char* name;
+  std::uint64_t KernelStats::*field;
+};
+
+/// The additive counters of KernelStats — every field that sums across
+/// launches. Accumulation, differencing, averaging, rescaling and profile
+/// reconstruction all walk this table; the resource fields
+/// (shared_bytes_per_block, regs_per_thread, threads_per_block) are
+/// per-launch properties, handled explicitly where they matter.
+inline constexpr KernelCounter kKernelCounters[] = {
+    {"load_instructions", &KernelStats::load_instructions},
+    {"store_instructions", &KernelStats::store_instructions},
+    {"load_transactions", &KernelStats::load_transactions},
+    {"store_transactions", &KernelStats::store_transactions},
+    {"rmw_transactions", &KernelStats::rmw_transactions},
+    {"bytes_requested_load", &KernelStats::bytes_requested_load},
+    {"bytes_requested_store", &KernelStats::bytes_requested_store},
+    {"bytes_transferred_load", &KernelStats::bytes_transferred_load},
+    {"bytes_transferred_store", &KernelStats::bytes_transferred_store},
+    {"dram_page_switches", &KernelStats::dram_page_switches},
+    {"branches_executed", &KernelStats::branches_executed},
+    {"branches_divergent", &KernelStats::branches_divergent},
+    {"issue_cycles", &KernelStats::issue_cycles},
+    {"warp_instructions", &KernelStats::warp_instructions},
+    {"shared_accesses", &KernelStats::shared_accesses},
+    {"shared_cycles", &KernelStats::shared_cycles},
+    {"num_blocks", &KernelStats::num_blocks},
+    {"num_warps", &KernelStats::num_warps},
+};
+
+// The 18 counters above plus the three resource fields (a std::uint64_t and
+// two ints) are all of KernelStats: a field added without a table entry
+// changes the size and does not build.
+static_assert(sizeof(KernelStats) == 160,
+              "every additive KernelStats field needs a kKernelCounters entry");
+
+inline KernelStats& KernelStats::operator+=(const KernelStats& other) {
+  MOG_CHECK(threads_per_block == 0 || other.threads_per_block == 0 ||
+                threads_per_block == other.threads_per_block,
+            "accumulating KernelStats across mismatched launch shapes "
+            "(threads_per_block differs)");
+  for (const KernelCounter& c : kKernelCounters)
+    this->*c.field += other.*c.field;
+  shared_bytes_per_block =
+      std::max(shared_bytes_per_block, other.shared_bytes_per_block);
+  regs_per_thread = std::max(regs_per_thread, other.regs_per_thread);
+  if (other.threads_per_block != 0) threads_per_block = other.threads_per_block;
+  return *this;
+}
+
+inline KernelStats KernelStats::counters_since(
+    const KernelStats& before) const {
+  KernelStats d = *this;
+  for (const KernelCounter& c : kKernelCounters) d.*c.field -= before.*c.field;
+  return d;
+}
+
+inline KernelStats KernelStats::averaged_over(std::uint64_t n) const {
+  MOG_CHECK(n > 0, "cannot average KernelStats over zero launches");
+  KernelStats s = *this;
+  if (n == 1) return s;
+  for (const KernelCounter& c : kKernelCounters) s.*c.field /= n;
+  return s;
+}
 
 /// Enumerate every exported metric of a launch as (name, value, extensive).
 /// Extensive metrics scale with the amount of work (counters); intensive

@@ -16,64 +16,55 @@ void push(Timeline& tl, TimelineOp::Engine engine, int frame,
 
 }  // namespace
 
+// Both Fig. 5 schedules run one lane through SharedTimeline, so the one
+// event loop that models the serving layer's shared device also renders the
+// figure. SharedTimeline records the lane index in TimelineOp::frame; each
+// schedule writes the op's frame index back before returning.
+
 Timeline simulate_sequential(const FrameSchedule& frame, int frames) {
   MOG_CHECK(frames >= 0, "negative frame count");
-  Timeline tl;
-  double t = 0;
+  // One device buffer: frame i+1's upload waits for kernel i, and the
+  // download goes ahead of it in the copy engine's FIFO.
+  SharedTimeline st;
+  const int lane = st.add_stream(1);
   for (int i = 0; i < frames; ++i) {
-    push(tl, TimelineOp::Engine::kDma, i, "up", t, frame.upload_seconds);
-    t += frame.upload_seconds;
-    push(tl, TimelineOp::Engine::kKernel, i, "kernel", t,
-         frame.kernel_seconds);
-    t += frame.kernel_seconds;
-    push(tl, TimelineOp::Engine::kDma, i, "down", t, frame.download_seconds);
-    t += frame.download_seconds;
+    const double up =
+        st.schedule_upload(lane, 0.0, frame.upload_seconds).end_seconds;
+    const double k =
+        st.schedule_kernel(lane, up, frame.kernel_seconds).end_seconds;
+    st.schedule_download(lane, k, frame.download_seconds);
   }
+  Timeline tl = st.timeline();
+  for (std::size_t j = 0; j < tl.ops.size(); ++j)
+    tl.ops[j].frame = static_cast<int>(j / 3);
   return tl;
 }
 
 Timeline simulate_overlapped(const FrameSchedule& frame, int frames) {
   MOG_CHECK(frames >= 0, "negative frame count");
-  Timeline tl;
-  if (frames == 0) return tl;
-
-  // Enqueue order follows the standard double-buffered host loop:
-  //   up(0); for i: { launch kernel(i); enqueue up(i+1); enqueue down(i); }
-  // so the next frame's upload sits ahead of the current download in the
-  // copy engine's FIFO, and neither suffers head-of-line blocking behind an
-  // op whose dependency is further out.
-  double dma_free = 0, kernel_free = 0;
-  std::vector<double> upload_end(static_cast<std::size_t>(frames), 0);
-  std::vector<double> kernel_end(static_cast<std::size_t>(frames), 0);
-
-  auto schedule_upload = [&](int i) {
-    // Needs the DMA engine and its input buffer (two rotate: kernel i-2
-    // must have released it).
-    double ready = dma_free;
-    if (i >= 2)
-      ready = std::max(ready, kernel_end[static_cast<std::size_t>(i - 2)]);
-    push(tl, TimelineOp::Engine::kDma, i, "up", ready, frame.upload_seconds);
-    upload_end[static_cast<std::size_t>(i)] = ready + frame.upload_seconds;
-    dma_free = upload_end[static_cast<std::size_t>(i)];
-  };
-
-  schedule_upload(0);
-  for (int i = 0; i < frames; ++i) {
-    const double kstart =
-        std::max(upload_end[static_cast<std::size_t>(i)], kernel_free);
-    push(tl, TimelineOp::Engine::kKernel, i, "kernel", kstart,
-         frame.kernel_seconds);
-    kernel_end[static_cast<std::size_t>(i)] = kstart + frame.kernel_seconds;
-    kernel_free = kernel_end[static_cast<std::size_t>(i)];
-
-    if (i + 1 < frames) schedule_upload(i + 1);
-
-    const double dstart =
-        std::max(kernel_end[static_cast<std::size_t>(i)], dma_free);
-    push(tl, TimelineOp::Engine::kDma, i, "down", dstart,
-         frame.download_seconds);
-    dma_free = dstart + frame.download_seconds;
+  // Double buffering in the serving order: round r enqueues up(r), then
+  // down(r-1), then kernel(r), so the next upload sits ahead of the
+  // previous download in the copy engine's FIFO.
+  SharedTimeline st;
+  const int lane = st.add_stream(2);
+  std::vector<int> frame_of;
+  double up = 0, k = 0;
+  for (int r = 0; r <= frames; ++r) {
+    if (r < frames) {
+      up = st.schedule_upload(lane, 0.0, frame.upload_seconds).end_seconds;
+      frame_of.push_back(r);
+    }
+    if (r > 0) {
+      st.schedule_download(lane, k, frame.download_seconds);
+      frame_of.push_back(r - 1);
+    }
+    if (r < frames) {
+      k = st.schedule_kernel(lane, up, frame.kernel_seconds).end_seconds;
+      frame_of.push_back(r);
+    }
   }
+  Timeline tl = st.timeline();
+  for (std::size_t j = 0; j < tl.ops.size(); ++j) tl.ops[j].frame = frame_of[j];
   return tl;
 }
 

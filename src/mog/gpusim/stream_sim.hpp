@@ -1,13 +1,13 @@
 // Discrete-event simulation of the host-side frame pipeline.
 //
-// The closed-form schedules in transfer_model.hpp summarize Fig. 5; this
-// module *simulates* the pipeline instead: one DMA engine (the C2075 has a
+// SharedTimeline is the one event simulator: one DMA engine (the C2075 has a
 // single copy engine, so uploads and downloads serialize) and one compute
-// engine, with real data dependencies (kernel i needs upload i; download i
-// needs kernel i; double buffering lets upload i+1 proceed once kernel i-1
-// released its input buffer). It produces the exact operation timeline —
-// renderable as a Fig.-5-style Gantt chart — and cross-validates the closed
-// forms (tests assert they agree).
+// engine shared by any number of streams, with real data dependencies
+// (kernel i needs upload i; download i needs kernel i; a stream's buffer
+// rotation gates how far its uploads run ahead). The Fig. 5 schedules are
+// single-stream runs through it, producing the exact operation timeline,
+// renderable as a Fig.-5-style Gantt chart. The closed forms in
+// transfer_model.hpp stay the production model of the modeled seconds.
 #pragma once
 
 #include <cstdint>
@@ -35,10 +35,11 @@ struct Timeline {
   std::string ascii(int columns = 72) const;
 };
 
-/// Fig. 5(a): strictly sequential per frame.
+/// Fig. 5(a): strictly sequential per frame (one device buffer).
 Timeline simulate_sequential(const FrameSchedule& frame, int frames);
 
-/// Fig. 5(b): overlapped with double buffering and one copy engine.
+/// Fig. 5(b): overlapped with double buffering and one copy engine, in the
+/// serving layer's enqueue order.
 Timeline simulate_overlapped(const FrameSchedule& frame, int frames);
 
 /// Multi-stream generalization of the Fig. 5(b) contention model: one DMA
@@ -50,8 +51,8 @@ Timeline simulate_overlapped(const FrameSchedule& frame, int frames);
 /// Engine reservations are granted in call order (the engines are FIFOs,
 /// like real CUDA copy/compute queues), so the caller's enqueue order is
 /// part of the model — the serving scheduler enqueues the next round's
-/// uploads ahead of the previous round's downloads, which reproduces
-/// simulate_overlapped() exactly for a single stream (tests assert this).
+/// uploads ahead of the previous round's downloads, the order
+/// simulate_overlapped() drives a single stream in.
 ///
 /// Per stream, frames are FIFO through a bounded buffer pool: the upload of
 /// frame i may not start before the kernel that consumed frame i - buffers

@@ -33,4 +33,12 @@ double sequential_pipeline_seconds(const FrameSchedule& f,
 double overlapped_pipeline_seconds(const FrameSchedule& f,
                                    std::uint64_t frames);
 
+/// Total pipeline seconds for `frames` frames of `per_frame`, launched in
+/// groups of `frame_group` (the tiled variant; 1 otherwise): transfers stay
+/// per frame and the kernel runs once per group, so each of the
+/// ceil(frames / frame_group) groups costs frame_group times the per-frame
+/// schedule, composed sequentially or overlapped.
+double pipeline_seconds(const FrameSchedule& per_frame, std::uint64_t frames,
+                        bool overlapped, int frame_group = 1);
+
 }  // namespace mog::gpusim

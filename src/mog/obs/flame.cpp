@@ -121,12 +121,15 @@ telemetry::Json render_speedscope(const FlameProfile& profile) {
                               std::make_pair(Json::array(), Json::array()))
                .first;
     }
+    // Elements are built in place: moving a temporary number Json into the
+    // array trips gcc 12's -Wmaybe-uninitialized through the variant.
     Json sample = Json::array();
+    Json::Array& ids = sample.as_array();
     if (stack.frames.empty()) {
-      sample.push_back(static_cast<std::uint64_t>(intern(kIdleFrame)));
+      ids.emplace_back(static_cast<std::uint64_t>(intern(kIdleFrame)));
     } else {
       for (const std::string& frame : stack.frames)
-        sample.push_back(static_cast<std::uint64_t>(intern(frame)));
+        ids.emplace_back(static_cast<std::uint64_t>(intern(frame)));
     }
     it->second.first.push_back(std::move(sample));
     it->second.second.push_back(stack.count);

@@ -149,8 +149,10 @@ telemetry::Json heatmap_to_json(const Heatmap& map) {
   doc.set("blocks", map.blocks);
   Json grids = Json::object();
   for (const GridField& g : kGrids) {
+    // Built in place, not pushed as temporaries (see render_speedscope).
     Json cells = Json::array();
-    for (const double v : map.*g.member) cells.push_back(v);
+    Json::Array& values = cells.as_array();
+    for (const double v : map.*g.member) values.emplace_back(v);
     grids.set(g.name, std::move(cells));
   }
   doc.set("grids", std::move(grids));

@@ -38,25 +38,11 @@ KernelProfile build_profile(const std::string& name, const MetricView& m,
   p.name = name;
 
   gpusim::KernelStats& s = p.stats;
-  s.load_instructions = m.count("load_instructions");
-  s.store_instructions = m.count("store_instructions");
-  s.load_transactions = m.count("load_transactions");
-  s.store_transactions = m.count("store_transactions");
-  s.rmw_transactions = m.count("rmw_transactions");
-  s.bytes_transferred_load = m.count("bytes_transferred_load");
-  s.bytes_transferred_store = m.count("bytes_transferred_store");
-  s.dram_page_switches = m.count("dram_page_switches");
-  s.branches_executed = m.count("branches_executed");
-  s.branches_divergent = m.count("branches_divergent");
-  s.issue_cycles = m.count("issue_cycles");
-  s.warp_instructions = m.count("warp_instructions");
-  s.shared_accesses = m.count("shared_accesses");
-  s.shared_cycles = m.count("shared_cycles");
+  for (const gpusim::KernelCounter& c : gpusim::kKernelCounters)
+    s.*c.field = m.count(c.name);
   s.shared_bytes_per_block = m.count("shared_bytes_per_block");
   s.regs_per_thread = static_cast<int>(m.count("regs_per_thread"));
   s.threads_per_block = static_cast<int>(m.count("threads_per_block"));
-  s.num_blocks = m.count("num_blocks");
-  s.num_warps = m.count("num_warps");
 
   // Dumps export the memory-access-efficiency ratio but not the requested
   // bytes behind it; reconstruct requested bytes so the derived efficiency

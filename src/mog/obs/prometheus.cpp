@@ -352,15 +352,6 @@ void append_counter_registry(const telemetry::CounterRegistry& registry,
     g.samples.push_back({{{"stat", "p99"}}, r.p99});
     out.push_back(std::move(g));
   }
-
-  for (const std::string& series : registry.custom_metric_names()) {
-    MetricFamily h;
-    h.name = "mog_" + sanitize_metric_name(series);
-    h.help = "Distribution of custom series " + series;
-    h.type = MetricType::kHistogram;
-    h.histograms.push_back(make_histogram(registry.samples(series), {}));
-    out.push_back(std::move(h));
-  }
 }
 
 void append_trace_health(const telemetry::TraceRecorder& recorder,

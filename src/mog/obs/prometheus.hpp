@@ -78,10 +78,9 @@ std::string render(const std::vector<MetricFamily>& families);
 /// description of the first violation (with its line number).
 std::string validate_exposition(const std::string& text);
 
-/// CounterRegistry rollups as families: `mog_kernel_launches_total`, one
+/// CounterRegistry rollups as families: `mog_kernel_launches_total` and one
 /// `mog_kernel_<metric>` gauge per kernel metric (stat="mean"/"p50"/"p99"
-/// labels) plus `mog_kernel_<metric>_total` for extensive metrics, and one
-/// `mog_<series>` histogram per custom series.
+/// labels).
 void append_counter_registry(const telemetry::CounterRegistry& registry,
                              std::vector<MetricFamily>& out);
 

@@ -24,67 +24,38 @@ std::string ExperimentConfig::label() const {
 
 gpusim::KernelStats scale_stats(const gpusim::KernelStats& stats,
                                 double ratio) {
-  auto sc = [ratio](std::uint64_t v) {
-    return static_cast<std::uint64_t>(std::llround(
-        static_cast<double>(v) * ratio));
-  };
   gpusim::KernelStats s = stats;
-  s.load_instructions = sc(s.load_instructions);
-  s.store_instructions = sc(s.store_instructions);
-  s.load_transactions = sc(s.load_transactions);
-  s.store_transactions = sc(s.store_transactions);
-  s.rmw_transactions = sc(s.rmw_transactions);
-  s.bytes_requested_load = sc(s.bytes_requested_load);
-  s.bytes_requested_store = sc(s.bytes_requested_store);
-  s.bytes_transferred_load = sc(s.bytes_transferred_load);
-  s.bytes_transferred_store = sc(s.bytes_transferred_store);
-  s.dram_page_switches = sc(s.dram_page_switches);
-  s.branches_executed = sc(s.branches_executed);
-  s.branches_divergent = sc(s.branches_divergent);
-  s.issue_cycles = sc(s.issue_cycles);
-  s.warp_instructions = sc(s.warp_instructions);
-  s.shared_accesses = sc(s.shared_accesses);
-  s.shared_cycles = sc(s.shared_cycles);
-  s.num_blocks = sc(s.num_blocks);
-  s.num_warps = sc(s.num_warps);
+  for (const gpusim::KernelCounter& c : gpusim::kKernelCounters) {
+    const double scaled = static_cast<double>(s.*c.field) * ratio;
+    s.*c.field = static_cast<std::uint64_t>(std::llround(scaled));
+  }
   return s;
 }
 
 namespace {
 
-/// Full-scale (1080p, 450-frame) modeled GPU seconds from measured per-frame
-/// counters.
-double extrapolate_fullhd450(const ExperimentConfig& cfg,
-                             const gpusim::KernelStats& per_frame,
-                             const gpusim::Occupancy& occ,
-                             const gpusim::DeviceSpec& spec) {
+/// Full-scale (1080p, 450-frame) modeled GPU seconds from the pipeline's
+/// measured per-frame counters, under its own transfer schedule.
+template <typename T>
+double extrapolate_fullhd450(const GpuMogPipeline<T>& gpu) {
   constexpr double kFullPixels = 1920.0 * 1080.0;
   constexpr std::uint64_t kFullFrames = 450;
+  const auto& cfg = gpu.config();
   const double ratio =
       kFullPixels / (static_cast<double>(cfg.width) * cfg.height);
+  const gpusim::DeviceSpec& spec = gpu.device_spec();
 
-  const gpusim::KernelStats full = scale_stats(per_frame, ratio);
-  const gpusim::KernelTiming timing = gpusim::kernel_time(full, occ, spec);
+  const gpusim::KernelStats full = scale_stats(gpu.per_frame_stats(), ratio);
+  const gpusim::KernelTiming timing =
+      gpusim::kernel_time(full, gpu.occupancy(), spec);
 
   gpusim::FrameSchedule sched;
   sched.upload_seconds =
       gpusim::transfer_seconds(spec, static_cast<std::uint64_t>(kFullPixels));
   sched.download_seconds = sched.upload_seconds;
   sched.kernel_seconds = timing.total_seconds;
-
-  if (!cfg.tiled) {
-    return kernels::uses_overlap(cfg.level)
-               ? gpusim::overlapped_pipeline_seconds(sched, kFullFrames)
-               : gpusim::sequential_pipeline_seconds(sched, kFullFrames);
-  }
-  const double g = static_cast<double>(cfg.tiled_config.frame_group);
-  gpusim::FrameSchedule group_sched;
-  group_sched.upload_seconds = sched.upload_seconds * g;
-  group_sched.download_seconds = sched.download_seconds * g;
-  group_sched.kernel_seconds = sched.kernel_seconds * g;
-  const std::uint64_t groups = static_cast<std::uint64_t>(
-      std::ceil(static_cast<double>(kFullFrames) / g));
-  return gpusim::overlapped_pipeline_seconds(group_sched, groups);
+  return gpusim::pipeline_seconds(sched, kFullFrames, gpu.overlapped(),
+                                  gpu.frames_per_launch());
 }
 
 template <typename T>
@@ -189,8 +160,7 @@ ExperimentResult run_impl(const ExperimentConfig& cfg) {
   res.cpu_seconds_fullhd450 =
       cost.seconds(CpuVariant::kSerial, cfg.precision, 1920, 1080, 450,
                    cfg.params.num_components);
-  res.gpu_seconds_fullhd450 = extrapolate_fullhd450(
-      cfg, res.per_frame, res.occupancy, gpu.device_spec());
+  res.gpu_seconds_fullhd450 = extrapolate_fullhd450(gpu);
   res.speedup = res.cpu_seconds_fullhd450 / res.gpu_seconds_fullhd450;
 
   const int qn = cfg.frames - cfg.warmup_frames;

@@ -29,10 +29,7 @@ typename GpuMogPipeline<T>::Config validated(
   // never silently run as plain F. A caller-provided ValidationConfig is
   // kept (an unfusable one falls back to host postproc, with the fallback
   // counter recording the degradation).
-  if (kernels::uses_fused_postproc(config.level)) {
-    out.postproc.enabled = true;
-    out.postproc.on_device = true;
-  }
+  if (kernels::uses_fused_postproc(config.level)) out.postproc.enabled = true;
   if (out.postproc.enabled) out.postproc.validation.validate();
   // The pipeline-level executor knob overrides the spec's so callers can
   // pin the thread count without composing a DeviceSpec.
@@ -52,7 +49,7 @@ GpuMogPipeline<T>::GpuMogPipeline(const Config& config)
              kernels::uses_aos_layout(config.level)
                  ? kernels::ParamLayout::kAoS
                  : kernels::ParamLayout::kSoA) {
-  const int nbuf = config_.tiled ? config_.tiled_config.frame_group : 1;
+  const int nbuf = frames_per_launch();
   const std::size_t n = state_.num_pixels();
   for (int i = 0; i < nbuf; ++i) {
     frame_bufs_.push_back(device_.memory().alloc<std::uint8_t>(n));
@@ -232,9 +229,9 @@ void GpuMogPipeline<T>::download_group_masks() {
     device_.download(mask.data(), (from_pp ? pp_bufs_ : fg_bufs_)[i], n);
     if (host_postproc_active()) {
       mask = validate_foreground(mask, config_.postproc.validation);
-      // Wanted the device path but the config is not fusable: record the
+      // The device path could not express the config: record the
       // degradation instead of diverging silently.
-      if (config_.postproc.on_device) ++host_postproc_fallbacks_;
+      ++host_postproc_fallbacks_;
     }
     group_masks_.push_back(std::move(mask));
     --downloads_left_;
@@ -272,11 +269,10 @@ void GpuMogPipeline<T>::emit_modeled_timeline(
                {{"frames", g}});
 
   // Advance the cursor the way the variant's transfer schedule would: with
-  // overlap (level C+ and the tiled grouping) the next window starts after
-  // max(kernel, transfers) — the hidden portion is the Fig. 5b gain.
-  const bool overlapped = config_.tiled || kernels::uses_overlap(config_.level);
+  // overlap the next window starts after max(kernel, transfers) — the hidden
+  // portion is the Fig. 5b gain.
   const double serial_us = upload_us + kernel_us + download_us;
-  if (overlapped) {
+  if (overlapped()) {
     const double window_us = std::max(kernel_us, upload_us + download_us);
     tr->complete("overlap_window", "modeled",
                  telemetry::TraceRecorder::kModeledOverlapTrack, t0,
@@ -362,25 +358,8 @@ double GpuMogPipeline<T>::modeled_seconds(std::uint64_t frames) const {
   if (frames == 0) frames = processed;
   if (frames == 0) return 0.0;
 
-  const gpusim::FrameSchedule sched = frame_schedule();
-
-  if (!config_.tiled) {
-    return kernels::uses_overlap(config_.level)
-               ? gpusim::overlapped_pipeline_seconds(sched, frames)
-               : gpusim::sequential_pipeline_seconds(sched, frames);
-  }
-
-  // Tiled: transfers are per frame, the kernel runs once per group. The
-  // schedule overlaps group g's kernel with group g+1's uploads / group
-  // g-1's downloads.
-  const double g = static_cast<double>(config_.tiled_config.frame_group);
-  gpusim::FrameSchedule group_sched;
-  group_sched.upload_seconds = sched.upload_seconds * g;
-  group_sched.download_seconds = sched.download_seconds * g;
-  group_sched.kernel_seconds = sched.kernel_seconds * g;  // per-frame avg * g
-  const std::uint64_t groups = static_cast<std::uint64_t>(
-      (static_cast<double>(frames) + g - 1.0) / g);
-  return gpusim::overlapped_pipeline_seconds(group_sched, groups);
+  return gpusim::pipeline_seconds(frame_schedule(), frames, overlapped(),
+                                  frames_per_launch());
 }
 
 template class GpuMogPipeline<float>;

@@ -108,10 +108,10 @@ class GpuMogPipeline {
   std::uint64_t kernel_launches() const { return launches_; }
 
   /// Frames whose post-processing ran on the host because the configured
-  /// validation stages are not expressible on the device (postproc.on_device
-  /// requested but ValidationConfig::fusable() is false). Always 0 when the
-  /// device path is active; nonzero means level G silently-degraded — except
-  /// it is not silent, it is this counter.
+  /// validation stages are not expressible on the device
+  /// (ValidationConfig::fusable() is false). Always 0 when the device path
+  /// is active; nonzero means level G silently-degraded — except it is not
+  /// silent, it is this counter.
   std::uint64_t host_postproc_fallbacks() const {
     return host_postproc_fallbacks_;
   }
@@ -119,8 +119,7 @@ class GpuMogPipeline {
   /// True when masks are cleaned on the device before the download (the
   /// fused epilogue at level G, the unfused stencil chain below it).
   bool device_postproc_active() const {
-    return postproc_active() && config_.postproc.on_device &&
-           config_.postproc.validation.fusable();
+    return postproc_active() && config_.postproc.validation.fusable();
   }
 
   /// Per-frame averaged profiler counters (tiled launches are normalized by
@@ -139,8 +138,18 @@ class GpuMogPipeline {
 
   /// Modeled end-to-end seconds for `frames` frames at this pipeline's
   /// resolution (defaults to the number actually processed), composing the
-  /// per-frame kernel time with the variant's transfer schedule.
+  /// per-frame kernel time with the variant's transfer schedule
+  /// (gpusim::pipeline_seconds).
   double modeled_seconds(std::uint64_t frames = 0) const;
+
+  /// The variant's transfer schedule: overlapped (Fig. 5b) from level C on,
+  /// which includes every tiled configuration (tiled builds on F or G).
+  bool overlapped() const { return kernels::uses_overlap(config_.level); }
+
+  /// Frames per update-kernel launch: the tiled frame group, else 1.
+  int frames_per_launch() const {
+    return config_.tiled ? config_.tiled_config.frame_group : 1;
+  }
 
   /// Download the device model (background estimates, cross-checks,
   /// checkpointing). Uses the un-hooked copy path: reading the model out
@@ -164,7 +173,7 @@ class GpuMogPipeline {
   bool postproc_active() const {
     return config_.postproc.enabled && config_.postproc.validation.active();
   }
-  /// Postproc stages that must run on the host (fallback or by request).
+  /// Postproc stages that must run on the host (the unfusable fallback).
   bool host_postproc_active() const {
     return postproc_active() && !device_postproc_active();
   }

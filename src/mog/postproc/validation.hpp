@@ -60,13 +60,12 @@ FrameU8 validate_foreground(const FrameU8& raw_mask,
 /// Mask post-processing as a GPU-pipeline stage. At optimization level G
 /// the fused device epilogue cleans the mask before it crosses the
 /// simulated DRAM/transfer boundary (one extra launch per frame); at lower
-/// levels the same stages can run as the unfused device chain (one launch
-/// per stage) or on the host after the download. Configurations the device
-/// kernels cannot express (see ValidationConfig::fusable) fall back to host
-/// post-processing — recorded by the pipeline, never silent.
+/// levels the same stages run as the unfused device chain (one launch per
+/// stage). Configurations the device kernels cannot express (see
+/// ValidationConfig::fusable) fall back to host post-processing after the
+/// download — recorded by the pipeline, never silent.
 struct MaskPostprocConfig {
-  bool enabled = false;   ///< run validation stages as part of the pipeline
-  bool on_device = true;  ///< device kernels when fusable, else host fallback
+  bool enabled = false;  ///< run validation stages as part of the pipeline
   ValidationConfig validation = fused_validation_config();
 };
 

@@ -13,9 +13,6 @@ namespace mog::serve {
 
 namespace {
 
-constexpr char kLatencyMetric[] = "serve.latency_seconds";
-constexpr char kQueueDepthMetric[] = "serve.queue_depth";
-
 std::int64_t to_us(double seconds) {
   return static_cast<std::int64_t>(seconds * 1e6);
 }
@@ -233,8 +230,6 @@ int StreamServer<T>::pump_locked() {
     if (!s.open) continue;
     QueuedFrame qf;
     if (!s.queue->pop(qf)) continue;
-    if (telemetry::CounterRegistry* reg = telemetry::counters())
-      reg->record(kQueueDepthMetric, static_cast<double>(s.queue->size()));
     if (s.pipeline->gpu_pipeline() != nullptr) {
       const gpusim::FrameSchedule sched = s.pipeline->frame_schedule();
       const gpusim::SharedTimeline::Window w = timeline_.schedule_upload(
@@ -376,11 +371,8 @@ void StreamServer<T>::deliver_pending(Stream& s, int id) {
 template <typename T>
 void StreamServer<T>::complete_masks(Stream& s, int id, PendingDownload&& d,
                                      double end_seconds) {
-  telemetry::CounterRegistry* reg = telemetry::counters();
   for (std::size_t i = 0; i < d.arrivals.size(); ++i) {
-    const double latency = std::max(0.0, end_seconds - d.arrivals[i]);
-    s.latencies.push_back(latency);
-    if (reg != nullptr) reg->record(kLatencyMetric, latency);
+    s.latencies.push_back(std::max(0.0, end_seconds - d.arrivals[i]));
     if (i < d.tickets.size()) emit_flow('f', d.tickets[i], id, end_seconds);
     ++s.masks_delivered;
   }

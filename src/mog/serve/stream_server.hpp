@@ -18,10 +18,9 @@
 //                reserve the copy engine for its upload;
 //   2. deliver — reserve the copy engine for the *previous* round's pending
 //                mask downloads and complete their end-to-end latencies.
-//                Ordering uploads ahead of the older downloads reproduces
-//                the double-buffered FIFO order of simulate_overlapped()
-//                exactly for a single stream (tests assert the makespans
-//                match);
+//                Ordering uploads ahead of the older downloads is the
+//                double-buffered FIFO order simulate_overlapped() drives a
+//                single stream in;
 //   3. compute — run the frame through the stream's pipeline; when masks
 //                come due (every frame for direct variants, once per group
 //                for tiled), reserve the kernel engine and defer the
@@ -33,9 +32,10 @@
 // degrades to the CPU tier stops consuming shared device time — its frames
 // complete on a private CPU clock instead.
 //
-// Per-stream telemetry goes to the installed global sinks: modeled op
-// windows on trace track TraceRecorder::kServeTrackBase + id, end-to-end
-// latencies into CounterRegistry custom series "serve.latency_seconds".
+// Per-stream telemetry: modeled op windows go to the installed trace
+// recorder on track TraceRecorder::kServeTrackBase + id; end-to-end
+// latencies stay in the stream's own samples (latency_samples()), the one
+// latency record the fleet's /metrics renders.
 //
 // Thread safety: every public method locks the plane mutex; submit() may be
 // called from capture threads while the scheduler pumps. start()/stop() run

@@ -55,29 +55,9 @@ void CounterRegistry::on_kernel_launch(const gpusim::KernelStats& stats) {
   ++launches_;
 }
 
-void CounterRegistry::record(const std::string& metric, double value,
-                             bool extensive) {
-  MOG_CHECK(index_of(metric) < 0,
-            "custom series shadows a kernel metric: " + metric);
-  int i = custom_index_of(metric);
-  if (i < 0) {
-    i = static_cast<int>(custom_names_.size());
-    custom_names_.push_back(metric);
-    custom_extensive_.push_back(extensive);
-    custom_samples_.emplace_back();
-  }
-  custom_samples_[static_cast<std::size_t>(i)].push_back(value);
-}
-
 int CounterRegistry::index_of(const std::string& metric) const {
   for (std::size_t i = 0; i < names_.size(); ++i)
     if (names_[i] == metric) return static_cast<int>(i);
-  return -1;
-}
-
-int CounterRegistry::custom_index_of(const std::string& metric) const {
-  for (std::size_t i = 0; i < custom_names_.size(); ++i)
-    if (custom_names_[i] == metric) return static_cast<int>(i);
   return -1;
 }
 
@@ -85,32 +65,21 @@ const std::vector<double>& CounterRegistry::samples(
     const std::string& metric) const {
   static const std::vector<double> kEmpty;
   const int i = index_of(metric);
-  if (i >= 0) return samples_[static_cast<std::size_t>(i)];
-  const int c = custom_index_of(metric);
-  return c < 0 ? kEmpty : custom_samples_[static_cast<std::size_t>(c)];
+  return i < 0 ? kEmpty : samples_[static_cast<std::size_t>(i)];
 }
 
 double CounterRegistry::per_run(const std::string& metric) const {
   const int i = index_of(metric);
-  if (i >= 0) {
-    const Rollup r = make_rollup(samples_[static_cast<std::size_t>(i)]);
-    return extensive_[static_cast<std::size_t>(i)] ? r.total : r.mean;
-  }
-  const int c = custom_index_of(metric);
-  MOG_CHECK(c >= 0, "unknown telemetry metric: " + metric);
-  const Rollup r = make_rollup(custom_samples_[static_cast<std::size_t>(c)]);
-  return custom_extensive_[static_cast<std::size_t>(c)] ? r.total : r.mean;
+  MOG_CHECK(i >= 0, "unknown telemetry metric: " + metric);
+  const Rollup r = make_rollup(samples_[static_cast<std::size_t>(i)]);
+  return extensive_[static_cast<std::size_t>(i)] ? r.total : r.mean;
 }
 
 double CounterRegistry::per_frame(const std::string& metric,
                                   std::uint64_t frames) const {
   const int i = index_of(metric);
-  const int c = i < 0 ? custom_index_of(metric) : -1;
-  MOG_CHECK(i >= 0 || c >= 0, "unknown telemetry metric: " + metric);
-  const bool extensive =
-      i >= 0 ? extensive_[static_cast<std::size_t>(i)]
-             : custom_extensive_[static_cast<std::size_t>(c)];
-  if (!extensive) return per_run(metric);
+  MOG_CHECK(i >= 0, "unknown telemetry metric: " + metric);
+  if (!extensive_[static_cast<std::size_t>(i)]) return per_run(metric);
   MOG_CHECK(frames > 0, "per-frame rollup needs a positive frame count");
   return per_run(metric) / static_cast<double>(frames);
 }
@@ -120,9 +89,6 @@ void CounterRegistry::clear() {
   names_.clear();
   extensive_.clear();
   samples_.clear();
-  custom_names_.clear();
-  custom_extensive_.clear();
-  custom_samples_.clear();
 }
 
 Json CounterRegistry::to_json() const {
@@ -145,9 +111,6 @@ Json CounterRegistry::to_json() const {
   for (std::size_t i = 0; i < names_.size(); ++i)
     metrics.set(names_[i], metric_json(make_rollup(samples_[i]),
                                        extensive_[i]));
-  for (std::size_t i = 0; i < custom_names_.size(); ++i)
-    metrics.set(custom_names_[i], metric_json(make_rollup(custom_samples_[i]),
-                                              custom_extensive_[i]));
   root.set("metrics", std::move(metrics));
   return root;
 }

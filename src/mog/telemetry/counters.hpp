@@ -42,22 +42,10 @@ class CounterRegistry : public gpusim::StatsSink {
  public:
   void on_kernel_launch(const gpusim::KernelStats& stats) override;
 
-  /// Record one sample of a caller-defined scalar series (e.g. the serving
-  /// layer's end-to-end latencies or queue depths). Custom series live next
-  /// to the kernel-launch metrics and share the rollup / percentile /
-  /// JSON-export machinery; `extensive` series total in per_run(), intensive
-  /// ones report their mean. A custom series may not shadow a kernel metric
-  /// name.
-  void record(const std::string& metric, double value, bool extensive = false);
-
   std::size_t launches() const { return launches_; }
   const std::vector<std::string>& metric_names() const { return names_; }
-  const std::vector<std::string>& custom_metric_names() const {
-    return custom_names_;
-  }
 
-  /// Per-launch (or per-record) samples of one metric — kernel-launch
-  /// metrics first, then custom series (empty when unknown / no samples).
+  /// Per-launch samples of one metric (empty when unknown / no launches).
   const std::vector<double>& samples(const std::string& metric) const;
 
   /// Percentile rollup of one metric across launches.
@@ -82,18 +70,12 @@ class CounterRegistry : public gpusim::StatsSink {
 
  private:
   int index_of(const std::string& metric) const;
-  int custom_index_of(const std::string& metric) const;
 
   std::size_t launches_ = 0;
+  // Aligned 1:1 with gpusim::visit_metrics order.
   std::vector<std::string> names_;
   std::vector<bool> extensive_;
   std::vector<std::vector<double>> samples_;
-
-  // Custom series are stored apart from the kernel metrics: the launch path
-  // assumes names_ aligns 1:1 with gpusim::visit_metrics order.
-  std::vector<std::string> custom_names_;
-  std::vector<bool> custom_extensive_;
-  std::vector<std::vector<double>> custom_samples_;
 };
 
 }  // namespace mog::telemetry

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "mog/obs/prometheus.hpp"
 #include "mog/obs/sampler.hpp"
 #include "mog/pipeline/gpu_pipeline.hpp"
+#include "mog/telemetry/telemetry.hpp"
 #include "mog/video/scene.hpp"
 
 namespace mog {
@@ -394,7 +396,23 @@ TEST(DeviceFleet, CapacityExhaustedFallsBackToCpuLadderInPlace) {
   EXPECT_NE(detail.find("LOST"), std::string::npos);
 }
 
+/// Installs a counter registry and a trace recorder as the global sinks for
+/// one scope (declare it before the fleet, so it outlives the pipelines).
+struct ScopedGlobalSinks {
+  telemetry::CounterRegistry counters;
+  telemetry::TraceRecorder trace;
+  ScopedGlobalSinks() {
+    telemetry::set_counters(&counters);
+    telemetry::set_tracer(&trace);
+  }
+  ~ScopedGlobalSinks() {
+    telemetry::set_counters(nullptr);
+    telemetry::set_tracer(nullptr);
+  }
+};
+
 TEST(DeviceFleet, MetricsHealthzStatuszReflectFleetState) {
+  const ScopedGlobalSinks sinks;
   DeviceFleet<double> fleet{fleet_config(2)};
   const int id = fleet.open_stream(gpu_config());
   // The second stream lands on the other device as that plane's stream 0,
@@ -461,6 +479,18 @@ TEST(DeviceFleet, MetricsHealthzStatuszReflectFleetState) {
             std::string::npos);
   EXPECT_NE(metrics.find("mog_fleet_engine_busy_seconds"),
             std::string::npos);
+  // The installed registry and recorder add their families; no family is
+  // declared twice.
+  EXPECT_NE(metrics.find("# TYPE mog_kernel_launches_total counter"),
+            std::string::npos);
+  EXPECT_NE(metrics.find("# TYPE mog_trace_events gauge"), std::string::npos);
+  std::set<std::string> declared;
+  std::istringstream lines(metrics);
+  for (std::string line; std::getline(lines, line);)
+    if (line.rfind("# TYPE ", 0) == 0) {
+      const std::string family = line.substr(7, line.find(' ', 7) - 7);
+      EXPECT_TRUE(declared.insert(family).second) << "twice: " << family;
+    }
 
   const std::string status = fleet.statusz();
   EXPECT_NE(status.find("== fleet =="), std::string::npos);

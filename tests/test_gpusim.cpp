@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <iterator>
 #include <numeric>
 #include <random>
 #include <sstream>
@@ -16,6 +18,7 @@
 #include "mog/gpusim/occupancy.hpp"
 #include "mog/gpusim/timing_model.hpp"
 #include "mog/gpusim/transfer_model.hpp"
+#include "mog/pipeline/experiment.hpp"
 
 namespace mog::gpusim {
 namespace {
@@ -684,6 +687,68 @@ TEST(Stats, AccumulateTakesMaxOfResources) {
   EXPECT_EQ(a.shared_bytes_per_block, 1024u);
 }
 
+TEST(Stats, CounterTableDrivesEveryAdditiveOperation) {
+  // Distinct members and names: with the size static_assert next to the
+  // table, the table is exactly the additive fields of KernelStats.
+  for (std::size_t i = 0; i < std::size(kKernelCounters); ++i)
+    for (std::size_t j = i + 1; j < std::size(kKernelCounters); ++j) {
+      EXPECT_NE(kKernelCounters[i].field, kKernelCounters[j].field);
+      EXPECT_STRNE(kKernelCounters[i].name, kKernelCounters[j].name);
+    }
+
+  for (int seed = 0; seed < 64; ++seed) {
+    std::mt19937_64 rng(static_cast<std::uint64_t>(seed));
+    const auto fill = [&rng](KernelStats& s) {
+      for (const KernelCounter& c : kKernelCounters)
+        s.*c.field = rng() >> 24;  // headroom for sums and rescaling
+      s.shared_bytes_per_block = rng() % 49152;
+      s.regs_per_thread = static_cast<int>(rng() % 64);
+      s.threads_per_block = 128;
+    };
+    KernelStats a, b;
+    fill(a);
+    fill(b);
+    const auto same_resources = [](const KernelStats& x, const KernelStats& y) {
+      return x.shared_bytes_per_block == y.shared_bytes_per_block &&
+             x.regs_per_thread == y.regs_per_thread &&
+             x.threads_per_block == y.threads_per_block;
+    };
+
+    // a += b, then counters_since(old a) gives b back; resources take the
+    // max and pass through the difference.
+    const KernelStats before = a;
+    a += b;
+    const KernelStats d = a.counters_since(before);
+    for (const KernelCounter& c : kKernelCounters)
+      EXPECT_EQ(d.*c.field, b.*c.field) << c.name << ", seed " << seed;
+    const std::uint64_t max_shared =
+        std::max(before.shared_bytes_per_block, b.shared_bytes_per_block);
+    EXPECT_EQ(a.shared_bytes_per_block, max_shared);
+    EXPECT_EQ(a.regs_per_thread,
+              std::max(before.regs_per_thread, b.regs_per_thread));
+    EXPECT_TRUE(same_resources(d, a)) << "seed " << seed;
+
+    // averaged_over(n) of an n-fold sum is the original.
+    const std::uint64_t n = 1 + rng() % 16;
+    KernelStats sum;
+    for (std::uint64_t i = 0; i < n; ++i) sum += b;
+    const KernelStats avg = sum.averaged_over(n);
+    for (const KernelCounter& c : kKernelCounters)
+      EXPECT_EQ(avg.*c.field, b.*c.field) << c.name << ", seed " << seed;
+    EXPECT_TRUE(same_resources(avg, b)) << "seed " << seed;
+
+    // scale_stats rounds each counter to nearest; resources untouched.
+    const double ratio = 0.25 + static_cast<double>(rng() % 1000) / 100.0;
+    const KernelStats scaled = scale_stats(b, ratio);
+    for (const KernelCounter& c : kKernelCounters) {
+      const double v = static_cast<double>(b.*c.field) * ratio;
+      EXPECT_EQ(scaled.*c.field, static_cast<std::uint64_t>(std::llround(v)))
+          << c.name << ", seed " << seed;
+    }
+    EXPECT_TRUE(same_resources(scaled, b)) << "seed " << seed;
+  }
+}
+
 TEST(Occupancy, EmbeddedSpecUsesKeplerLimits) {
   const DeviceSpec spec = embedded_device_spec();
   EXPECT_EQ(spec.max_warps_per_sm, 64);
@@ -984,6 +1049,27 @@ TEST(TransferSchedules, SequentialIsSumOfParts) {
   f.download_seconds = 3e-3;
   EXPECT_DOUBLE_EQ(sequential_pipeline_seconds(f, 10), 60e-3);
   EXPECT_DOUBLE_EQ(overlapped_pipeline_seconds(f, 0), 0.0);
+}
+
+TEST(TransferSchedules, PipelineSecondsComposesFrameGroups) {
+  FrameSchedule f;
+  f.upload_seconds = 1.9e-3;
+  f.kernel_seconds = 5.2e-3;
+  f.download_seconds = 1.9e-3;
+  // A group of one is the plain closed form, bit for bit.
+  EXPECT_EQ(pipeline_seconds(f, 450, true),
+            overlapped_pipeline_seconds(f, 450));
+  EXPECT_EQ(pipeline_seconds(f, 450, false),
+            sequential_pipeline_seconds(f, 450));
+  // A group of 8 is ceil(450 / 8) = 57 launches of 8 frames' worth each.
+  FrameSchedule g8;
+  g8.upload_seconds = f.upload_seconds * 8;
+  g8.kernel_seconds = f.kernel_seconds * 8;
+  g8.download_seconds = f.download_seconds * 8;
+  EXPECT_EQ(pipeline_seconds(f, 450, true, 8),
+            overlapped_pipeline_seconds(g8, 57));
+  EXPECT_EQ(pipeline_seconds(f, 0, true, 8), 0.0);
+  EXPECT_THROW(pipeline_seconds(f, 450, true, 0), Error);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "mog/cluster/device_fleet.hpp"
+#include "mog/common/strutil.hpp"
 #include "mog/fault/fault_injector.hpp"
 #include "mog/obs/flame.hpp"
 #include "mog/obs/frame_ticket.hpp"
@@ -141,7 +142,7 @@ TEST(Log, RingBufferKeepsLastN) {
   logger.add_sink(&sink);
   logger.set_rate_limit({/*max_burst=*/100, /*every=*/1});
   for (int i = 0; i < 5; ++i)
-    logger.log(LogLevel::kInfo, "t", "m" + std::to_string(i));
+    logger.log(LogLevel::kInfo, "t", strprintf("m%d", i));
   EXPECT_EQ(sink.size(), 3u);
   EXPECT_EQ(sink.total_written(), 5u);
   EXPECT_EQ(sink.snapshot().front().message, "m2");
@@ -257,7 +258,6 @@ TEST(Prometheus, CounterRegistryAndTraceHealthFamilies) {
   gpusim::KernelStats stats;
   stats.num_warps = 32;
   reg.on_kernel_launch(stats);
-  reg.record("serve.latency_seconds", 0.004);
 
   telemetry::TraceRecorder trace{2};
   trace.instant("a");
@@ -270,7 +270,8 @@ TEST(Prometheus, CounterRegistryAndTraceHealthFamilies) {
   const std::string page = obs::render(families);
   EXPECT_EQ(obs::validate_exposition(page), "") << page;
   EXPECT_NE(page.find("mog_kernel_launches_total 1"), std::string::npos);
-  EXPECT_NE(page.find("mog_serve_latency_seconds"), std::string::npos);
+  EXPECT_NE(page.find("mog_kernel_num_warps{stat=\"mean\"} 32"),
+            std::string::npos);
   EXPECT_NE(page.find("mog_trace_dropped_total 1"), std::string::npos);
 }
 

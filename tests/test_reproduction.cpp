@@ -12,6 +12,7 @@
 
 #include <map>
 
+#include "mog/common/strutil.hpp"
 #include "mog/pipeline/experiment.hpp"
 
 namespace mog {
@@ -50,7 +51,7 @@ const ExperimentResult& tiled_result(int group) {
   cfg.tiled = true;
   cfg.tiled_config.frame_group = group;
   if (cfg.frames < 2 * group) cfg.frames = 2 * group;
-  return cached(cfg, "T" + std::to_string(group));
+  return cached(cfg, strprintf("T%d", group));
 }
 
 struct Band {

@@ -438,9 +438,10 @@ TEST(StreamServer, FeedsGlobalTelemetrySinks) {
       for (int s = 0; s < 2; ++s) server.submit(s, scene_for(9).frame(t));
     server.drain();
 
-    EXPECT_EQ(reg.samples("serve.latency_seconds").size(),
-              server.masks_delivered());
-    EXPECT_FALSE(reg.samples("serve.queue_depth").empty());
+    // The registry is a kernel-launch sink; the per-stream samples are the
+    // one latency record.
+    EXPECT_GT(reg.launches(), 0u);
+    EXPECT_EQ(server.aggregate_latencies().size(), server.masks_delivered());
     bool serve_track_seen = false;
     for (const telemetry::TraceEvent& ev : rec.events())
       serve_track_seen |=

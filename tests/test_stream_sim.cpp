@@ -1,13 +1,18 @@
-// Tests for the discrete-event pipeline simulator, including the
-// cross-validation of the Fig. 5 closed-form schedules it exists to check.
+// Tests for the discrete-event pipeline simulator: the Fig. 5 schedules
+// against a standalone reference event loop (bit for bit) and against the
+// closed forms, and SharedTimeline's multi-stream contention model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <random>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "mog/common/error.hpp"
+#include "mog/common/strutil.hpp"
 
 #include "mog/gpusim/stream_sim.hpp"
 
@@ -20,6 +25,114 @@ FrameSchedule sched(double up_ms, double kernel_ms, double down_ms) {
   f.kernel_seconds = kernel_ms * 1e-3;
   f.download_seconds = down_ms * 1e-3;
   return f;
+}
+
+// --- reference event loop ----------------------------------------------------
+// The standalone Fig. 5 event loop that simulate_sequential and
+// simulate_overlapped replaced with runs through SharedTimeline, kept
+// verbatim as the oracle they must reproduce bit for bit.
+
+void push(Timeline& tl, TimelineOp::Engine engine, int frame,
+          const char* kind, double start, double duration) {
+  tl.ops.push_back(TimelineOp{engine, frame, kind, start, start + duration});
+  tl.total_seconds = std::max(tl.total_seconds, start + duration);
+}
+
+Timeline reference_sequential(const FrameSchedule& frame, int frames) {
+  Timeline tl;
+  double t = 0;
+  for (int i = 0; i < frames; ++i) {
+    push(tl, TimelineOp::Engine::kDma, i, "up", t, frame.upload_seconds);
+    t += frame.upload_seconds;
+    push(tl, TimelineOp::Engine::kKernel, i, "kernel", t,
+         frame.kernel_seconds);
+    t += frame.kernel_seconds;
+    push(tl, TimelineOp::Engine::kDma, i, "down", t, frame.download_seconds);
+    t += frame.download_seconds;
+  }
+  return tl;
+}
+
+Timeline reference_overlapped(const FrameSchedule& frame, int frames) {
+  Timeline tl;
+  if (frames == 0) return tl;
+
+  // Enqueue order follows the standard double-buffered host loop:
+  //   up(0); for i: { launch kernel(i); enqueue up(i+1); enqueue down(i); }
+  // so the next frame's upload sits ahead of the current download in the
+  // copy engine's FIFO, and neither suffers head-of-line blocking behind an
+  // op whose dependency is further out.
+  double dma_free = 0, kernel_free = 0;
+  std::vector<double> upload_end(static_cast<std::size_t>(frames), 0);
+  std::vector<double> kernel_end(static_cast<std::size_t>(frames), 0);
+
+  auto schedule_upload = [&](int i) {
+    // Needs the DMA engine and its input buffer (two rotate: kernel i-2
+    // must have released it).
+    double ready = dma_free;
+    if (i >= 2)
+      ready = std::max(ready, kernel_end[static_cast<std::size_t>(i - 2)]);
+    push(tl, TimelineOp::Engine::kDma, i, "up", ready, frame.upload_seconds);
+    upload_end[static_cast<std::size_t>(i)] = ready + frame.upload_seconds;
+    dma_free = upload_end[static_cast<std::size_t>(i)];
+  };
+
+  schedule_upload(0);
+  for (int i = 0; i < frames; ++i) {
+    const double kstart =
+        std::max(upload_end[static_cast<std::size_t>(i)], kernel_free);
+    push(tl, TimelineOp::Engine::kKernel, i, "kernel", kstart,
+         frame.kernel_seconds);
+    kernel_end[static_cast<std::size_t>(i)] = kstart + frame.kernel_seconds;
+    kernel_free = kernel_end[static_cast<std::size_t>(i)];
+
+    if (i + 1 < frames) schedule_upload(i + 1);
+
+    const double dstart =
+        std::max(kernel_end[static_cast<std::size_t>(i)], dma_free);
+    push(tl, TimelineOp::Engine::kDma, i, "down", dstart,
+         frame.download_seconds);
+    dma_free = dstart + frame.download_seconds;
+  }
+  return tl;
+}
+
+/// "" when `got` equals `want` exactly (engine, kind, frame, start and end of
+/// every op, total_seconds, ascii()); else the first difference.
+std::string timeline_diff(const Timeline& got, const Timeline& want) {
+  if (got.ops.size() != want.ops.size())
+    return strprintf("op count %zu vs %zu", got.ops.size(), want.ops.size());
+  for (std::size_t j = 0; j < got.ops.size(); ++j) {
+    const TimelineOp& a = got.ops[j];
+    const TimelineOp& b = want.ops[j];
+    if (a.engine != b.engine || std::strcmp(a.kind, b.kind) != 0 ||
+        a.frame != b.frame || a.start_seconds != b.start_seconds ||
+        a.end_seconds != b.end_seconds)
+      return strprintf("op %zu (%s of frame %d)", j, b.kind, b.frame);
+  }
+  if (got.total_seconds != want.total_seconds) return "total_seconds";
+  if (got.ascii() != want.ascii()) return "ascii()";
+  return "";
+}
+
+TEST(StreamSim, SchedulesMatchReferenceEventLoopBitForBit) {
+  // 1200 seeded schedules of 0-64 frames; every op must match exactly.
+  constexpr int kSchedules = 1200;
+  for (int seed = 0; seed < kSchedules; ++seed) {
+    std::mt19937_64 rng(static_cast<std::uint64_t>(seed));
+    std::uniform_real_distribution<double> ms(0.05, 4.0);
+    const double up = ms(rng), down = ms(rng);
+    // Kernel-bound, transfer-bound and balanced shapes in turn.
+    const double factor[] = {1.5 + ms(rng), ms(rng) / 8.0, 1.0};
+    const FrameSchedule f = sched(up, (up + down) * factor[seed % 3], down);
+    const int n = static_cast<int>(rng() % 65);
+    const std::string seq =
+        timeline_diff(simulate_sequential(f, n), reference_sequential(f, n));
+    EXPECT_EQ(seq, "") << "sequential, seed " << seed << ", frames " << n;
+    const std::string ovl =
+        timeline_diff(simulate_overlapped(f, n), reference_overlapped(f, n));
+    EXPECT_EQ(ovl, "") << "overlapped, seed " << seed << ", frames " << n;
+  }
 }
 
 TEST(StreamSim, SequentialMatchesClosedFormExactly) {
@@ -137,48 +250,6 @@ TEST(StreamSim, EmptyAndInvalidInputs) {
   EXPECT_EQ(simulate_sequential(f, 0).ascii(), "(empty timeline)\n");
 }
 
-// Drive one stream through a SharedTimeline with the serving scheduler's
-// round structure: round r uploads, then round r-1's deferred download, then
-// round r's kernel.
-double pump_one_stream(SharedTimeline& st, int lane, const FrameSchedule& f,
-                       int frames) {
-  double pending_ready = 0;
-  bool has_pending = false;
-  for (int r = 0; r <= frames; ++r) {
-    SharedTimeline::Window up{};
-    if (r < frames) up = st.schedule_upload(lane, 0.0, f.upload_seconds);
-    if (has_pending) {
-      st.schedule_download(lane, pending_ready, f.download_seconds);
-      has_pending = false;
-    }
-    if (r < frames) {
-      const SharedTimeline::Window k =
-          st.schedule_kernel(lane, up.end_seconds, f.kernel_seconds, 1);
-      pending_ready = k.end_seconds;
-      has_pending = true;
-    }
-  }
-  return st.makespan_seconds();
-}
-
-TEST(SharedTimeline, SingleStreamReproducesOverlappedSchedule) {
-  // The serving enqueue order (uploads ahead of the previous round's
-  // downloads) must reproduce the Fig. 5(b) double-buffered schedule exactly
-  // — kernel-bound, transfer-bound, and balanced shapes.
-  for (const FrameSchedule f : {sched(2, 5, 2), sched(5, 2, 5),
-                                sched(1, 1, 1)}) {
-    for (const int n : {1, 2, 3, 8}) {
-      const Timeline ref = simulate_overlapped(f, n);
-      SharedTimeline st;
-      const int lane = st.add_stream(2);
-      const double makespan = pump_one_stream(st, lane, f, n);
-      EXPECT_NEAR(makespan, ref.total_seconds, 1e-12 + 1e-12 * makespan)
-          << "frames=" << n;
-      EXPECT_EQ(st.timeline().ops.size(), ref.ops.size());
-    }
-  }
-}
-
 TEST(SharedTimeline, EnginesNeverOverlapAcrossStreams) {
   const FrameSchedule f = sched(2, 5, 2);
   SharedTimeline st;
@@ -224,9 +295,7 @@ TEST(SharedTimeline, EnginesNeverOverlapAcrossStreams) {
 
   // Both streams moved 6 frames through a shared device: the makespan sits
   // between one stream's solo time and the strictly serialized bound.
-  SharedTimeline solo;
-  const double solo_span =
-      pump_one_stream(solo, solo.add_stream(2), f, frames);
+  const double solo_span = simulate_overlapped(f, frames).total_seconds;
   EXPECT_GT(st.makespan_seconds(), solo_span);
   EXPECT_LE(st.makespan_seconds(), 2 * solo_span + 1e-12);
 }
