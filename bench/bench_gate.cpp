@@ -7,8 +7,8 @@
 // Directory mode pairs every BENCH_*.json in the baseline directory with the
 // same-named file in the fresh directory (a missing fresh file fails the
 // gate; extra fresh reports are ignored so new benches can land before their
-// baselines). Exit code 0 = all metrics within tolerance, 1 = regression or
-// usage error.
+// baselines). Exit code 0 = all metrics within tolerance, 1 = regression,
+// 2 = bad arguments (one line on stderr).
 //
 // Options:
 //   --rel-tol X      default relative tolerance band (default 0.02)
@@ -23,12 +23,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "mog/common/error.hpp"
+#include "mog/common/strutil.hpp"
 #include "mog/telemetry/gate.hpp"
 #include "mog/telemetry/json.hpp"
 
@@ -38,12 +38,13 @@ using mog::telemetry::GateResult;
 
 namespace {
 
-int usage(const char* argv0) {
+[[noreturn]] void usage(const std::string& why) {
   std::fprintf(stderr,
-               "usage: %s <baseline file|dir> <fresh file|dir> "
-               "[--rel-tol X] [--include-wall] [--warn-wall X] [--json PATH]\n",
-               argv0);
-  return 1;
+               "bench_gate: %s (usage: bench_gate <baseline file|dir> "
+               "<fresh file|dir> [--rel-tol X] [--include-wall] "
+               "[--warn-wall X] [--json PATH])\n",
+               why.c_str());
+  std::exit(2);
 }
 
 /// Gate one baseline file against one fresh file; prints the verdict table
@@ -91,30 +92,40 @@ int main(int argc, char** argv) {
   std::vector<std::string> positional;
   std::string json_path;
   GateOptions options;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--include-wall") == 0) {
-      options.include_wall = true;
-    } else if (std::strcmp(argv[i], "--rel-tol") == 0) {
-      if (++i == argc) return usage(argv[0]);
-      options.default_rel_tol = std::atof(argv[i]);
-    } else if (std::strcmp(argv[i], "--warn-wall") == 0) {
-      if (++i == argc) return usage(argv[0]);
-      options.warn_wall_factor = std::atof(argv[i]);
-      if (!(options.warn_wall_factor > 0)) {
-        std::fprintf(stderr, "--warn-wall factor must be > 0\n");
-        return usage(argv[0]);
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const auto need = [&](const char* what) -> std::string {
+        if (i + 1 >= argc) usage(std::string{what} + " needs a value");
+        return argv[++i];
+      };
+      if (arg == "--include-wall") {
+        options.include_wall = true;
+      } else if (arg == "--rel-tol") {
+        options.default_rel_tol =
+            mog::parse_double(need("--rel-tol"), 0, 1e9, "--rel-tol");
+      } else if (arg == "--warn-wall") {
+        options.warn_wall_factor =
+            mog::parse_double(need("--warn-wall"), 0, 1e9, "--warn-wall");
+        if (!(options.warn_wall_factor > 0))
+          usage("--warn-wall factor must be > 0");
+      } else if (arg == "--json") {
+        json_path = need("--json");
+      } else if (arg.rfind("--", 0) == 0) {
+        usage("unknown flag " + arg);
+      } else {
+        positional.push_back(arg);
       }
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      if (++i == argc) return usage(argv[0]);
-      json_path = argv[i];
-    } else {
-      positional.emplace_back(argv[i]);
     }
+  } catch (const mog::Error& e) {
+    usage(e.what());
   }
-  if (positional.size() != 2) return usage(argv[0]);
+  if (positional.size() != 2)
+    usage("need a baseline and a fresh report (files or directories)");
 
   const fs::path baseline{positional[0]};
   const fs::path fresh{positional[1]};
+  if (!fs::exists(baseline)) usage("no such baseline: " + baseline.string());
 
   try {
     std::vector<mog::telemetry::Json> json_reports;

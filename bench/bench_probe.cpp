@@ -60,7 +60,14 @@ void print_result(const std::string& section, const ExperimentResult& r) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (argc > 1) {
+    std::fprintf(stderr,
+                 "bench_probe: unexpected argument %s (it takes none; size "
+                 "the run with MOG_PROBE_WIDTH/HEIGHT/FRAMES)\n",
+                 argv[1]);
+    return 2;
+  }
   reporter().set_name("probe");
   const ExperimentConfig base = base_config();  // bad input exits here
 

@@ -28,11 +28,12 @@
 #include <vector>
 
 #include "mog/common/strutil.hpp"
-#include "mog/obs/flame.hpp"
-#include "mog/obs/heatmap.hpp"
-#include "mog/obs/sampler.hpp"
 #include "mog/pipeline/experiment.hpp"
 #include "mog/telemetry/bench_report.hpp"
+#include "mog/telemetry/flame.hpp"
+#include "mog/telemetry/heatmap.hpp"
+#include "mog/telemetry/sampler.hpp"
+#include "mog/telemetry/telemetry.hpp"
 
 namespace mog::bench {
 
@@ -94,8 +95,8 @@ inline int finish_bench_report() {
 /// Process-wide heatmap sink for profiled bench runs. Static storage: the
 /// pipeline reads the installed pointer at construction time, so the sink
 /// must outlive every GpuMogPipeline the benchmarks build.
-inline obs::HeatmapSink& bench_heatmap_sink() {
-  static obs::HeatmapSink sink;
+inline telemetry::HeatmapSink& bench_heatmap_sink() {
+  static telemetry::HeatmapSink sink;
   return sink;
 }
 
@@ -105,9 +106,9 @@ inline obs::HeatmapSink& bench_heatmap_sink() {
 /// the bench's modeled counters are bit-identical either way.
 inline void begin_bench_profile() {
   if (std::getenv("MOG_BENCH_PROFILE") == nullptr) return;
-  obs::set_heatmap_sink(&bench_heatmap_sink());
+  telemetry::set_heatmap_sink(&bench_heatmap_sink());
   const int hz = env_int("MOG_BENCH_PROFILE_HZ", 997, 1, 20000);
-  if (!obs::Sampler::global().start(hz))
+  if (!telemetry::Sampler::global().start(hz))
     std::fprintf(stderr, "bench profile: sampler already running\n");
 }
 
@@ -118,11 +119,11 @@ inline void begin_bench_profile() {
 ///   HEAT_<name>.json             per-block heatmap grids (mogprof --heatmap)
 inline void finish_bench_profile() {
   if (std::getenv("MOG_BENCH_PROFILE") == nullptr) return;
-  obs::Sampler& sampler = obs::Sampler::global();
+  telemetry::Sampler& sampler = telemetry::Sampler::global();
   sampler.stop();
-  const obs::FlameProfile profile = sampler.take();
-  reporter().set_profile(obs::profile_report_json(profile));
-  std::printf("\n%s\n", obs::render_flame_table(profile).c_str());
+  const telemetry::FlameProfile profile = sampler.take();
+  reporter().set_profile(telemetry::profile_report_json(profile));
+  std::printf("\n%s\n", telemetry::render_flame_table(profile).c_str());
 
   if (std::getenv("MOG_BENCH_NO_REPORT") != nullptr) return;
   const char* dir_env = std::getenv("MOG_BENCH_REPORT_DIR");
@@ -139,13 +140,13 @@ inline void finish_bench_profile() {
       std::printf("bench profile: %s\n", path.c_str());
     };
     write_text(dir + "/PROF_" + name + ".collapsed",
-               obs::render_collapsed(profile));
+               telemetry::render_collapsed(profile));
     write_text(dir + "/PROF_" + name + ".speedscope.json",
-               obs::render_speedscope(profile).dump(2) + "\n");
-    const obs::Heatmap heat = bench_heatmap_sink().snapshot();
+               telemetry::render_speedscope(profile).dump(2) + "\n");
+    const telemetry::Heatmap heat = bench_heatmap_sink().snapshot();
     if (!heat.empty())
       write_text(dir + "/HEAT_" + name + ".json",
-                 obs::heatmap_to_json(heat).dump(2) + "\n");
+                 telemetry::heatmap_to_json(heat).dump(2) + "\n");
   } catch (const Error& e) {
     std::fprintf(stderr, "failed to write bench profile: %s\n", e.what());
   }
@@ -246,19 +247,21 @@ inline void print_table(const std::string& title,
 
 /// Standard main: name the report, run benchmarks (profiled when
 /// MOG_BENCH_PROFILE is set), run the bench-specific epilogue, then write
-/// BENCH_<name>.json plus any PROF_/HEAT_ sidecars.
-#define MOG_BENCH_MAIN(bench_name, epilogue)                       \
-  int main(int argc, char** argv) {                                \
-    ::mog::bench::reporter().set_name(bench_name);                 \
-    ::benchmark::Initialize(&argc, argv);                          \
-    if (::benchmark::ReportUnrecognizedArguments(argc, argv))      \
-      return 1;                                                    \
-    ::mog::bench::begin_bench_profile();                           \
-    ::benchmark::RunSpecifiedBenchmarks();                         \
-    ::benchmark::Shutdown();                                       \
-    epilogue();                                                    \
-    ::mog::bench::finish_bench_profile();                          \
-    return ::mog::bench::finish_bench_report();                    \
+/// BENCH_<name>.json plus any PROF_/HEAT_ sidecars. An unknown flag, or a
+/// --benchmark_filter that selects no case (including one that does not
+/// compile), exits 2 after google-benchmark's one-line reason, and writes
+/// no report.
+#define MOG_BENCH_MAIN(bench_name, epilogue)                            \
+  int main(int argc, char** argv) {                                     \
+    ::mog::bench::reporter().set_name(bench_name);                      \
+    ::benchmark::Initialize(&argc, argv);                               \
+    if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 2; \
+    ::mog::bench::begin_bench_profile();                                \
+    if (::benchmark::RunSpecifiedBenchmarks() == 0) return 2;           \
+    ::benchmark::Shutdown();                                            \
+    epilogue();                                                         \
+    ::mog::bench::finish_bench_profile();                               \
+    return ::mog::bench::finish_bench_report();                         \
   }
 
 }  // namespace mog::bench

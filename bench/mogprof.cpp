@@ -19,7 +19,11 @@
 // fetch format=collapsed instead). --heatmap reads a HEAT_*.json
 // ("mog-heatmap-v1") and prints a summary; with --out it also writes one
 // .pgm and one .csv per metric into the directory.
+//
+// Bad arguments (an unknown flag, a missing input file) print one line and
+// exit 2; a file that does not parse as its format exits 1.
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -29,21 +33,19 @@
 
 #include "mog/common/error.hpp"
 #include "mog/common/strutil.hpp"
-#include "mog/obs/flame.hpp"
-#include "mog/obs/heatmap.hpp"
-#include "mog/obs/profile.hpp"
+#include "mog/telemetry/flame.hpp"
+#include "mog/telemetry/heatmap.hpp"
+#include "mog/telemetry/profile.hpp"
 
 namespace {
 
-int usage(const char* argv0) {
+[[noreturn]] void usage(const std::string& why) {
   std::fprintf(stderr,
-               "usage: %s <dump.json>\n"
-               "       %s --diff <baseline.json> <fresh.json>\n"
-               "       %s --flame <PROF_*.collapsed | BENCH_*.json> [--top N]\n"
-               "       %s --heatmap <HEAT_*.json> [--out dir]\n"
-               "dumps are BENCH_*.json reports or CounterRegistry dumps\n",
-               argv0, argv0, argv0, argv0);
-  return 1;
+               "mogprof: %s (usage: mogprof <dump.json> | --diff "
+               "<baseline.json> <fresh.json> | --flame <profile> [--top N] | "
+               "--heatmap <heat.json> [--out dir])\n",
+               why.c_str());
+  std::exit(2);
 }
 
 std::string read_text_file(const std::string& path) {
@@ -57,7 +59,7 @@ std::string read_text_file(const std::string& path) {
 
 /// Load a sampling profile from a collapsed-stack text file or a JSON doc
 /// carrying (or being) a "prof" report block.
-mog::obs::FlameProfile load_flame(const std::string& path) {
+mog::telemetry::FlameProfile load_flame(const std::string& path) {
   const std::string text = read_text_file(path);
   const std::size_t first = text.find_first_not_of(" \t\r\n");
   if (first != std::string::npos && text[first] == '{') {
@@ -67,21 +69,22 @@ mog::obs::FlameProfile load_flame(const std::string& path) {
     MOG_CHECK(prof->find("stacks") != nullptr,
               path + " has no \"prof\" block (run the bench with "
                      "MOG_BENCH_PROFILE=1)");
-    return mog::obs::profile_from_report_json(*prof);
+    return mog::telemetry::profile_from_report_json(*prof);
   }
-  return mog::obs::parse_collapsed(text);
+  return mog::telemetry::parse_collapsed(text);
 }
 
 int run_flame(const std::string& path, int top_n) {
-  const mog::obs::FlameProfile profile = load_flame(path);
-  std::fputs(mog::obs::render_flame_table(profile, top_n).c_str(), stdout);
+  const mog::telemetry::FlameProfile profile = load_flame(path);
+  std::fputs(mog::telemetry::render_flame_table(profile, top_n).c_str(),
+             stdout);
   return 0;
 }
 
 int run_heatmap(const std::string& path, const std::string& out_dir) {
-  const mog::obs::Heatmap map =
-      mog::obs::heatmap_from_json(mog::telemetry::read_json_file(path));
-  std::fputs(mog::obs::render_heatmap_summary(map).c_str(), stdout);
+  const mog::telemetry::Heatmap map =
+      mog::telemetry::heatmap_from_json(mog::telemetry::read_json_file(path));
+  std::fputs(mog::telemetry::render_heatmap_summary(map).c_str(), stdout);
   if (out_dir.empty()) return 0;
 
   std::filesystem::create_directories(out_dir);
@@ -95,15 +98,17 @@ int run_heatmap(const std::string& path, const std::string& out_dir) {
       std::ofstream out(file);
       MOG_CHECK(out.good(), "cannot open " + file);
       out << (std::strcmp(ext, ".pgm") == 0
-                  ? mog::obs::heatmap_to_pgm(grid, map.cells_x, map.cells_y)
-                  : mog::obs::heatmap_to_csv(grid, map.cells_x, map.cells_y));
+                  ? mog::telemetry::heatmap_to_pgm(grid, map.cells_x,
+                                                   map.cells_y)
+                  : mog::telemetry::heatmap_to_csv(grid, map.cells_x,
+                                                   map.cells_y));
       MOG_CHECK(out.good(), "short write to " + file);
       std::printf("wrote %s\n", file.c_str());
     }
   };
   write_grid("cycles", map.issue_cycles);
-  write_grid("divergence", mog::obs::divergence_grid(map));
-  write_grid("replay", mog::obs::replay_grid(map));
+  write_grid("divergence", mog::telemetry::divergence_grid(map));
+  write_grid("replay", mog::telemetry::replay_grid(map));
   write_grid("dram_bytes", map.dram_bytes);
   return 0;
 }
@@ -117,48 +122,60 @@ int main(int argc, char** argv) {
   std::vector<std::string> positional;
   try {
     for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--diff") == 0) {
+      const std::string arg = argv[i];
+      const auto need = [&](const char* what) -> std::string {
+        if (i + 1 >= argc) usage(std::string{what} + " needs a value");
+        return argv[++i];
+      };
+      if (arg == "--diff") {
         diff = true;
-      } else if (std::strcmp(argv[i], "--flame") == 0) {
+      } else if (arg == "--flame") {
         flame = true;
-      } else if (std::strcmp(argv[i], "--heatmap") == 0) {
+      } else if (arg == "--heatmap") {
         heatmap = true;
-      } else if (std::strcmp(argv[i], "--top") == 0) {
-        if (++i >= argc) return usage(argv[0]);
-        top_n = mog::parse_int(argv[i], 1, 1000, "--top");
-      } else if (std::strcmp(argv[i], "--out") == 0) {
-        if (++i >= argc) return usage(argv[0]);
-        out_dir = argv[i];
+      } else if (arg == "--top") {
+        top_n = mog::parse_int(need("--top"), 1, 1000, "--top");
+      } else if (arg == "--out") {
+        out_dir = need("--out");
+      } else if (arg.rfind("--", 0) == 0) {
+        usage("unknown flag " + arg);
       } else {
-        positional.emplace_back(argv[i]);
+        positional.push_back(arg);
       }
     }
-    if (diff + flame + heatmap > 1) return usage(argv[0]);
+  } catch (const mog::Error& e) {
+    usage(e.what());
+  }
+  if (diff + flame + heatmap > 1)
+    usage("--diff, --flame and --heatmap are mutually exclusive");
+  if (positional.size() != (diff ? 2u : 1u))
+    usage(diff ? "--diff needs two dumps" : "need one input file");
+  for (const std::string& path : positional)
+    if (!std::ifstream(path).good()) usage("cannot open " + path);
 
+  try {
     if (diff) {
-      if (positional.size() != 2) return usage(argv[0]);
-      const mog::obs::ProfileDump baseline =
-          mog::obs::load_profile_file(positional[0]);
-      const mog::obs::ProfileDump fresh =
-          mog::obs::load_profile_file(positional[1]);
-      std::fputs(mog::obs::render_profile_diff(baseline, fresh).c_str(),
+      const mog::telemetry::ProfileDump baseline =
+          mog::telemetry::load_profile_file(positional[0]);
+      const mog::telemetry::ProfileDump fresh =
+          mog::telemetry::load_profile_file(positional[1]);
+      std::fputs(mog::telemetry::render_profile_diff(baseline, fresh).c_str(),
                  stdout);
       return 0;
     }
-    if (positional.size() != 1) return usage(argv[0]);
     if (flame) return run_flame(positional[0], top_n);
     if (heatmap) return run_heatmap(positional[0], out_dir);
 
-    const mog::obs::ProfileDump dump =
-        mog::obs::load_profile_file(positional[0]);
-    std::fputs(mog::obs::render_profile_table(dump).c_str(), stdout);
-    const std::string steps = mog::obs::render_step_report(dump);
+    const mog::telemetry::ProfileDump dump =
+        mog::telemetry::load_profile_file(positional[0]);
+    std::fputs(mog::telemetry::render_profile_table(dump).c_str(), stdout);
+    const std::string steps = mog::telemetry::render_step_report(dump);
     if (!steps.empty()) {
       std::fputs("\n", stdout);
       std::fputs(steps.c_str(), stdout);
     }
     return 0;
-  } catch (const mog::Error& e) {
+  } catch (const std::exception& e) {
     std::fprintf(stderr, "mogprof: %s\n", e.what());
     return 1;
   }

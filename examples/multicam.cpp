@@ -55,7 +55,7 @@
 #include "mog/ingest/decode_worker.hpp"
 #include "mog/ingest/mjpeg.hpp"
 #include "mog/ingest/y4m.hpp"
-#include "mog/obs/log.hpp"
+#include "mog/telemetry/log.hpp"
 #include "mog/telemetry/telemetry.hpp"
 #include "mog/video/scene.hpp"
 
@@ -194,8 +194,8 @@ int main(int argc, char** argv) try {
 
   // With the observability plane on, mirror the fleet's structured logs to
   // stderr; the sink is unowned, so it must outlive the fleet below.
-  mog::obs::StderrSink log_sink;
-  if (obs_port >= 0) mog::obs::default_logger().add_sink(&log_sink);
+  mog::telemetry::StderrSink log_sink;
+  if (obs_port >= 0) mog::telemetry::default_logger().add_sink(&log_sink);
 
   mog::cluster::FleetConfig cfg;
   cfg.devices = static_cast<std::size_t>(devices);
@@ -339,7 +339,7 @@ int main(int argc, char** argv) try {
     std::printf("trace: %zu events -> %s (chrome://tracing)\n", trace.size(),
                 trace_path.c_str());
   }
-  if (obs_port >= 0) mog::obs::default_logger().remove_sink(&log_sink);
+  if (obs_port >= 0) mog::telemetry::default_logger().remove_sink(&log_sink);
   return 0;
 } catch (const std::exception& e) {
   std::fprintf(stderr, "multicam: %s\n", e.what());

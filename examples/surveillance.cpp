@@ -23,7 +23,7 @@
 #include "mog/fault/fault_injector.hpp"
 #include "mog/fault/resilient_pipeline.hpp"
 #include "mog/metrics/confusion.hpp"
-#include "mog/obs/log.hpp"
+#include "mog/telemetry/log.hpp"
 #include "mog/telemetry/telemetry.hpp"
 #include "mog/video/pnm_io.hpp"
 #include "mog/video/scene.hpp"
@@ -135,8 +135,8 @@ int main(int argc, char** argv) try {
 
   // Structured logs to stderr: the fault layer narrates every retry,
   // ladder step, and rollback as one JSON line per event.
-  mog::obs::StderrSink log_sink;
-  mog::obs::default_logger().add_sink(&log_sink);
+  mog::telemetry::StderrSink log_sink;
+  mog::telemetry::default_logger().add_sink(&log_sink);
 
   mog::fault::ResilienceConfig res_cfg;
   res_cfg.checkpoint_interval = 64;
@@ -206,7 +206,7 @@ int main(int argc, char** argv) try {
   mog::telemetry::write_json_file(counters_path, counters.to_json());
   std::printf("\ncounter dump -> %s (digest with `mogprof %s`)\n",
               counters_path.c_str(), counters_path.c_str());
-  mog::obs::default_logger().remove_sink(&log_sink);
+  mog::telemetry::default_logger().remove_sink(&log_sink);
   mog::telemetry::set_tracer(nullptr);
   mog::telemetry::set_counters(nullptr);
   return 0;

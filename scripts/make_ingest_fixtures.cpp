@@ -30,11 +30,11 @@ namespace fs = std::filesystem;
 using mog::FrameU8;
 
 [[noreturn]] void usage(const std::string& why) {
-  std::fprintf(stderr, "make_ingest_fixtures: %s\n", why.c_str());
   std::fprintf(stderr,
-               "usage: make_ingest_fixtures --golden DIR [--frames N]\n"
-               "                            [--width W] [--height H]\n"
-               "       make_ingest_fixtures --corpus DIR\n");
+               "make_ingest_fixtures: %s (usage: make_ingest_fixtures "
+               "--golden DIR [--frames N] [--width W] [--height H] | "
+               "--corpus DIR)\n",
+               why.c_str());
   std::exit(2);
 }
 
@@ -228,24 +228,28 @@ int main(int argc, char** argv) try {
   std::string golden_dir;
   std::string corpus_dir;
   int frames = 8, width = 96, height = 64;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto need = [&](const char* what) -> std::string {
-      if (i + 1 >= argc) usage(std::string{what} + " needs a value");
-      return argv[++i];
-    };
-    if (arg == "--golden")
-      golden_dir = need("--golden");
-    else if (arg == "--corpus")
-      corpus_dir = need("--corpus");
-    else if (arg == "--frames")
-      frames = mog::parse_int(need("--frames"), 1, 1 << 12, "--frames");
-    else if (arg == "--width")
-      width = mog::parse_int(need("--width"), 16, 4096, "--width");
-    else if (arg == "--height")
-      height = mog::parse_int(need("--height"), 16, 4096, "--height");
-    else
-      usage("unknown flag " + arg);
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const auto need = [&](const char* what) -> std::string {
+        if (i + 1 >= argc) usage(std::string{what} + " needs a value");
+        return argv[++i];
+      };
+      if (arg == "--golden")
+        golden_dir = need("--golden");
+      else if (arg == "--corpus")
+        corpus_dir = need("--corpus");
+      else if (arg == "--frames")
+        frames = mog::parse_int(need("--frames"), 1, 1 << 12, "--frames");
+      else if (arg == "--width")
+        width = mog::parse_int(need("--width"), 16, 4096, "--width");
+      else if (arg == "--height")
+        height = mog::parse_int(need("--height"), 16, 4096, "--height");
+      else
+        usage("unknown flag " + arg);
+    }
+  } catch (const mog::Error& e) {
+    usage(e.what());
   }
   if (golden_dir.empty() && corpus_dir.empty())
     usage("need --golden DIR and/or --corpus DIR");

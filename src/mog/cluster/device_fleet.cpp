@@ -8,8 +8,8 @@
 #include "mog/common/strutil.hpp"
 #include "mog/cpu/model_io.hpp"
 #include "mog/fault/model_health.hpp"
-#include "mog/obs/flame.hpp"
-#include "mog/obs/prometheus.hpp"
+#include "mog/telemetry/flame.hpp"
+#include "mog/telemetry/prometheus.hpp"
 #include "mog/telemetry/telemetry.hpp"
 
 namespace mog::cluster {
@@ -78,28 +78,28 @@ DeviceFleet<T>::~DeviceFleet() {
 template <typename T>
 void DeviceFleet<T>::start_obs_server() {
   if (config_.obs_port < 0) return;
-  obs_http_.handle("/metrics", [this](const obs::HttpRequest&) {
-    obs::HttpResponse r;
-    r.content_type = obs::kPrometheusContentType;
+  obs_http_.handle("/metrics", [this](const telemetry::HttpRequest&) {
+    telemetry::HttpResponse r;
+    r.content_type = telemetry::kPrometheusContentType;
     r.body = metrics_text();
     return r;
   });
-  obs_http_.handle("/healthz", [this](const obs::HttpRequest&) {
-    obs::HttpResponse r;
+  obs_http_.handle("/healthz", [this](const telemetry::HttpRequest&) {
+    telemetry::HttpResponse r;
     std::string detail;
     const bool ok = healthz(detail);
     r.status = ok ? 200 : 503;
     r.body = (ok ? "ok\n" : "unhealthy\n") + detail;
     return r;
   });
-  obs_http_.handle("/statusz", [this](const obs::HttpRequest&) {
-    obs::HttpResponse r;
+  obs_http_.handle("/statusz", [this](const telemetry::HttpRequest&) {
+    telemetry::HttpResponse r;
     r.body = statusz();
     return r;
   });
   // The sampler is process-global, so one capture covers every device
   // plane's pump and executor threads ("dev<i>.pump", "exec<w>") at once.
-  obs_http_.handle("/profilez", obs::profilez_response);
+  obs_http_.handle("/profilez", telemetry::profilez_response);
   obs_http_.start(config_.obs_port);
   log_.info("fleet observability endpoint up",
             {{"port", obs_http_.port()},
@@ -591,12 +591,12 @@ std::string DeviceFleet<T>::metrics_text() const {
 
 template <typename T>
 std::string DeviceFleet<T>::metrics_text_locked() const {
-  using obs::MetricFamily;
-  using obs::MetricType;
+  using telemetry::MetricFamily;
+  using telemetry::MetricType;
   std::vector<MetricFamily> families;
 
   const auto device_label = [](std::size_t d) {
-    return obs::LabelSet{{"device", strprintf("%zu", d)}};
+    return telemetry::LabelSet{{"device", strprintf("%zu", d)}};
   };
 
   {
@@ -677,10 +677,10 @@ std::string DeviceFleet<T>::metrics_text_locked() const {
     f.help = "Cumulative busy time of each device's shared engines";
     for (std::size_t d = 0; d < nodes_.size(); ++d) {
       const gpusim::SharedTimeline& tl = nodes_[d].server->timeline();
-      obs::LabelSet dma = device_label(d);
+      telemetry::LabelSet dma = device_label(d);
       dma.emplace_back("engine", "dma");
       f.samples.push_back({std::move(dma), tl.dma_busy_seconds()});
-      obs::LabelSet kernel = device_label(d);
+      telemetry::LabelSet kernel = device_label(d);
       kernel.emplace_back("engine", "kernel");
       f.samples.push_back({std::move(kernel), tl.kernel_busy_seconds()});
     }
@@ -745,7 +745,7 @@ std::string DeviceFleet<T>::metrics_text_locked() const {
       const std::vector<double> lat = node.server->aggregate_latencies();
       all.insert(all.end(), lat.begin(), lat.end());
     }
-    f.histograms.push_back(obs::make_histogram(all, {}));
+    f.histograms.push_back(telemetry::make_histogram(all, {}));
     families.push_back(std::move(f));
   }
 
@@ -753,7 +753,7 @@ std::string DeviceFleet<T>::metrics_text_locked() const {
   std::vector<serve::StreamStats> totals;
   for (const StreamRec& rec : recs_) totals.push_back(totals_locked(rec));
   const auto stream_label = [](std::size_t i) {
-    return obs::LabelSet{{"stream", strprintf("%zu", i)}};
+    return telemetry::LabelSet{{"stream", strprintf("%zu", i)}};
   };
   struct StreamSpec {
     const char* name;
@@ -803,8 +803,8 @@ std::string DeviceFleet<T>::metrics_text_locked() const {
     f.help = "End-to-end modeled latency per delivered mask";
     f.type = MetricType::kHistogram;
     for (std::size_t i = 0; i < recs_.size(); ++i)
-      f.histograms.push_back(
-          obs::make_histogram(latencies_locked(recs_[i]), stream_label(i)));
+      f.histograms.push_back(telemetry::make_histogram(
+          latencies_locked(recs_[i]), stream_label(i)));
     families.push_back(std::move(f));
   }
   {
@@ -814,7 +814,7 @@ std::string DeviceFleet<T>::metrics_text_locked() const {
     f.type = MetricType::kCounter;
     for (std::size_t i = 0; i < totals.size(); ++i)
       for (const auto& [action, field] : kRecoveryActions) {
-        obs::LabelSet labels = stream_label(i);
+        telemetry::LabelSet labels = stream_label(i);
         labels.emplace_back("action", action);
         const double count = static_cast<double>(totals[i].recovery.*field);
         f.samples.push_back({std::move(labels), count});
@@ -825,11 +825,11 @@ std::string DeviceFleet<T>::metrics_text_locked() const {
   // Global telemetry sinks, when installed: kernel-counter rollups and
   // trace-recorder drop health.
   if (const telemetry::CounterRegistry* reg = telemetry::counters())
-    obs::append_counter_registry(*reg, families);
+    telemetry::append_counter_registry(*reg, families);
   if (const telemetry::TraceRecorder* tr = telemetry::tracer())
-    obs::append_trace_health(*tr, families);
+    telemetry::append_trace_health(*tr, families);
 
-  return obs::render(families);
+  return telemetry::render(families);
 }
 
 template <typename T>

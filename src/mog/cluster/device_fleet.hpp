@@ -35,7 +35,7 @@
 // Degradation order, fleet-wide: healthy GPU tier -> migrate to another
 // device -> (no capacity anywhere) ride the per-stream ladder down to CPU
 // in place. Admitted frames are never dropped by a failover; a migration is
-// observable in MigrationStats, the obs log, and /metrics.
+// observable in MigrationStats, the structured log, and /metrics.
 //
 // Observability: the fleet is the only owner of the HTTP endpoint and
 // renders every page once: /metrics (per-device mog_fleet_* families, fleet
@@ -61,9 +61,9 @@
 #include <vector>
 
 #include "mog/cluster/placement.hpp"
-#include "mog/obs/http_server.hpp"
 #include "mog/serve/stream_server.hpp"
 #include "mog/telemetry/counters.hpp"
+#include "mog/telemetry/http_server.hpp"
 
 namespace mog::cluster {
 
@@ -137,7 +137,7 @@ class DeviceFleet {
 
   /// Offer one frame to stream `id`. Thread-safe; routes to the stream's
   /// current device (atomically with respect to migration). A nonzero
-  /// `ticket` is a pre-minted obs trace ticket from a decode front end
+  /// `ticket` is a pre-minted trace ticket from a decode front end
   /// (see StreamServer::submit).
   bool submit(int id, FrameU8 frame, double arrival_seconds = 0,
               std::uint64_t ticket = 0);
@@ -265,8 +265,8 @@ class DeviceFleet {
   ClusterScheduler scheduler_;
   MigrationStats migration_stats_;
   std::function<void(std::vector<std::uint8_t>&)> snapshot_corruptor_;
-  obs::ScopedLogger log_{"cluster"};
-  obs::HttpServer obs_http_;
+  telemetry::ScopedLogger log_{"cluster"};
+  telemetry::HttpServer obs_http_;
 
   std::thread supervisor_;
   std::atomic<bool> stop_requested_{false};

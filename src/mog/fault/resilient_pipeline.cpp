@@ -6,21 +6,21 @@
 #include "mog/common/strutil.hpp"
 #include "mog/cpu/cost_model.hpp"
 #include "mog/cpu/model_io.hpp"
-#include "mog/obs/frame_ticket.hpp"
-#include "mog/obs/log.hpp"
+#include "mog/telemetry/frame_ticket.hpp"
+#include "mog/telemetry/log.hpp"
 #include "mog/telemetry/telemetry.hpp"
 
 namespace mog::fault {
 
 namespace {
 
-const obs::ScopedLogger klog{"fault"};
+const telemetry::ScopedLogger klog{"fault"};
 
 /// Tag a recovery trace instant with the frame ticket in scope, so the
 /// serving layer's per-frame flow chains name the frame an action salvaged.
 std::vector<std::pair<std::string, double>> with_ticket(
     std::vector<std::pair<std::string, double>> args) {
-  if (const std::uint64_t t = obs::current_frame_ticket(); t != 0)
+  if (const std::uint64_t t = telemetry::current_frame_ticket(); t != 0)
     args.emplace_back("ticket", static_cast<double>(t));
   return args;
 }
@@ -239,52 +239,37 @@ bool ResilientPipeline<T>::process(const FrameU8& frame, FrameU8& fg) {
 }
 
 template <typename T>
-bool ResilientPipeline<T>::backoff_before_retry(int attempt,
-                                                double& frame_backoff) {
-  // Attempt 2 is retry 1: 1 ms, doubling per retry (RetryPolicy).
-  const double delay = 1e-3 * std::pow(2.0, attempt - 2);
-  // A sick device must fail over, not stall its stream through the whole
-  // exponential ladder: once this frame's accumulated backoff would cross
-  // the deadline, stop retrying and let the abandonment path run now.
-  if (res_.frame_deadline_seconds > 0 &&
-      frame_backoff + delay > res_.frame_deadline_seconds) {
-    ++stats_.deadline_exceeded;
-    telemetry::emit_instant(
-        "retry_deadline", "recovery",
-        with_ticket({{"deadline_seconds", res_.frame_deadline_seconds}}));
-    klog.warn("frame retry deadline exceeded, abandoning",
-              {{"deadline_seconds", res_.frame_deadline_seconds},
-               {"attempt", attempt}});
-    return false;
-  }
-  frame_backoff += delay;
-  ++stats_.retries;
-  stats_.backoff_seconds += delay;
-  return true;
-}
-
-template <typename T>
-bool ResilientPipeline<T>::run_gpu_with_retry(const FrameU8& frame,
-                                              FrameU8& fg, bool& delivered) {
+template <typename Op>
+bool ResilientPipeline<T>::with_retries(Op&& op) {
   double frame_backoff = 0;
   for (int attempt = 1; attempt <= res_.retry.max_attempts; ++attempt) {
     if (attempt > 1) {
-      if (!backoff_before_retry(attempt, frame_backoff)) break;
+      // Attempt 2 is retry 1: 1 ms, doubling per retry (RetryPolicy).
+      const double delay = 1e-3 * std::pow(2.0, attempt - 2);
+      // A sick device must fail over, not stall its stream through the whole
+      // exponential ladder: once this frame's accumulated backoff would cross
+      // the deadline, stop retrying and let the abandonment path run now.
+      if (res_.frame_deadline_seconds > 0 &&
+          frame_backoff + delay > res_.frame_deadline_seconds) {
+        ++stats_.deadline_exceeded;
+        telemetry::emit_instant(
+            "retry_deadline", "recovery",
+            with_ticket({{"deadline_seconds", res_.frame_deadline_seconds}}));
+        klog.warn("frame retry deadline exceeded, abandoning",
+                  {{"deadline_seconds", res_.frame_deadline_seconds},
+                   {"attempt", attempt}});
+        return false;
+      }
+      frame_backoff += delay;
+      ++stats_.retries;
+      stats_.backoff_seconds += delay;
       telemetry::emit_instant(
           "retry", "recovery",
           with_ticket({{"attempt", static_cast<double>(attempt)}}));
       klog.warn("transient device fault, retrying", {{"attempt", attempt}});
     }
     try {
-      // A failed download leaves the pipeline in_flight(); resume() fetches
-      // only what is still owed — the model update never runs twice.
-      const bool got =
-          gpu_->in_flight() ? gpu_->resume(fg) : gpu_->process(frame, fg);
-      if (got) {
-        last_mask_ = fg;
-        ++stats_.masks_delivered;
-        delivered = true;
-      }
+      op();
       return true;
     } catch (const gpusim::TransferError&) {
       ++stats_.transfer_faults;
@@ -294,6 +279,22 @@ bool ResilientPipeline<T>::run_gpu_with_retry(const FrameU8& frame,
       telemetry::emit_instant("launch_fault", "fault", with_ticket({}));
     }
   }
+  return false;
+}
+
+template <typename T>
+bool ResilientPipeline<T>::run_gpu_with_retry(const FrameU8& frame, FrameU8& fg,
+                                              bool& delivered) {
+  const bool done = with_retries([&] {
+    // A failed download leaves the pipeline in_flight(); resume() fetches
+    // only what is still owed — the model update never runs twice.
+    if (gpu_->in_flight() ? gpu_->resume(fg) : gpu_->process(frame, fg)) {
+      last_mask_ = fg;
+      ++stats_.masks_delivered;
+      delivered = true;
+    }
+  });
+  if (done) return true;
 
   // Retries exhausted: abandon the operation, salvage a mask, and step down
   // the ladder if this keeps happening.
@@ -413,35 +414,29 @@ void ResilientPipeline<T>::take_checkpoint() {
 template <typename T>
 int ResilientPipeline<T>::flush(std::vector<FrameU8>& out) {
   if (!gpu_) return 0;
-  double frame_backoff = 0;
-  for (int attempt = 1; attempt <= res_.retry.max_attempts; ++attempt) {
-    if (attempt > 1 && !backoff_before_retry(attempt, frame_backoff)) break;
-    try {
-      int n = 0;
-      if (gpu_->in_flight()) {
-        FrameU8 scratch;
-        gpu_->resume(scratch);
-        const auto& masks = gpu_->last_group_masks();
-        out.insert(out.end(), masks.begin(), masks.end());
-        n = static_cast<int>(masks.size());
-      } else {
-        n = gpu_->flush(out);
-      }
-      if (n > 0) {
-        // The flushed frames were already counted as absorbed when buffered.
-        last_mask_ = out.back();
-        stats_.masks_delivered += static_cast<std::uint64_t>(n);
-      }
-      return n;
-    } catch (const gpusim::TransferError&) {
-      ++stats_.transfer_faults;
-    } catch (const gpusim::LaunchError&) {
-      ++stats_.launch_faults;
+  int n = 0;
+  const bool done = with_retries([&] {
+    if (gpu_->in_flight()) {
+      FrameU8 scratch;
+      gpu_->resume(scratch);
+      const auto& masks = gpu_->last_group_masks();
+      out.insert(out.end(), masks.begin(), masks.end());
+      n = static_cast<int>(masks.size());
+    } else {
+      n = gpu_->flush(out);
     }
+  });
+  if (!done) {
+    const int discarded = gpu_->abort_in_flight();
+    stats_.frames_lost += static_cast<std::uint64_t>(discarded);
+    return 0;
   }
-  const int discarded = gpu_->abort_in_flight();
-  stats_.frames_lost += static_cast<std::uint64_t>(discarded);
-  return 0;
+  if (n > 0) {
+    // The flushed frames were already counted as absorbed when buffered.
+    last_mask_ = out.back();
+    stats_.masks_delivered += static_cast<std::uint64_t>(n);
+  }
+  return n;
 }
 
 template class ResilientPipeline<float>;

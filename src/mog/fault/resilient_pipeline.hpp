@@ -149,7 +149,11 @@ class ResilientPipeline {
  private:
   void build_engine(ExecutionTier tier);
   void degrade();
-  bool backoff_before_retry(int attempt, double& frame_backoff);
+  /// Run `op` under the retry policy: bounded attempts, exponential backoff
+  /// capped by the frame deadline, device faults counted and traced. False
+  /// once the attempts run out; the caller decides what that costs.
+  template <typename Op>
+  bool with_retries(Op&& op);
   bool run_gpu_with_retry(const FrameU8& frame, FrameU8& fg, bool& delivered);
   bool salvage(FrameU8& fg, std::uint64_t& counter);
   void after_absorbed_frame();

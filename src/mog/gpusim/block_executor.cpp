@@ -2,7 +2,7 @@
 
 #include "mog/common/error.hpp"
 #include "mog/common/strutil.hpp"
-#include "mog/obs/sampler.hpp"
+#include "mog/telemetry/sampler.hpp"
 
 namespace mog::gpusim {
 
@@ -24,11 +24,11 @@ BlockExecutor::~BlockExecutor() {
 }
 
 void BlockExecutor::worker_loop(int worker) {
-  obs::prof_set_thread_name(strprintf("exec%d", worker).c_str());
+  telemetry::prof_set_thread_name(strprintf("exec%d", worker).c_str());
   std::uint64_t seen = 0;
   while (true) {
     {
-      const obs::ProfSpan wait_span{obs::ProfTag::kQueueWait};
+      const telemetry::ProfSpan wait_span{telemetry::ProfTag::kQueueWait};
       std::unique_lock lk{mu_};
       cv_start_.wait(lk, [&] { return generation_ != seen || shutting_down_; });
       if (shutting_down_) return;

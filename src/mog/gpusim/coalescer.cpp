@@ -5,7 +5,7 @@
 
 #include "mog/common/error.hpp"
 #include "mog/gpusim/timing_constants.hpp"
-#include "mog/obs/sampler.hpp"
+#include "mog/telemetry/sampler.hpp"
 
 namespace mog::gpusim {
 
@@ -71,7 +71,7 @@ void Coalescer::reset() {
 void Coalescer::access(Kind kind, std::span<const std::uint64_t> addrs,
                        unsigned bytes_per_lane, KernelStats& stats) {
   if (addrs.empty()) return;
-  const obs::ProfSpan prof_span{obs::ProfTag::kCoalescerAccess};
+  const telemetry::ProfSpan prof_span{telemetry::ProfTag::kCoalescerAccess};
   const bool is_load = kind == Kind::kLoad;
   const unsigned seg_bytes = static_cast<unsigned>(
       is_load ? load_segment_bytes_ : store_segment_bytes_);

@@ -41,7 +41,7 @@ std::vector<std::byte>& Device::worker_arena(int worker) {
 KernelStats Device::run_blocks(
     const LaunchConfig& config,
     const std::function<void(BlockCtx&)>& block_fn) {
-  const obs::ProfSpan launch_span{obs::ProfTag::kKernelLaunch};
+  const telemetry::ProfSpan launch_span{telemetry::ProfTag::kKernelLaunch};
   KernelStats stats;
   stats.threads_per_block = config.threads_per_block;
   const std::int64_t blocks =
@@ -132,7 +132,7 @@ KernelStats Device::run_blocks(
   // which worker executed which block.
   int peak_reg_words = 0;
   {
-    const obs::ProfSpan merge_span{obs::ProfTag::kStatsMerge};
+    const telemetry::ProfSpan merge_span{telemetry::ProfTag::kStatsMerge};
     for (int w = 0; w < pool; ++w) {
       WorkerState& ws = workers_[static_cast<std::size_t>(w)];
       stats += ws.stats;
@@ -142,7 +142,7 @@ KernelStats Device::run_blocks(
   }
 
   if (traced) {
-    const obs::ProfSpan replay_span{obs::ProfTag::kDramRowReplay};
+    const telemetry::ProfSpan replay_span{telemetry::ProfTag::kDramRowReplay};
     DramRowLru rows;
     for (const TraceSpan& span : block_spans_) {
       const auto& trace =

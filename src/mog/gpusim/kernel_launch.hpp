@@ -31,8 +31,8 @@
 #include "mog/gpusim/stats.hpp"
 #include "mog/gpusim/warp.hpp"
 // Header-only profiler tag primitives (one relaxed load per site when no
-// sampler runs); gpusim does not link mog_obs — see sampler.hpp.
-#include "mog/obs/sampler.hpp"
+// sampler runs); gpusim does not link mog_telemetry — see sampler.hpp.
+#include "mog/telemetry/sampler.hpp"
 
 namespace mog::gpusim {
 
@@ -75,7 +75,7 @@ class BlockCtx {
   /// between consecutive parallel() calls.
   template <typename Fn>
   void parallel(Fn&& fn) {
-    const obs::ProfSpan prof_span{obs::ProfTag::kWarpDispatch};
+    const telemetry::ProfSpan prof_span{telemetry::ProfTag::kWarpDispatch};
     const int warps = num_warps();
     for (int w = 0; w < warps; ++w) {
       const int lanes = std::min<int>(kWarpSize,
@@ -97,7 +97,7 @@ class BlockCtx {
       // detail::charge / detail::track_alloc); fold them in here, once per
       // warp, while the scope is still installed.
       {
-        const obs::ProfSpan flush_span{obs::ProfTag::kChargeFlush};
+        const telemetry::ProfSpan flush_span{telemetry::ProfTag::kChargeFlush};
         detail::flush_charges(stats_);
         ++stats_.num_warps;
         if (detail::tl_regs.peak_words > peak_reg_words_)

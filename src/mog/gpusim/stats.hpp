@@ -199,7 +199,7 @@ void visit_metrics(const KernelStats& s, Fn&& fn) {
   fn("divergence_ratio", 1.0 - s.branch_efficiency(), false);
 }
 
-/// Per-block execution record for spatial attribution (obs::HeatmapSink).
+/// Per-block execution record for spatial attribution (telemetry::HeatmapSink).
 /// `delta` holds the counters this block contributed; DRAM page switches
 /// are absent from parallel-launch deltas (row locality is a launch-order
 /// property replayed after the blocks finish, not attributable to one

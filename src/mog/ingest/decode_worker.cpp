@@ -4,8 +4,8 @@
 
 #include "mog/common/strutil.hpp"
 #include "mog/ingest/ingest_error.hpp"
-#include "mog/obs/frame_ticket.hpp"
-#include "mog/obs/sampler.hpp"
+#include "mog/telemetry/frame_ticket.hpp"
+#include "mog/telemetry/sampler.hpp"
 #include "mog/telemetry/telemetry.hpp"
 
 namespace mog::ingest {
@@ -67,7 +67,7 @@ std::string DecodeWorker::error() const {
 
 void DecodeWorker::run() {
   using clock = std::chrono::steady_clock;
-  obs::prof_set_thread_name(
+  telemetry::prof_set_thread_name(
       strprintf("decode%d", config_.stream_id).c_str());
   std::uint64_t n = 0;
   while (true) {
@@ -82,9 +82,9 @@ void DecodeWorker::run() {
     const auto t0 = clock::now();
     // Mint the ticket before decoding: the decode span is the first hop of
     // the frame's flow chain, ahead of queue admission.
-    const std::uint64_t ticket = obs::mint_frame_ticket();
+    const std::uint64_t ticket = telemetry::mint_frame_ticket();
     try {
-      const obs::ProfSpan decode_span{obs::ProfTag::kDecode};
+      const telemetry::ProfSpan decode_span{telemetry::ProfTag::kDecode};
       got = reader_->next(frame);
     } catch (const IngestError& e) {
       std::lock_guard<std::mutex> lock(mu_);

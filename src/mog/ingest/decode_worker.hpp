@@ -3,7 +3,7 @@
 //
 // Each camera stream gets one DecodeWorker owning a FrameReader (Y4M or
 // MJPEG over a ByteSource). The worker thread pulls and decodes frames *off
-// the scheduler's pump thread*, mints the frame's obs trace ticket at decode
+// the scheduler's pump thread*, mints the frame's trace ticket at decode
 // start, emits a wall-clock "decode" span carrying that ticket as the first
 // hop of the frame's flow chain, and submits the decoded frame through the
 // caller-supplied SubmitFn — in practice DeviceFleet::submit, the serving
@@ -28,7 +28,7 @@
 
 #include "mog/common/image.hpp"
 #include "mog/ingest/frame_reader.hpp"
-#include "mog/obs/log.hpp"
+#include "mog/telemetry/log.hpp"
 
 namespace mog::ingest {
 
@@ -86,7 +86,7 @@ class DecodeWorker {
   std::unique_ptr<FrameReader> reader_;
   SubmitFn submit_;
   DecodeWorkerConfig config_;
-  obs::ScopedLogger log_{"ingest"};
+  telemetry::ScopedLogger log_{"ingest"};
 
   mutable std::mutex mu_;
   std::thread thread_;

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <array>
 
-#include "mog/obs/heatmap.hpp"
-#include "mog/obs/sampler.hpp"
+#include "mog/telemetry/heatmap.hpp"
+#include "mog/telemetry/sampler.hpp"
 #include "mog/telemetry/telemetry.hpp"
 
 namespace mog {
@@ -67,11 +67,11 @@ GpuMogPipeline<T>::GpuMogPipeline(const Config& config)
   // Counter export: a globally installed registry observes every launch of
   // this device (survives ResilientPipeline engine rebuilds, which construct
   // a fresh pipeline and land here again). A globally installed heatmap
-  // sink (obs::set_heatmap_sink; bench_util under MOG_BENCH_PROFILE) goes
-  // in front and chains to the registry, adding per-block spatial capture
-  // without displacing counter export.
+  // sink (telemetry::set_heatmap_sink; bench_util under MOG_BENCH_PROFILE)
+  // goes in front and chains to the registry, adding per-block spatial
+  // capture without displacing counter export.
   gpusim::StatsSink* sink = telemetry::counters();
-  if (obs::HeatmapSink* heat = obs::heatmap_sink()) {
+  if (telemetry::HeatmapSink* heat = telemetry::heatmap_sink()) {
     heat->bind_frame(config_.width, config_.height);
     heat->set_chain(sink);
     sink = heat;
@@ -92,7 +92,7 @@ bool GpuMogPipeline<T>::process(const FrameU8& frame, FrameU8& fg) {
     {
       auto sp = telemetry::maybe_span("upload", "transfer");
       sp.arg("frame", static_cast<double>(frames_));
-      const obs::ProfSpan prof{obs::ProfTag::kUpload};
+      const telemetry::ProfSpan prof{telemetry::ProfTag::kUpload};
       device_.upload(frame_bufs_[0], frame.data(), n);
     }
     gpusim::KernelStats launch_stats;
@@ -122,7 +122,7 @@ bool GpuMogPipeline<T>::process(const FrameU8& frame, FrameU8& fg) {
   {
     auto sp = telemetry::maybe_span("upload", "transfer");
     sp.arg("frame", static_cast<double>(frames_));
-    const obs::ProfSpan prof{obs::ProfTag::kUpload};
+    const telemetry::ProfSpan prof{telemetry::ProfTag::kUpload};
     device_.upload(frame_bufs_[static_cast<std::size_t>(pending_)],
                    frame.data(), n);
   }
@@ -175,7 +175,7 @@ void GpuMogPipeline<T>::finish_group() {
 /// the frame pass and is not touched here.
 template <typename T>
 void GpuMogPipeline<T>::run_device_postproc() {
-  const obs::ProfSpan prof{obs::ProfTag::kPostproc};
+  const telemetry::ProfSpan prof{telemetry::ProfTag::kPostproc};
   const ValidationConfig& v = config_.postproc.validation;
   while (postproc_left_ > 0) {
     const std::size_t i = group_size_cur_ - postproc_left_;
@@ -216,7 +216,7 @@ void GpuMogPipeline<T>::run_device_postproc() {
 
 template <typename T>
 void GpuMogPipeline<T>::download_group_masks() {
-  const obs::ProfSpan prof{obs::ProfTag::kDownload};
+  const telemetry::ProfSpan prof{telemetry::ProfTag::kDownload};
   const std::size_t n = state_.num_pixels();
   auto sp = telemetry::maybe_span("download", "transfer");
   sp.arg("masks", static_cast<double>(downloads_left_));

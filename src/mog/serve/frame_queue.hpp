@@ -33,7 +33,7 @@ struct QueuedFrame {
   FrameU8 frame;
   double arrival_seconds = 0;  ///< modeled arrival time (caller-supplied)
   std::uint64_t sequence = 0;  ///< per-stream submission index
-  std::uint64_t ticket = 0;    ///< obs frame ticket (trace flow id; 0 = none)
+  std::uint64_t ticket = 0;    ///< frame ticket (trace flow id; 0 = none)
 };
 
 /// Backpressure counters. Conservation (tests assert it): under kDropNewest
@@ -57,7 +57,7 @@ class BoundedFrameQueue {
   /// Offer one frame. Returns false when the frame was dropped (kDropNewest
   /// at a full queue); kDropOldest always admits the new frame but may have
   /// evicted a predecessor (visible in stats().dropped). `ticket` is the
-  /// frame's obs trace ticket, carried through to the scheduler.
+  /// frame's trace ticket, carried through to the scheduler.
   bool push(FrameU8 frame, double arrival_seconds, std::uint64_t ticket = 0);
 
   /// Pop the oldest queued frame; false when empty.

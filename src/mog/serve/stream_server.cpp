@@ -5,8 +5,8 @@
 #include <utility>
 
 #include "mog/common/strutil.hpp"
-#include "mog/obs/frame_ticket.hpp"
-#include "mog/obs/sampler.hpp"
+#include "mog/telemetry/frame_ticket.hpp"
+#include "mog/telemetry/sampler.hpp"
 #include "mog/telemetry/telemetry.hpp"
 
 namespace mog::serve {
@@ -105,7 +105,7 @@ bool StreamServer<T>::submit(int id, FrameU8 frame, double arrival_seconds,
                              std::uint64_t ticket) {
   bool accepted = false;
   const bool preminted = ticket != 0;
-  if (!preminted) ticket = obs::mint_frame_ticket();
+  if (!preminted) ticket = telemetry::mint_frame_ticket();
   {
     std::lock_guard<std::mutex> lock(mu_);
     Stream& s = stream_at(id);
@@ -206,7 +206,7 @@ int StreamServer<T>::pump() {
 
 template <typename T>
 int StreamServer<T>::pump_locked() {
-  const obs::ProfSpan pump_span{obs::ProfTag::kPump};
+  const telemetry::ProfSpan pump_span{telemetry::ProfTag::kPump};
   const int n = static_cast<int>(streams_.size());
   if (n == 0) return 0;
 
@@ -261,7 +261,7 @@ int StreamServer<T>::pump_locked() {
     {
       // The ticket scope lets the recovery layer tag its trace instants
       // with the frame that triggered them.
-      obs::FrameTicketScope ticket_scope(p.qf.ticket);
+      telemetry::FrameTicketScope ticket_scope(p.qf.ticket);
       delivered = s.pipeline->process(p.qf.frame, fg);
     }
     const fault::ExecutionTier tier_now = s.pipeline->tier();
@@ -417,11 +417,11 @@ void StreamServer<T>::start() {
   stop_requested_ = false;
   running_ = true;
   worker_ = std::thread([this] {
-    obs::prof_set_thread_name(strprintf("dev%d.pump", device_).c_str());
+    telemetry::prof_set_thread_name(strprintf("dev%d.pump", device_).c_str());
     std::unique_lock<std::mutex> lk(mu_);
     while (!stop_requested_) {
       if (pump_locked() > 0) continue;
-      const obs::ProfSpan wait_span{obs::ProfTag::kQueueWait};
+      const telemetry::ProfSpan wait_span{telemetry::ProfTag::kQueueWait};
       cv_.wait_for(lk, std::chrono::milliseconds(1));
     }
   });

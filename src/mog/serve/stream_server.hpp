@@ -54,8 +54,8 @@
 
 #include "mog/fault/resilient_pipeline.hpp"
 #include "mog/gpusim/stream_sim.hpp"
-#include "mog/obs/log.hpp"
 #include "mog/serve/frame_queue.hpp"
+#include "mog/telemetry/log.hpp"
 
 namespace mog::serve {
 
@@ -126,7 +126,7 @@ class StreamServer {
   /// Offer one frame to stream `id` at modeled time `arrival_seconds`.
   /// Returns false when the queue's drop policy refused it. Thread-safe.
   ///
-  /// `ticket` == 0 (the default) mints a fresh obs trace ticket here and
+  /// `ticket` == 0 (the default) mints a fresh trace ticket here and
   /// admission becomes the start of the frame's flow chain. A decode front
   /// end (ingest::DecodeWorker) passes its pre-minted ticket instead: the
   /// chain then began at the decode span, and admission is a step on it.
@@ -203,12 +203,12 @@ class StreamServer {
   struct PendingDownload {
     double ready_seconds = 0;           ///< producing kernel's end
     std::vector<double> arrivals;       ///< arrival stamp per owed mask
-    std::vector<std::uint64_t> tickets; ///< obs ticket per owed mask
+    std::vector<std::uint64_t> tickets; ///< trace ticket per owed mask
     std::vector<FrameU8> masks;         ///< functional masks (may be empty)
   };
 
   /// A frame absorbed by the model whose mask is still owed (tiled
-  /// mid-group), keyed by its arrival stamp and obs ticket.
+  /// mid-group), keyed by its arrival stamp and trace ticket.
   struct InFlightFrame {
     double arrival_seconds = 0;
     std::uint64_t ticket = 0;
@@ -259,7 +259,7 @@ class StreamServer {
   gpusim::SharedTimeline timeline_;
   int cursor_ = 0;
   std::size_t bytes_in_use_ = 0;
-  obs::ScopedLogger log_{"serve"};
+  telemetry::ScopedLogger log_{"serve"};
 
   std::condition_variable cv_;
   std::thread worker_;

@@ -108,21 +108,16 @@ Json BenchReporter::to_json() const {
   root.set("bench", name_);
 
   Json host = Json::object();
-  host.set("compiler", compiler_id());
   host.set("build_type", build_type());
   host.set("timestamp_utc", utc_timestamp());
-  // Wall-clock metrics scale with the block executor's host parallelism;
-  // recording the thread count lets a report reader attribute wall_* drift
-  // to the environment instead of the simulator.
-  host.set("executor_threads",
-           executor_threads_ > 0
-               ? executor_threads_
-               : gpusim::resolved_executor_threads(0));
   root.set("host", std::move(host));
 
   // Environment block: everything needed to judge whether two reports'
-  // wall_/prof_ numbers are comparable across machines. Informational only
-  // — bench_gate walks the baseline's cases/metrics, so this never gates.
+  // wall_/prof_ numbers are comparable across machines. Wall-clock metrics
+  // scale with the block executor's host parallelism, so the thread count
+  // lets a reader attribute wall_* drift to the environment instead of the
+  // simulator. Informational only — bench_gate walks the baseline's
+  // cases/metrics, so this never gates.
   Json env = Json::object();
   env.set("compiler", compiler_id());
   env.set("flags", compile_flags());
@@ -130,9 +125,7 @@ Json BenchReporter::to_json() const {
           static_cast<int>(std::thread::hardware_concurrency()));
   const char* executor_env = std::getenv("MOG_EXECUTOR_THREADS");
   env.set("mog_executor_threads", executor_env != nullptr ? executor_env : "");
-  env.set("executor_threads",
-          executor_threads_ > 0 ? executor_threads_
-                                : gpusim::resolved_executor_threads(0));
+  env.set("executor_threads", gpusim::resolved_executor_threads(0));
   root.set("env", std::move(env));
 
   Json workload = Json::object();

@@ -6,7 +6,7 @@
 //   {
 //     "schema_version": 1,
 //     "bench": "<name>",
-//     "host": {"compiler": ..., "build_type": ..., "timestamp_utc": ...},
+//     "host": {"build_type": ..., "timestamp_utc": ...},
 //     "env": {"compiler": ..., "flags": ..., "hw_threads": N,
 //             "mog_executor_threads": "...", "executor_threads": N},
 //     "workload": {"width": W, "height": H, "frames": N},
@@ -72,13 +72,6 @@ class BenchReporter {
     frames_ = frames;
   }
 
-  /// Record the block-executor thread count the bench ran with (host
-  /// metadata, never gated). Defaults to the resolved device default, so a
-  /// bench only needs to call this when it pins a non-default count. The
-  /// gate skips "host", but a reader diagnosing wall_* drift between two
-  /// reports needs this to tell environment from regression.
-  void set_executor_threads(int threads) { executor_threads_ = threads; }
-
   /// Override the gate's relative tolerance for one metric (embedded in the
   /// report, so a regenerated baseline carries its own bands).
   void set_tolerance(const std::string& metric, double rel_tol) {
@@ -91,9 +84,9 @@ class BenchReporter {
   }
 
   /// Attach a sampling-profile block (emitted as root key "prof"). The
-  /// reporter treats it as opaque JSON — obs::profile_report_json builds
-  /// it — so telemetry stays independent of the profiler. Like "host" and
-  /// "env", the gate never compares it.
+  /// reporter treats it as opaque JSON — profile_report_json (flame.hpp)
+  /// builds it — so the report stays independent of the profiler. Like "host"
+  /// and "env", the gate never compares it.
   void set_profile(Json prof) { profile_ = std::move(prof); }
 
   /// Add (or reopen) a case; the reference stays valid until the next add.
@@ -110,7 +103,6 @@ class BenchReporter {
  private:
   std::string name_;
   int width_ = 0, height_ = 0, frames_ = 0;
-  int executor_threads_ = 0;  ///< 0 = resolve the device default at dump time
   std::vector<std::pair<std::string, double>> tolerances_;
   std::vector<Case> cases_;
   Json profile_;  ///< null until set_profile(); emitted as "prof"

@@ -41,6 +41,7 @@ Rollup make_rollup(const std::vector<double>& samples) {
 }
 
 void CounterRegistry::on_kernel_launch(const gpusim::KernelStats& stats) {
+  std::lock_guard<std::mutex> lock(mu_);
   if (names_.empty()) {
     gpusim::visit_metrics(stats, [this](const char* name, double, bool ext) {
       names_.emplace_back(name);
@@ -55,36 +56,55 @@ void CounterRegistry::on_kernel_launch(const gpusim::KernelStats& stats) {
   ++launches_;
 }
 
+std::size_t CounterRegistry::launches() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return launches_;
+}
+
+std::vector<std::string> CounterRegistry::metric_names() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return names_;
+}
+
 int CounterRegistry::index_of(const std::string& metric) const {
   for (std::size_t i = 0; i < names_.size(); ++i)
     if (names_[i] == metric) return static_cast<int>(i);
   return -1;
 }
 
-const std::vector<double>& CounterRegistry::samples(
-    const std::string& metric) const {
-  static const std::vector<double> kEmpty;
+std::size_t CounterRegistry::checked_index(const std::string& metric) const {
   const int i = index_of(metric);
-  return i < 0 ? kEmpty : samples_[static_cast<std::size_t>(i)];
+  MOG_CHECK(i >= 0, "unknown telemetry metric: " + metric);
+  return static_cast<std::size_t>(i);
+}
+
+std::vector<double> CounterRegistry::samples(const std::string& metric) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const int i = index_of(metric);
+  return i < 0 ? std::vector<double>{} : samples_[static_cast<std::size_t>(i)];
+}
+
+double CounterRegistry::per_run_locked(std::size_t i) const {
+  const Rollup r = make_rollup(samples_[i]);
+  return extensive_[i] ? r.total : r.mean;
 }
 
 double CounterRegistry::per_run(const std::string& metric) const {
-  const int i = index_of(metric);
-  MOG_CHECK(i >= 0, "unknown telemetry metric: " + metric);
-  const Rollup r = make_rollup(samples_[static_cast<std::size_t>(i)]);
-  return extensive_[static_cast<std::size_t>(i)] ? r.total : r.mean;
+  std::lock_guard<std::mutex> lock(mu_);
+  return per_run_locked(checked_index(metric));
 }
 
 double CounterRegistry::per_frame(const std::string& metric,
                                   std::uint64_t frames) const {
-  const int i = index_of(metric);
-  MOG_CHECK(i >= 0, "unknown telemetry metric: " + metric);
-  if (!extensive_[static_cast<std::size_t>(i)]) return per_run(metric);
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::size_t i = checked_index(metric);
+  if (!extensive_[i]) return per_run_locked(i);
   MOG_CHECK(frames > 0, "per-frame rollup needs a positive frame count");
-  return per_run(metric) / static_cast<double>(frames);
+  return per_run_locked(i) / static_cast<double>(frames);
 }
 
 void CounterRegistry::clear() {
+  std::lock_guard<std::mutex> lock(mu_);
   launches_ = 0;
   names_.clear();
   extensive_.clear();
@@ -105,6 +125,7 @@ Json CounterRegistry::to_json() const {
     m.set("p99", r.p99);
     return m;
   };
+  std::lock_guard<std::mutex> lock(mu_);
   Json root = Json::object();
   root.set("launches", static_cast<double>(launches_));
   Json metrics = Json::object();
@@ -116,13 +137,16 @@ Json CounterRegistry::to_json() const {
 }
 
 std::string CounterRegistry::summary(std::uint64_t frames) const {
+  std::lock_guard<std::mutex> lock(mu_);
   if (launches_ == 0) return "no kernel launches recorded";
   std::string out = strprintf("%zu kernel launches", launches_);
   if (frames > 0)
     out += strprintf(" over %llu frames",
                      static_cast<unsigned long long>(frames));
   const auto line = [&](const char* metric, const char* label, double scale) {
-    const Rollup r = rollup(metric);
+    const int i = index_of(metric);
+    if (i < 0) return;
+    const Rollup r = make_rollup(samples_[static_cast<std::size_t>(i)]);
     if (r.count == 0) return;
     out += strprintf("\n  %-24s mean %10.3f  p50 %10.3f  p99 %10.3f", label,
                      r.mean * scale, r.p50 * scale, r.p99 * scale);

@@ -6,10 +6,13 @@
 // from gpusim::visit_metrics. Rollups report count/mean/min/max and the
 // p50/p90/p99 percentiles across launches; per-frame views divide extensive
 // (work-proportional) metrics by the frame count and leave intensive ones
-// (resources, efficiencies) as launch means.
+// (resources, efficiencies) as launch means. A registry is thread-safe:
+// device pumps record launches while a /metrics scrape reads rollups, so
+// every method takes its mutex, and accessors hand out copies.
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -42,11 +45,12 @@ class CounterRegistry : public gpusim::StatsSink {
  public:
   void on_kernel_launch(const gpusim::KernelStats& stats) override;
 
-  std::size_t launches() const { return launches_; }
-  const std::vector<std::string>& metric_names() const { return names_; }
+  std::size_t launches() const;
+  /// Metric names in gpusim::visit_metrics order (empty before a launch).
+  std::vector<std::string> metric_names() const;
 
   /// Per-launch samples of one metric (empty when unknown / no launches).
-  const std::vector<double>& samples(const std::string& metric) const;
+  std::vector<double> samples(const std::string& metric) const;
 
   /// Percentile rollup of one metric across launches.
   Rollup rollup(const std::string& metric) const {
@@ -69,8 +73,12 @@ class CounterRegistry : public gpusim::StatsSink {
   std::string summary(std::uint64_t frames = 0) const;
 
  private:
+  // The helpers below expect mu_ held.
   int index_of(const std::string& metric) const;
+  std::size_t checked_index(const std::string& metric) const;
+  double per_run_locked(std::size_t i) const;
 
+  mutable std::mutex mu_;
   std::size_t launches_ = 0;
   // Aligned 1:1 with gpusim::visit_metrics order.
   std::vector<std::string> names_;

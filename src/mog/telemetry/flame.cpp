@@ -1,4 +1,4 @@
-#include "mog/obs/flame.hpp"
+#include "mog/telemetry/flame.hpp"
 
 #include <algorithm>
 #include <charconv>
@@ -8,7 +8,7 @@
 #include "mog/common/error.hpp"
 #include "mog/common/strutil.hpp"
 
-namespace mog::obs {
+namespace mog::telemetry {
 
 namespace {
 
@@ -93,9 +93,7 @@ FlameProfile parse_collapsed(const std::string& text) {
   return profile;
 }
 
-telemetry::Json render_speedscope(const FlameProfile& profile) {
-  using telemetry::Json;
-
+Json render_speedscope(const FlameProfile& profile) {
   // Global frame table; stacks reference frames by index.
   std::map<std::string, std::size_t> frame_index;
   Json frames = Json::array();
@@ -163,8 +161,7 @@ telemetry::Json render_speedscope(const FlameProfile& profile) {
   return doc;
 }
 
-telemetry::Json profile_report_json(const FlameProfile& profile) {
-  using telemetry::Json;
+Json profile_report_json(const FlameProfile& profile) {
   Json prof = Json::object();
   prof.set("hz", profile.hz);
   prof.set("seconds", profile.seconds);
@@ -192,26 +189,26 @@ telemetry::Json profile_report_json(const FlameProfile& profile) {
   return prof;
 }
 
-FlameProfile profile_from_report_json(const telemetry::Json& prof) {
+FlameProfile profile_from_report_json(const Json& prof) {
   const auto u64 = [&](const char* key) -> std::uint64_t {
-    const telemetry::Json* v = prof.find(key);
+    const Json* v = prof.find(key);
     return v != nullptr && v->is_number()
                ? static_cast<std::uint64_t>(v->as_number())
                : 0;
   };
   FlameProfile profile;
   profile.hz = static_cast<int>(u64("hz"));
-  if (const telemetry::Json* v = prof.find("seconds"); v && v->is_number())
+  if (const Json* v = prof.find("seconds"); v && v->is_number())
     profile.seconds = v->as_number();
   profile.ticks = u64("ticks");
   profile.truncated = u64("truncated");
-  const telemetry::Json* stacks = prof.find("stacks");
+  const Json* stacks = prof.find("stacks");
   MOG_CHECK(stacks != nullptr && stacks->is_array(),
             "prof block has no stacks array");
   std::string collapsed;
-  for (const telemetry::Json& entry : stacks->as_array()) {
-    const telemetry::Json* flat = entry.find("stack");
-    const telemetry::Json* count = entry.find("count");
+  for (const Json& entry : stacks->as_array()) {
+    const Json* flat = entry.find("stack");
+    const Json* count = entry.find("count");
     MOG_CHECK(flat != nullptr && flat->is_string() && count != nullptr &&
                   count->is_number(),
               "malformed prof stack entry");
@@ -319,4 +316,4 @@ std::string render_flame_table(const FlameProfile& profile, int top_n) {
   return out;
 }
 
-}  // namespace mog::obs
+}  // namespace mog::telemetry

@@ -10,11 +10,11 @@
 
 #include <string>
 
-#include "mog/obs/http_server.hpp"
-#include "mog/obs/sampler.hpp"
+#include "mog/telemetry/http_server.hpp"
 #include "mog/telemetry/json.hpp"
+#include "mog/telemetry/sampler.hpp"
 
-namespace mog::obs {
+namespace mog::telemetry {
 
 /// Collapsed-stack text. Stacks render as "thread;frame;... count\n";
 /// idle observations (empty published stack) render as "thread;(idle) N".
@@ -29,15 +29,15 @@ FlameProfile parse_collapsed(const std::string& text);
 
 /// Speedscope-compatible JSON ("sampled" profile type, one profile per
 /// thread, weights = sample counts).
-telemetry::Json render_speedscope(const FlameProfile& profile);
+Json render_speedscope(const FlameProfile& profile);
 
 /// Compact JSON block for BENCH_*.json reports: capture metadata plus
 /// stacks as {"stack": "thread;frame;...", "count": N} entries.
-telemetry::Json profile_report_json(const FlameProfile& profile);
+Json profile_report_json(const FlameProfile& profile);
 
 /// Inverse of profile_report_json (mogprof --flame reads either this block
 /// out of a BENCH_*.json or a raw .collapsed file).
-FlameProfile profile_from_report_json(const telemetry::Json& prof);
+FlameProfile profile_from_report_json(const Json& prof);
 
 /// Terminal table: per-frame self/total sample shares, hottest first.
 std::string render_flame_table(const FlameProfile& profile, int top_n = 20);
@@ -53,4 +53,4 @@ std::string render_flame_table(const FlameProfile& profile, int top_n = 20);
 /// threads ("dev<i>.pump", "exec<w>") appear in one capture.
 HttpResponse profilez_response(const HttpRequest& request);
 
-}  // namespace mog::obs
+}  // namespace mog::telemetry

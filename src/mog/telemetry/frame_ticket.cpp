@@ -1,8 +1,8 @@
-#include "mog/obs/frame_ticket.hpp"
+#include "mog/telemetry/frame_ticket.hpp"
 
 #include <atomic>
 
-namespace mog::obs {
+namespace mog::telemetry {
 
 namespace {
 std::atomic<std::uint64_t> g_next_ticket{1};
@@ -22,4 +22,4 @@ FrameTicketScope::FrameTicketScope(std::uint64_t ticket)
 
 FrameTicketScope::~FrameTicketScope() { t_current_ticket = previous_; }
 
-}  // namespace mog::obs
+}  // namespace mog::telemetry

@@ -15,7 +15,7 @@
 
 #include <cstdint>
 
-namespace mog::obs {
+namespace mog::telemetry {
 
 /// Next process-unique ticket id (starts at 1; thread-safe).
 std::uint64_t mint_frame_ticket();
@@ -37,4 +37,4 @@ class FrameTicketScope {
   std::uint64_t previous_;
 };
 
-}  // namespace mog::obs
+}  // namespace mog::telemetry

@@ -1,17 +1,14 @@
-#include "mog/obs/heatmap.hpp"
+#include "mog/telemetry/heatmap.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "mog/common/error.hpp"
 #include "mog/common/strutil.hpp"
 
-namespace mog::obs {
+namespace mog::telemetry {
 
 namespace {
-
-std::atomic<HeatmapSink*> g_heatmap_sink{nullptr};
 
 /// The serialized raw grids, in fixed order (names are the JSON keys).
 struct GridField {
@@ -128,16 +125,7 @@ void HeatmapSink::on_block_stats(const gpusim::BlockStats& block) {
   }
 }
 
-void set_heatmap_sink(HeatmapSink* sink) {
-  g_heatmap_sink.store(sink, std::memory_order_release);
-}
-
-HeatmapSink* heatmap_sink() {
-  return g_heatmap_sink.load(std::memory_order_acquire);
-}
-
-telemetry::Json heatmap_to_json(const Heatmap& map) {
-  using telemetry::Json;
+Json heatmap_to_json(const Heatmap& map) {
   Json doc = Json::object();
   doc.set("schema", "mog-heatmap-v1");
   doc.set("width", map.width);
@@ -159,13 +147,13 @@ telemetry::Json heatmap_to_json(const Heatmap& map) {
   return doc;
 }
 
-Heatmap heatmap_from_json(const telemetry::Json& doc) {
-  const telemetry::Json* schema = doc.find("schema");
+Heatmap heatmap_from_json(const Json& doc) {
+  const Json* schema = doc.find("schema");
   MOG_CHECK(schema != nullptr && schema->is_string() &&
                 schema->as_string() == "mog-heatmap-v1",
             "not a mog-heatmap-v1 document");
   const auto num = [&](const char* key) {
-    const telemetry::Json* v = doc.find(key);
+    const Json* v = doc.find(key);
     MOG_CHECK(v != nullptr && v->is_number(),
               std::string("heatmap doc missing ") + key);
     return v->as_number();
@@ -179,18 +167,17 @@ Heatmap heatmap_from_json(const telemetry::Json& doc) {
   map.launches = static_cast<std::uint64_t>(num("launches"));
   map.blocks = static_cast<std::uint64_t>(num("blocks"));
   MOG_CHECK(map.cells_x > 0 && map.cells_y > 0, "heatmap grid is empty");
-  const telemetry::Json* grids = doc.find("grids");
+  const Json* grids = doc.find("grids");
   MOG_CHECK(grids != nullptr && grids->is_object(),
             "heatmap doc missing grids");
   for (const GridField& g : kGrids) {
-    const telemetry::Json* cells = grids->find(g.name);
+    const Json* cells = grids->find(g.name);
     MOG_CHECK(cells != nullptr && cells->is_array() &&
                   cells->as_array().size() == map.cells(),
               strprintf("heatmap grid %s missing or wrong size", g.name));
     std::vector<double>& grid = map.*g.member;
     grid.reserve(map.cells());
-    for (const telemetry::Json& v : cells->as_array())
-      grid.push_back(v.as_number());
+    for (const Json& v : cells->as_array()) grid.push_back(v.as_number());
   }
   return map;
 }
@@ -290,4 +277,4 @@ std::string render_heatmap_summary(const Heatmap& map, int top_n) {
   return out;
 }
 
-}  // namespace mog::obs
+}  // namespace mog::telemetry

@@ -25,7 +25,7 @@
 #include "mog/gpusim/stats.hpp"
 #include "mog/telemetry/json.hpp"
 
-namespace mog::obs {
+namespace mog::telemetry {
 
 /// A captured heatmap: raw per-cell accumulators over a cells_x × cells_y
 /// grid (row-major). Derived views (divergence ratio, replay count) are
@@ -54,6 +54,9 @@ struct Heatmap {
 
 /// StatsSink adapter. Chains to an inner sink (the telemetry counter
 /// registry) so installing a heatmap does not displace counter export.
+/// Installed process-wide with set_heatmap_sink (telemetry.hpp): pipelines
+/// read it at construction, so install it before building them and never
+/// uninstall it while they are alive.
 class HeatmapSink final : public gpusim::StatsSink {
  public:
   explicit HeatmapSink(gpusim::StatsSink* chain = nullptr) : chain_(chain) {}
@@ -81,17 +84,9 @@ class HeatmapSink final : public gpusim::StatsSink {
   Heatmap map_;
 };
 
-/// Process-global install seam: pipelines consult this at construction and
-/// chain the device's stats sink through it. Install before building
-/// pipelines (bench_util does this under MOG_BENCH_PROFILE); never uninstall
-/// while pipelines using it are alive. nullptr when no heatmap is wanted —
-/// the common case, costing one load at pipeline construction only.
-void set_heatmap_sink(HeatmapSink* sink);
-HeatmapSink* heatmap_sink();
-
 /// JSON round-trip ("mog-heatmap-v1").
-telemetry::Json heatmap_to_json(const Heatmap& map);
-Heatmap heatmap_from_json(const telemetry::Json& doc);
+Json heatmap_to_json(const Heatmap& map);
+Heatmap heatmap_from_json(const Json& doc);
 
 /// Derived per-cell views (same cells_x × cells_y layout as the raw grids).
 std::vector<double> divergence_grid(const Heatmap& map);  ///< divergent/executed
@@ -108,4 +103,4 @@ std::string heatmap_to_csv(const std::vector<double>& grid, int cells_x,
 /// cells per metric.
 std::string render_heatmap_summary(const Heatmap& map, int top_n = 3);
 
-}  // namespace mog::obs
+}  // namespace mog::telemetry

@@ -1,4 +1,4 @@
-#include "mog/obs/http_server.hpp"
+#include "mog/telemetry/http_server.hpp"
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -12,7 +12,7 @@
 #include "mog/common/error.hpp"
 #include "mog/common/strutil.hpp"
 
-namespace mog::obs {
+namespace mog::telemetry {
 
 namespace {
 
@@ -253,4 +253,4 @@ HttpResponse HttpServer::dispatch(const HttpRequest& request) const {
           "not found; try /metrics, /healthz, /statusz\n"};
 }
 
-}  // namespace mog::obs
+}  // namespace mog::telemetry

@@ -20,7 +20,7 @@
 #include <utility>
 #include <vector>
 
-namespace mog::obs {
+namespace mog::telemetry {
 
 /// RFC 3986 percent-decoding ('+' also decodes to space, as browsers send
 /// it in query strings). Returns false on a truncated or non-hex escape.
@@ -107,4 +107,4 @@ class HttpServer {
   std::thread thread_;
 };
 
-}  // namespace mog::obs
+}  // namespace mog::telemetry

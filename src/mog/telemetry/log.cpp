@@ -1,4 +1,4 @@
-#include "mog/obs/log.hpp"
+#include "mog/telemetry/log.hpp"
 
 #include <algorithm>
 #include <chrono>
@@ -6,7 +6,7 @@
 
 #include "mog/common/error.hpp"
 
-namespace mog::obs {
+namespace mog::telemetry {
 
 namespace {
 
@@ -29,7 +29,7 @@ const char* to_string(LogLevel level) {
 }
 
 std::string format_jsonl(const LogRecord& record) {
-  telemetry::Json line = telemetry::Json::object();
+  Json line = Json::object();
   line.set("ts_us", static_cast<double>(record.ts_us));
   line.set("level", to_string(record.level));
   line.set("component", record.component);
@@ -42,19 +42,6 @@ std::string format_jsonl(const LogRecord& record) {
 
 void StderrSink::write(const LogRecord& record) {
   std::fprintf(stderr, "%s\n", format_jsonl(record).c_str());
-}
-
-FileSink::FileSink(const std::string& path)
-    : file_(std::fopen(path.c_str(), "a")) {
-  MOG_CHECK(file_ != nullptr, "cannot open log file: " + path);
-}
-
-FileSink::~FileSink() { std::fclose(file_); }
-
-void FileSink::write(const LogRecord& record) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::fprintf(file_, "%s\n", format_jsonl(record).c_str());
-  std::fflush(file_);
 }
 
 void RingBufferSink::write(const LogRecord& record) {
@@ -90,11 +77,6 @@ void Logger::remove_sink(LogSink* sink) {
   sinks_.erase(std::remove(sinks_.begin(), sinks_.end(), sink), sinks_.end());
 }
 
-void Logger::clear_sinks() {
-  std::lock_guard<std::mutex> lock(mu_);
-  sinks_.clear();
-}
-
 bool Logger::has_sinks() const {
   std::lock_guard<std::mutex> lock(mu_);
   return !sinks_.empty();
@@ -119,7 +101,7 @@ void Logger::set_rate_limit(const RateLimitPolicy& policy) {
 
 void Logger::log(LogLevel level, std::string_view component,
                  std::string_view message,
-                 std::vector<std::pair<std::string, telemetry::Json>> fields) {
+                 std::vector<std::pair<std::string, Json>> fields) {
   std::lock_guard<std::mutex> lock(mu_);
   if (sinks_.empty() || level < threshold_) return;
 
@@ -178,4 +160,4 @@ Logger& default_logger() {
   return logger;
 }
 
-}  // namespace mog::obs
+}  // namespace mog::telemetry

@@ -25,7 +25,7 @@
 
 #include "mog/telemetry/json.hpp"
 
-namespace mog::obs {
+namespace mog::telemetry {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
@@ -36,7 +36,7 @@ struct LogRecord {
   LogLevel level = LogLevel::kInfo;
   std::string component;
   std::string message;
-  std::vector<std::pair<std::string, telemetry::Json>> fields;
+  std::vector<std::pair<std::string, Json>> fields;
   std::int64_t ts_us = 0;         ///< microseconds since logger construction
   std::uint64_t suppressed = 0;   ///< repeats dropped since the last emission
 };
@@ -54,18 +54,6 @@ class LogSink {
 class StderrSink : public LogSink {
  public:
   void write(const LogRecord& record) override;
-};
-
-/// JSON lines appended to a file; opened on construction, flushed per line.
-class FileSink : public LogSink {
- public:
-  explicit FileSink(const std::string& path);
-  ~FileSink() override;
-  void write(const LogRecord& record) override;
-
- private:
-  std::mutex mu_;
-  std::FILE* file_;
 };
 
 /// Last-N records in memory (tests, /statusz tails).
@@ -99,16 +87,14 @@ class Logger {
   /// recorder); fan-out preserves attachment order.
   void add_sink(LogSink* sink);
   void remove_sink(LogSink* sink);
-  void clear_sinks();
   bool has_sinks() const;
 
   void set_threshold(LogLevel threshold);
   LogLevel threshold() const;
   void set_rate_limit(const RateLimitPolicy& policy);
 
-  void log(LogLevel level, std::string_view component,
-           std::string_view message,
-           std::vector<std::pair<std::string, telemetry::Json>> fields = {});
+  void log(LogLevel level, std::string_view component, std::string_view message,
+           std::vector<std::pair<std::string, Json>> fields = {});
 
   std::uint64_t records_emitted() const;
   std::uint64_t records_suppressed() const;
@@ -140,23 +126,19 @@ class ScopedLogger {
       : component_(std::move(component)), logger_(logger) {}
 
   void debug(std::string_view message,
-             std::vector<std::pair<std::string, telemetry::Json>> fields = {})
-      const {
+             std::vector<std::pair<std::string, Json>> fields = {}) const {
     log(LogLevel::kDebug, message, std::move(fields));
   }
   void info(std::string_view message,
-            std::vector<std::pair<std::string, telemetry::Json>> fields = {})
-      const {
+            std::vector<std::pair<std::string, Json>> fields = {}) const {
     log(LogLevel::kInfo, message, std::move(fields));
   }
   void warn(std::string_view message,
-            std::vector<std::pair<std::string, telemetry::Json>> fields = {})
-      const {
+            std::vector<std::pair<std::string, Json>> fields = {}) const {
     log(LogLevel::kWarn, message, std::move(fields));
   }
   void error(std::string_view message,
-             std::vector<std::pair<std::string, telemetry::Json>> fields = {})
-      const {
+             std::vector<std::pair<std::string, Json>> fields = {}) const {
     log(LogLevel::kError, message, std::move(fields));
   }
 
@@ -164,7 +146,7 @@ class ScopedLogger {
 
  private:
   void log(LogLevel level, std::string_view message,
-           std::vector<std::pair<std::string, telemetry::Json>> fields) const {
+           std::vector<std::pair<std::string, Json>> fields) const {
     Logger& target = logger_ != nullptr ? *logger_ : default_logger();
     target.log(level, component_, message, std::move(fields));
   }
@@ -173,4 +155,4 @@ class ScopedLogger {
   Logger* logger_;
 };
 
-}  // namespace mog::obs
+}  // namespace mog::telemetry

@@ -1,4 +1,4 @@
-#include "mog/obs/profile.hpp"
+#include "mog/telemetry/profile.hpp"
 
 #include <cmath>
 #include <cstdint>
@@ -7,7 +7,7 @@
 #include "mog/common/strutil.hpp"
 #include "mog/kernels/opt_level.hpp"
 
-namespace mog::obs {
+namespace mog::telemetry {
 
 namespace {
 
@@ -61,7 +61,7 @@ KernelProfile build_profile(const std::string& name, const MetricView& m,
 constexpr const char* kCtrPrefix = "ctr_";
 
 /// Case metrics -> MetricView, keeping only ctr_-prefixed keys (stripped).
-MetricView ctr_view(const telemetry::Json& metrics) {
+MetricView ctr_view(const Json& metrics) {
   MetricView m;
   for (const auto& [key, value] : metrics.as_object())
     if (key.rfind(kCtrPrefix, 0) == 0 && value.is_number())
@@ -106,38 +106,37 @@ const KernelProfile* ProfileDump::find(const std::string& name) const {
   return nullptr;
 }
 
-ProfileDump load_profile_dump(const telemetry::Json& doc,
-                              const std::string& source,
+ProfileDump load_profile_dump(const Json& doc, const std::string& source,
                               const gpusim::DeviceSpec& spec) {
   ProfileDump dump;
   dump.source = source;
   dump.spec = spec;
 
-  if (const telemetry::Json* cases = doc.find("cases")) {
+  if (const Json* cases = doc.find("cases")) {
     // Schema-v1 bench report: one kernel per case that carries counters.
-    if (const telemetry::Json* workload = doc.find("workload")) {
-      if (const telemetry::Json* w = workload->find("width"))
+    if (const Json* workload = doc.find("workload")) {
+      if (const Json* w = workload->find("width"))
         dump.width = static_cast<int>(w->as_number());
-      if (const telemetry::Json* h = workload->find("height"))
+      if (const Json* h = workload->find("height"))
         dump.height = static_cast<int>(h->as_number());
-      if (const telemetry::Json* f = workload->find("frames"))
+      if (const Json* f = workload->find("frames"))
         dump.frames = static_cast<int>(f->as_number());
     }
-    for (const telemetry::Json& c : cases->as_array()) {
-      const telemetry::Json* name = c.find("name");
-      const telemetry::Json* metrics = c.find("metrics");
+    for (const Json& c : cases->as_array()) {
+      const Json* name = c.find("name");
+      const Json* metrics = c.find("metrics");
       if (name == nullptr || metrics == nullptr) continue;
       const MetricView m = ctr_view(*metrics);
       // Cases without counters (pure wall-clock benches) are not kernels.
       if (m.values.empty() || m.count("threads_per_block") == 0) continue;
       dump.kernels.push_back(build_profile(name->as_string(), m, spec));
     }
-  } else if (const telemetry::Json* metrics = doc.find("metrics")) {
+  } else if (const Json* metrics = doc.find("metrics")) {
     // CounterRegistry::to_json(): rollups keyed by bare metric name; the
     // launch means reconstruct one aggregate kernel.
     MetricView m;
     for (const auto& [key, rollup] : metrics->as_object())
-      if (const telemetry::Json* mean = rollup.find("mean"))
+      if (const Json* mean = rollup.find("mean"))
         m.values.emplace_back(key, mean->as_number());
     if (m.count("threads_per_block") > 0)
       dump.kernels.push_back(build_profile("aggregate", m, spec));
@@ -155,7 +154,7 @@ ProfileDump load_profile_dump(const telemetry::Json& doc,
 
 ProfileDump load_profile_file(const std::string& path,
                               const gpusim::DeviceSpec& spec) {
-  return load_profile_dump(telemetry::read_json_file(path), path, spec);
+  return load_profile_dump(read_json_file(path), path, spec);
 }
 
 std::string render_profile_table(const ProfileDump& dump) {
@@ -269,4 +268,4 @@ std::string render_profile_diff(const ProfileDump& baseline,
   return out;
 }
 
-}  // namespace mog::obs
+}  // namespace mog::telemetry

@@ -24,7 +24,7 @@
 #include "mog/gpusim/timing_model.hpp"
 #include "mog/telemetry/json.hpp"
 
-namespace mog::obs {
+namespace mog::telemetry {
 
 struct KernelProfile {
   std::string name;             ///< case name ("A".."F", "g8", "aggregate")
@@ -62,8 +62,7 @@ struct ProfileDump {
 
 /// Parse a dump document (bench report or CounterRegistry dump). Throws
 /// mog::Error when the document is neither, or carries no counter data.
-ProfileDump load_profile_dump(const telemetry::Json& doc,
-                              const std::string& source = "",
+ProfileDump load_profile_dump(const Json& doc, const std::string& source = "",
                               const gpusim::DeviceSpec& spec = {});
 
 /// read_json_file + load_profile_dump.
@@ -83,4 +82,4 @@ std::string render_step_report(const ProfileDump& dump);
 std::string render_profile_diff(const ProfileDump& baseline,
                                 const ProfileDump& fresh);
 
-}  // namespace mog::obs
+}  // namespace mog::telemetry

@@ -1,4 +1,4 @@
-#include "mog/obs/prometheus.hpp"
+#include "mog/telemetry/prometheus.hpp"
 
 #include <algorithm>
 #include <cctype>
@@ -9,7 +9,7 @@
 #include "mog/common/error.hpp"
 #include "mog/common/strutil.hpp"
 
-namespace mog::obs {
+namespace mog::telemetry {
 
 namespace {
 
@@ -327,7 +327,7 @@ std::string validate_exposition(const std::string& text) {
   return "";
 }
 
-void append_counter_registry(const telemetry::CounterRegistry& registry,
+void append_counter_registry(const CounterRegistry& registry,
                              std::vector<MetricFamily>& out) {
   {
     MetricFamily launches;
@@ -340,7 +340,7 @@ void append_counter_registry(const telemetry::CounterRegistry& registry,
   }
 
   for (const std::string& metric : registry.metric_names()) {
-    const telemetry::Rollup r = registry.rollup(metric);
+    const Rollup r = registry.rollup(metric);
     const std::string base = "mog_kernel_" + sanitize_metric_name(metric);
 
     MetricFamily g;
@@ -354,7 +354,7 @@ void append_counter_registry(const telemetry::CounterRegistry& registry,
   }
 }
 
-void append_trace_health(const telemetry::TraceRecorder& recorder,
+void append_trace_health(const TraceRecorder& recorder,
                          std::vector<MetricFamily>& out) {
   MetricFamily events;
   events.name = "mog_trace_events";
@@ -378,4 +378,4 @@ void append_trace_health(const telemetry::TraceRecorder& recorder,
   out.push_back(std::move(dropped));
 }
 
-}  // namespace mog::obs
+}  // namespace mog::telemetry

@@ -26,7 +26,7 @@
 #include "mog/telemetry/counters.hpp"
 #include "mog/telemetry/trace.hpp"
 
-namespace mog::obs {
+namespace mog::telemetry {
 
 using LabelSet = std::vector<std::pair<std::string, std::string>>;
 
@@ -81,12 +81,12 @@ std::string validate_exposition(const std::string& text);
 /// CounterRegistry rollups as families: `mog_kernel_launches_total` and one
 /// `mog_kernel_<metric>` gauge per kernel metric (stat="mean"/"p50"/"p99"
 /// labels).
-void append_counter_registry(const telemetry::CounterRegistry& registry,
+void append_counter_registry(const CounterRegistry& registry,
                              std::vector<MetricFamily>& out);
 
 /// TraceRecorder capacity / drop health: a truncated trace is visible on
 /// /metrics before anyone opens the exported file.
-void append_trace_health(const telemetry::TraceRecorder& recorder,
+void append_trace_health(const TraceRecorder& recorder,
                          std::vector<MetricFamily>& out);
 
-}  // namespace mog::obs
+}  // namespace mog::telemetry

@@ -1,4 +1,4 @@
-#include "mog/obs/sampler.hpp"
+#include "mog/telemetry/sampler.hpp"
 
 #include <algorithm>
 #include <map>
@@ -6,7 +6,7 @@
 
 #include "mog/common/error.hpp"
 
-namespace mog::obs {
+namespace mog::telemetry {
 
 namespace {
 
@@ -166,4 +166,4 @@ void Sampler::loop() {
             });
 }
 
-}  // namespace mog::obs
+}  // namespace mog::telemetry

@@ -1,6 +1,6 @@
 // Low-overhead host sampling profiler: where does the *wall clock* go?
 //
-// The counter plane (telemetry::CounterRegistry, mogprof) attributes
+// The counter plane (CounterRegistry, mogprof) attributes
 // *modeled* GPU time. This file attributes *host* time: each hot thread
 // (block-executor worker, serve pump, decode worker) publishes a small
 // fixed-depth stack of phase tags through relaxed atomics, and a sampler
@@ -23,7 +23,7 @@
 //
 // The hot-path primitives are header-only on purpose: gpusim's interpreter
 // places tags (warp dispatch, Coalescer::access, DRAM row replay) but must
-// not link mog_obs — everything a tag site touches is an inline global.
+// not link mog_telemetry — everything a tag site touches is an inline global.
 #pragma once
 
 #include <atomic>
@@ -34,7 +34,7 @@
 #include <thread>
 #include <vector>
 
-namespace mog::obs {
+namespace mog::telemetry {
 
 // ---------------------------------------------------------------------------
 // Tag vocabulary
@@ -290,4 +290,4 @@ class Sampler {
   FlameProfile profile_;
 };
 
-}  // namespace mog::obs
+}  // namespace mog::telemetry

@@ -16,6 +16,7 @@ const char* track_name(int tid) {
 }  // namespace
 
 Json TraceRecorder::to_json() const {
+  std::lock_guard<std::mutex> lock(mu_);
   Json trace = Json::object();
   Json arr = Json::array();
 

@@ -11,11 +11,15 @@
 // Recording is bounded: once `capacity()` events are held, further events
 // are counted in dropped() instead of stored, so a long soak run cannot
 // grow without limit. All methods are cheap no-ops on a null recorder via
-// the free helpers in telemetry.hpp.
+// the free helpers in telemetry.hpp. A recorder is thread-safe: decode
+// workers, device pumps and a /metrics scrape record into and read one
+// recorder concurrently, so every write and read takes its mutex, and
+// events() hands out a copy.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,8 +31,8 @@ namespace mog::telemetry {
 struct TraceEvent {
   std::string name;
   std::string cat;
-  char phase = 'X';       ///< 'X' complete, 'i' instant, 'C' counter,
-                          ///< 's'/'t'/'f' flow begin/step/end
+  char phase = 'X';  ///< 'X' complete, 'i' instant,
+                     ///< 's'/'t'/'f' flow begin/step/end
   std::int64_t ts_us = 0;
   std::int64_t dur_us = 0;  ///< complete events only
   int tid = 0;
@@ -89,10 +93,6 @@ class TraceRecorder {
     std::vector<std::pair<std::string, double>> args_;
   };
 
-  Span span(std::string name, std::string cat = "sim") {
-    return Span{this, std::move(name), std::move(cat)};
-  }
-
   /// Complete event with explicit timestamps (modeled-timeline emission).
   void complete(std::string name, std::string cat, int tid, std::int64_t ts_us,
                 std::int64_t dur_us,
@@ -105,11 +105,6 @@ class TraceRecorder {
                std::vector<std::pair<std::string, double>> args = {}) {
     push({std::move(name), std::move(cat), 'i', now_us(), 0, kWallTrack, 0,
           std::move(args)});
-  }
-
-  void counter(std::string name, double value) {
-    push({std::move(name), "counter", 'C', now_us(), 0, kWallTrack, 0,
-          {{"value", value}}});
   }
 
   /// Chrome-trace flow events: a begin ('s') / step ('t') / end ('f') chain
@@ -131,10 +126,20 @@ class TraceRecorder {
     push({std::move(name), std::move(cat), 'f', ts_us, 0, tid, id, {}});
   }
 
-  const std::vector<TraceEvent>& events() const { return events_; }
-  std::size_t size() const { return events_.size(); }
+  /// A copy of the recorded events, in recording order.
+  std::vector<TraceEvent> events() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return events_;
+  }
+  std::size_t size() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return events_.size();
+  }
   std::size_t capacity() const { return capacity_; }
-  std::size_t dropped() const { return dropped_; }
+  std::size_t dropped() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return dropped_;
+  }
 
   /// Chrome trace "JSON object format": {"traceEvents": [...], ...}.
   Json to_json() const;
@@ -143,6 +148,7 @@ class TraceRecorder {
 
  private:
   void push(TraceEvent ev) {
+    std::lock_guard<std::mutex> lock(mu_);
     if (events_.size() >= capacity_) {
       ++dropped_;
       return;
@@ -150,9 +156,10 @@ class TraceRecorder {
     events_.push_back(std::move(ev));
   }
 
-  std::size_t capacity_;
+  const std::size_t capacity_;
+  const std::chrono::steady_clock::time_point epoch_;
+  mutable std::mutex mu_;
   std::size_t dropped_ = 0;
-  std::chrono::steady_clock::time_point epoch_;
   std::vector<TraceEvent> events_;
 };
 

@@ -1,8 +1,9 @@
 // Tests for the multi-device fleet: placement policy, fault domains, live
 // stream migration (the acceptance criterion: a stream failing over
 // mid-sequence produces bit-identical masks to an uninterrupted run),
-// capacity-exhausted degradation, fleet observability, and concurrent
-// submission against the background supervisor.
+// capacity-exhausted degradation, fleet observability, concurrent
+// submission against the background supervisor, and the shared telemetry
+// sinks under live serving.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,9 +21,12 @@
 #include "mog/cluster/placement.hpp"
 #include "mog/common/strutil.hpp"
 #include "mog/fault/fault_injector.hpp"
-#include "mog/obs/prometheus.hpp"
-#include "mog/obs/sampler.hpp"
+#include "mog/ingest/byte_source.hpp"
+#include "mog/ingest/decode_worker.hpp"
+#include "mog/ingest/mjpeg.hpp"
 #include "mog/pipeline/gpu_pipeline.hpp"
+#include "mog/telemetry/prometheus.hpp"
+#include "mog/telemetry/sampler.hpp"
 #include "mog/telemetry/telemetry.hpp"
 #include "mog/video/scene.hpp"
 
@@ -295,7 +299,7 @@ TEST(DeviceFleet, SamplerCaptureDuringFailoverStaysBitIdentical) {
   const int victim = fleet.stream_device(a) == 0 ? a : b;
   const int healthy = victim == a ? b : a;
 
-  ASSERT_TRUE(obs::Sampler::global().start(2000));
+  ASSERT_TRUE(telemetry::Sampler::global().start(2000));
 
   constexpr int kFrames = 4;
   for (int t = 0; t < kFrames; ++t) {
@@ -304,8 +308,8 @@ TEST(DeviceFleet, SamplerCaptureDuringFailoverStaysBitIdentical) {
   }
   fleet.drain();
 
-  obs::Sampler::global().stop();
-  const obs::FlameProfile profile = obs::Sampler::global().take();
+  telemetry::Sampler::global().stop();
+  const telemetry::FlameProfile profile = telemetry::Sampler::global().take();
   EXPECT_GT(profile.ticks, 0u);
 
   // The failover completed under the sampler...
@@ -450,7 +454,7 @@ TEST(DeviceFleet, MetricsHealthzStatuszReflectFleetState) {
         << detail;
 
   const std::string metrics = fleet.metrics_text();
-  EXPECT_EQ(obs::validate_exposition(metrics), "") << metrics;
+  EXPECT_EQ(telemetry::validate_exposition(metrics), "") << metrics;
   // Per-stream families are keyed by fleet id and span both incarnations of
   // the migrated stream (4 masks on the lost device, 2 on the survivor); a
   // requeued frame counts as submitted once.
@@ -560,6 +564,76 @@ TEST(DeviceFleet, ConcurrentSubmitWithBackgroundSupervisorAndFailover) {
   EXPECT_FALSE(fleet.device_alive(0));
   for (int s = 0; s < kStreams; ++s)
     EXPECT_EQ(fleet.stream_device(s), 1) << "stream " << s;
+}
+
+TEST(DeviceFleet, SharedSinksAreThreadSafeUnderLiveServing) {
+  // Live mode with one registry and one recorder installed: decode workers
+  // record spans, device pumps record launches and modeled ops, and an
+  // operator thread scrapes /metrics, all at once. A backlog queued before
+  // start() keeps both pumps busy together from the first frame, so a sink
+  // without its lock races on every run, not by scheduling luck. TSan
+  // checks the locking; the counts check that no record was lost.
+  constexpr int kStreams = 2, kBacklog = 4, kDecoded = 6;
+  constexpr auto kTotal =
+      static_cast<std::uint64_t>(kStreams * (kBacklog + kDecoded));
+  const ScopedGlobalSinks sinks;
+  FleetConfig cfg = fleet_config(2);
+  cfg.serve.queue_depth = kBacklog + kDecoded;  // no frame is ever refused
+  DeviceFleet<double> fleet{cfg};
+  for (int s = 0; s < kStreams; ++s) {
+    ASSERT_EQ(fleet.open_stream(gpu_config()), s);
+    for (int t = 0; t < kBacklog; ++t)
+      ASSERT_TRUE(fleet.submit(s, scene_for(400 + s).frame(t)));
+  }
+  ASSERT_NE(fleet.stream_device(0), fleet.stream_device(1));
+
+  fleet.start();
+  std::atomic<bool> scraping{true};
+  std::thread scraper([&] {
+    while (scraping.load())
+      EXPECT_EQ(telemetry::validate_exposition(fleet.metrics_text()), "");
+  });
+  std::vector<std::unique_ptr<ingest::DecodeWorker>> workers;
+  for (int s = 0; s < kStreams; ++s) {
+    std::vector<FrameU8> frames;
+    for (int t = 0; t < kDecoded; ++t)
+      frames.push_back(scene_for(500 + s).frame(t));
+    auto reader = std::make_unique<ingest::MjpegReader>(
+        std::make_unique<ingest::MemorySource>(ingest::encode_mjpeg(frames)));
+    ingest::DecodeWorkerConfig wc;
+    wc.stream_id = s;
+    workers.push_back(std::make_unique<ingest::DecodeWorker>(
+        std::move(reader),
+        [&fleet, s](FrameU8 f, double arrival, std::uint64_t ticket) {
+          return fleet.submit(s, std::move(f), arrival, ticket);
+        },
+        wc));
+    workers.back()->start();
+  }
+  std::uint64_t decoded = 0;
+  for (const auto& w : workers) {
+    w->join();
+    EXPECT_FALSE(w->failed()) << w->error();
+    decoded += w->stats().frames_decoded;
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (fleet.masks_delivered() < kTotal &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  scraping.store(false);
+  scraper.join();
+  fleet.stop();
+  fleet.drain();
+
+  EXPECT_EQ(decoded, static_cast<std::uint64_t>(kStreams * kDecoded));
+  EXPECT_EQ(fleet.masks_delivered(), kTotal);
+  // An untiled level-F frame without postproc is one kernel launch.
+  EXPECT_EQ(sinks.counters.launches(), kTotal);
+  std::uint64_t decode_spans = 0;
+  for (const telemetry::TraceEvent& e : sinks.trace.events())
+    if (e.name == "decode" && e.cat == "ingest") ++decode_spans;
+  EXPECT_EQ(decode_spans, decoded);
 }
 
 TEST(DeviceFleet, ChaosSeedReplaysDeterministically) {

@@ -10,25 +10,22 @@
 #include <vector>
 
 #include "mog/common/error.hpp"
-#include "mog/obs/profile.hpp"
 #include "mog/telemetry/counters.hpp"
 #include "mog/telemetry/json.hpp"
+#include "mog/telemetry/profile.hpp"
 
 #ifndef MOG_BENCH_BASELINE_DIR
 #define MOG_BENCH_BASELINE_DIR "bench/baselines"
 #endif
 
-namespace mog {
+namespace mog::telemetry {
 namespace {
-
-using obs::KernelProfile;
-using obs::ProfileDump;
 
 const std::string kFig8 =
     std::string{MOG_BENCH_BASELINE_DIR} + "/BENCH_fig8_speedup.json";
 
 const ProfileDump& fig8() {
-  static const ProfileDump dump = obs::load_profile_file(kFig8);
+  static const ProfileDump dump = load_profile_file(kFig8);
   return dump;
 }
 
@@ -84,7 +81,7 @@ TEST(Mogprof, ReproducesThePaperMeasurementStory) {
 }
 
 TEST(Mogprof, TableListsEveryKernelWithItsRooflineVerdict) {
-  const std::string table = obs::render_profile_table(fig8());
+  const std::string table = render_profile_table(fig8());
   for (const char* needle :
        {"kernel", "divergence", "occupancy", "bound", "memory-bound",
         "compute-bound"})
@@ -95,7 +92,7 @@ TEST(Mogprof, TableListsEveryKernelWithItsRooflineVerdict) {
 }
 
 TEST(Mogprof, StepReportAttributesEachLadderStep) {
-  const std::string report = obs::render_step_report(fig8());
+  const std::string report = render_step_report(fig8());
   ASSERT_FALSE(report.empty());
   for (const char* needle :
        {"optimization-step attribution", "step A -> B", "step B -> C",
@@ -106,18 +103,18 @@ TEST(Mogprof, StepReportAttributesEachLadderStep) {
 }
 
 TEST(Mogprof, StepReportNeedsAtLeastTwoLadderCases) {
-  telemetry::Json doc = telemetry::read_json_file(kFig8);
+  Json doc = read_json_file(kFig8);
   // A dump with a single ladder case has no steps to attribute.
-  telemetry::Json only_a = telemetry::Json::array();
+  Json only_a = Json::array();
   only_a.push_back(doc.find("cases")->as_array().front());
   doc.set("cases", std::move(only_a));
-  const ProfileDump one = obs::load_profile_dump(doc, "one-case");
-  EXPECT_EQ(obs::render_step_report(one), "");
-  EXPECT_FALSE(obs::render_profile_table(one).empty());
+  const ProfileDump one = load_profile_dump(doc, "one-case");
+  EXPECT_EQ(render_step_report(one), "");
+  EXPECT_FALSE(render_profile_table(one).empty());
 }
 
 TEST(Mogprof, DiffOfIdenticalDumpsIsAllZeroDeltas) {
-  const std::string diff = obs::render_profile_diff(fig8(), fig8());
+  const std::string diff = render_profile_diff(fig8(), fig8());
   EXPECT_NE(diff.find("kernel A:"), std::string::npos);
   EXPECT_NE(diff.find("kernel F:"), std::string::npos);
   EXPECT_NE(diff.find("+0.0 %"), std::string::npos);
@@ -125,20 +122,20 @@ TEST(Mogprof, DiffOfIdenticalDumpsIsAllZeroDeltas) {
 }
 
 TEST(Mogprof, DiffListsKernelsMissingFromEitherSide) {
-  telemetry::Json doc = telemetry::read_json_file(kFig8);
-  const telemetry::Json::Array& cases = doc.find("cases")->as_array();
-  telemetry::Json pruned = telemetry::Json::array();
+  Json doc = read_json_file(kFig8);
+  const Json::Array& cases = doc.find("cases")->as_array();
+  Json pruned = Json::array();
   for (std::size_t i = 1; i < cases.size(); ++i)  // drop case A
     pruned.push_back(cases[i]);
   doc.set("cases", std::move(pruned));
-  const ProfileDump fresh = obs::load_profile_dump(doc, "pruned");
-  const std::string diff = obs::render_profile_diff(fig8(), fresh);
+  const ProfileDump fresh = load_profile_dump(doc, "pruned");
+  const std::string diff = render_profile_diff(fig8(), fresh);
   EXPECT_NE(diff.find("only in baseline"), std::string::npos);
   EXPECT_NE(diff.find("A"), std::string::npos);
 }
 
 TEST(Mogprof, LoadsACounterRegistryDumpAsOneAggregateKernel) {
-  telemetry::CounterRegistry reg;
+  CounterRegistry reg;
   gpusim::KernelStats stats;
   stats.load_instructions = 648;
   stats.store_instructions = 324;
@@ -159,7 +156,7 @@ TEST(Mogprof, LoadsACounterRegistryDumpAsOneAggregateKernel) {
   reg.on_kernel_launch(stats);
   reg.on_kernel_launch(stats);
 
-  const ProfileDump dump = obs::load_profile_dump(reg.to_json(), "registry");
+  const ProfileDump dump = load_profile_dump(reg.to_json(), "registry");
   ASSERT_EQ(dump.kernels.size(), 1u);
   const KernelProfile& k = dump.kernels[0];
   EXPECT_EQ(k.name, "aggregate");
@@ -168,17 +165,16 @@ TEST(Mogprof, LoadsACounterRegistryDumpAsOneAggregateKernel) {
   EXPECT_NEAR(k.divergence(), 0.05, 1e-9);
   EXPECT_GT(k.occupancy.achieved, 0.0);
   EXPECT_GT(k.timing.total_seconds, 0.0);
-  EXPECT_FALSE(obs::render_profile_table(dump).empty());
-  EXPECT_EQ(obs::render_step_report(dump), "");  // no ladder in a registry
+  EXPECT_FALSE(render_profile_table(dump).empty());
+  EXPECT_EQ(render_step_report(dump), "");  // no ladder in a registry
 }
 
 TEST(Mogprof, RejectsDocumentsWithoutCounterData) {
-  EXPECT_THROW(obs::load_profile_dump(telemetry::Json::object(), "empty"),
-               Error);
-  telemetry::Json no_counters = telemetry::Json::object();
-  no_counters.set("cases", telemetry::Json::array());
-  EXPECT_THROW(obs::load_profile_dump(no_counters, "no-cases"), Error);
+  EXPECT_THROW(load_profile_dump(Json::object(), "empty"), Error);
+  Json no_counters = Json::object();
+  no_counters.set("cases", Json::array());
+  EXPECT_THROW(load_profile_dump(no_counters, "no-cases"), Error);
 }
 
 }  // namespace
-}  // namespace mog
+}  // namespace mog::telemetry

@@ -21,32 +21,18 @@
 #include "mog/cluster/device_fleet.hpp"
 #include "mog/common/strutil.hpp"
 #include "mog/fault/fault_injector.hpp"
-#include "mog/obs/flame.hpp"
-#include "mog/obs/frame_ticket.hpp"
-#include "mog/obs/heatmap.hpp"
-#include "mog/obs/http_server.hpp"
-#include "mog/obs/log.hpp"
-#include "mog/obs/prometheus.hpp"
-#include "mog/obs/sampler.hpp"
+#include "mog/telemetry/flame.hpp"
+#include "mog/telemetry/frame_ticket.hpp"
+#include "mog/telemetry/heatmap.hpp"
+#include "mog/telemetry/http_server.hpp"
+#include "mog/telemetry/log.hpp"
+#include "mog/telemetry/prometheus.hpp"
+#include "mog/telemetry/sampler.hpp"
 #include "mog/telemetry/telemetry.hpp"
 #include "mog/video/scene.hpp"
 
-namespace mog {
+namespace mog::telemetry {
 namespace {
-
-using obs::HistogramSeries;
-using obs::HttpRequest;
-using obs::HttpResponse;
-using obs::HttpServer;
-using obs::LogLevel;
-using obs::Logger;
-using obs::LogRecord;
-using obs::MetricFamily;
-using obs::MetricSample;
-using obs::MetricType;
-using obs::RateLimitPolicy;
-using obs::RingBufferSink;
-using obs::ScopedLogger;
 
 // --- structured logging ------------------------------------------------------
 
@@ -55,14 +41,13 @@ TEST(Log, FormatJsonlIsOneParsableObjectPerRecord) {
   rec.level = LogLevel::kWarn;
   rec.component = "serve";
   rec.message = "queue \"full\"";  // quotes must be escaped
-  rec.fields = {{"stream", telemetry::Json{3}},
-                {"dropped", telemetry::Json{true}}};
+  rec.fields = {{"stream", Json{3}}, {"dropped", Json{true}}};
   rec.ts_us = 1234;
   rec.suppressed = 2;
 
   const std::string line = format_jsonl(rec);
   EXPECT_EQ(line.find('\n'), std::string::npos);
-  const telemetry::Json doc = telemetry::Json::parse(line);
+  const Json doc = Json::parse(line);
   EXPECT_EQ(doc.find("level")->as_string(), "warn");
   EXPECT_EQ(doc.find("component")->as_string(), "serve");
   EXPECT_EQ(doc.find("msg")->as_string(), "queue \"full\"");
@@ -154,7 +139,7 @@ TEST(Log, ScopedLoggerStampsComponent) {
   RingBufferSink sink;
   logger.add_sink(&sink);
   const ScopedLogger slog{"fault", &logger};
-  slog.warn("degraded", {{"from", telemetry::Json{"tiled"}}});
+  slog.warn("degraded", {{"from", Json{"tiled"}}});
   const std::vector<LogRecord> got = sink.snapshot();
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].component, "fault");
@@ -184,12 +169,11 @@ TEST(Prometheus, RenderedPagePassesItsOwnValidator) {
   MetricFamily hist;
   hist.name = "mog_serve_latency_seconds";
   hist.type = MetricType::kHistogram;
-  hist.histograms = {
-      obs::make_histogram({0.001, 0.002, 0.5}, {{"stream", "0"}})};
+  hist.histograms = {make_histogram({0.001, 0.002, 0.5}, {{"stream", "0"}})};
   families.push_back(hist);
 
-  const std::string page = obs::render(families);
-  EXPECT_EQ(obs::validate_exposition(page), "") << page;
+  const std::string page = render(families);
+  EXPECT_EQ(validate_exposition(page), "") << page;
   EXPECT_NE(page.find("# TYPE mog_serve_queue_depth gauge"),
             std::string::npos);
   EXPECT_NE(page.find("# TYPE mog_serve_frames_dropped_total counter"),
@@ -201,9 +185,9 @@ TEST(Prometheus, RenderedPagePassesItsOwnValidator) {
 }
 
 TEST(Prometheus, ValidatorRejectsMalformedPages) {
-  EXPECT_NE(obs::validate_exposition("bad-name 1\n"), "");
-  EXPECT_NE(obs::validate_exposition("# TYPE x gauge\ny 1\n"), "");
-  EXPECT_NE(obs::validate_exposition("x{label=\"unterminated} 1\n"), "");
+  EXPECT_NE(validate_exposition("bad-name 1\n"), "");
+  EXPECT_NE(validate_exposition("# TYPE x gauge\ny 1\n"), "");
+  EXPECT_NE(validate_exposition("x{label=\"unterminated} 1\n"), "");
 }
 
 TEST(Prometheus, AdversarialLabelValuesAndHelpEscapeCleanly) {
@@ -219,8 +203,8 @@ TEST(Prometheus, AdversarialLabelValuesAndHelpEscapeCleanly) {
                {{{"stream", "new\nline"}}, 3.0},
                {{{"stream", "trailing\\"}}, 4.0}};
 
-  const std::string page = obs::render({f});
-  EXPECT_EQ(obs::validate_exposition(page), "") << page;
+  const std::string page = render({f});
+  EXPECT_EQ(validate_exposition(page), "") << page;
   EXPECT_NE(page.find("stream=\"cam\\\\1\""), std::string::npos) << page;
   EXPECT_NE(page.find("stream=\"quote\\\"inside\""), std::string::npos)
       << page;
@@ -235,15 +219,15 @@ TEST(Prometheus, AdversarialLabelValuesAndHelpEscapeCleanly) {
 }
 
 TEST(Prometheus, SanitizeMetricName) {
-  EXPECT_EQ(obs::sanitize_metric_name("serve.latency_seconds"),
+  EXPECT_EQ(sanitize_metric_name("serve.latency_seconds"),
             "serve_latency_seconds");
-  EXPECT_EQ(obs::sanitize_metric_name("9lives"), "_9lives");
-  EXPECT_EQ(obs::sanitize_metric_name("ok_name:x"), "ok_name:x");
+  EXPECT_EQ(sanitize_metric_name("9lives"), "_9lives");
+  EXPECT_EQ(sanitize_metric_name("ok_name:x"), "ok_name:x");
 }
 
 TEST(Prometheus, MakeHistogramBucketsAreCumulative) {
   const HistogramSeries h =
-      obs::make_histogram({0.5, 1.5, 2.5, 100.0}, {}, {1.0, 2.0, 3.0});
+      make_histogram({0.5, 1.5, 2.5, 100.0}, {}, {1.0, 2.0, 3.0});
   ASSERT_EQ(h.counts.size(), 4u);  // 3 bounds + the implicit +Inf bucket
   EXPECT_EQ(h.counts[0], 1u);      // <= 1.0
   EXPECT_EQ(h.counts[1], 2u);      // <= 2.0
@@ -254,21 +238,21 @@ TEST(Prometheus, MakeHistogramBucketsAreCumulative) {
 }
 
 TEST(Prometheus, CounterRegistryAndTraceHealthFamilies) {
-  telemetry::CounterRegistry reg;
+  CounterRegistry reg;
   gpusim::KernelStats stats;
   stats.num_warps = 32;
   reg.on_kernel_launch(stats);
 
-  telemetry::TraceRecorder trace{2};
+  TraceRecorder trace{2};
   trace.instant("a");
   trace.instant("b");
   trace.instant("dropped");  // over capacity
 
   std::vector<MetricFamily> families;
-  obs::append_counter_registry(reg, families);
-  obs::append_trace_health(trace, families);
-  const std::string page = obs::render(families);
-  EXPECT_EQ(obs::validate_exposition(page), "") << page;
+  append_counter_registry(reg, families);
+  append_trace_health(trace, families);
+  const std::string page = render(families);
+  EXPECT_EQ(validate_exposition(page), "") << page;
   EXPECT_NE(page.find("mog_kernel_launches_total 1"), std::string::npos);
   EXPECT_NE(page.find("mog_kernel_num_warps{stat=\"mean\"} 32"),
             std::string::npos);
@@ -341,7 +325,7 @@ TEST(Http, ConcurrentScrapesAllSucceed) {
   HttpServer server;
   server.handle("/metrics", [](const HttpRequest&) {
     HttpResponse resp;
-    resp.content_type = obs::kPrometheusContentType;
+    resp.content_type = kPrometheusContentType;
     resp.body = "mog_up 1\n";
     return resp;
   });
@@ -436,33 +420,33 @@ TEST(Http, HardeningKnobsRejectMisuse) {
 
 TEST(Http, PercentDecodeAndQueryStringParsing) {
   std::string out;
-  EXPECT_TRUE(obs::percent_decode("plain", out));
+  EXPECT_TRUE(percent_decode("plain", out));
   EXPECT_EQ(out, "plain");
-  EXPECT_TRUE(obs::percent_decode("a%20b+c%2Fd%41", out));
+  EXPECT_TRUE(percent_decode("a%20b+c%2Fd%41", out));
   EXPECT_EQ(out, "a b c/dA");
-  EXPECT_TRUE(obs::percent_decode("", out));
+  EXPECT_TRUE(percent_decode("", out));
   EXPECT_EQ(out, "");
-  EXPECT_FALSE(obs::percent_decode("truncated%2", out));
-  EXPECT_FALSE(obs::percent_decode("truncated%", out));
-  EXPECT_FALSE(obs::percent_decode("nonhex%G1", out));
+  EXPECT_FALSE(percent_decode("truncated%2", out));
+  EXPECT_FALSE(percent_decode("truncated%", out));
+  EXPECT_FALSE(percent_decode("nonhex%G1", out));
 
   std::vector<std::pair<std::string, std::string>> q;
-  EXPECT_TRUE(obs::parse_query_string("", q));
+  EXPECT_TRUE(parse_query_string("", q));
   EXPECT_TRUE(q.empty());
-  EXPECT_TRUE(obs::parse_query_string("a=1&b=two%20words&a=3", q));
+  EXPECT_TRUE(parse_query_string("a=1&b=two%20words&a=3", q));
   ASSERT_EQ(q.size(), 3u);
   EXPECT_EQ(q[0], (std::pair<std::string, std::string>{"a", "1"}));
   EXPECT_EQ(q[1], (std::pair<std::string, std::string>{"b", "two words"}));
   EXPECT_EQ(q[2], (std::pair<std::string, std::string>{"a", "3"}));
-  EXPECT_TRUE(obs::parse_query_string("empty=", q));  // empty value is fine
+  EXPECT_TRUE(parse_query_string("empty=", q));  // empty value is fine
   ASSERT_EQ(q.size(), 1u);
   EXPECT_EQ(q[0].second, "");
 
-  EXPECT_FALSE(obs::parse_query_string("=1", q));        // empty key
-  EXPECT_FALSE(obs::parse_query_string("bare", q));      // no '='
-  EXPECT_FALSE(obs::parse_query_string("a=1&&b=2", q));  // empty pair
-  EXPECT_FALSE(obs::parse_query_string("a=1&", q));      // trailing empty pair
-  EXPECT_FALSE(obs::parse_query_string("a=%zz", q));     // bad escape
+  EXPECT_FALSE(parse_query_string("=1", q));        // empty key
+  EXPECT_FALSE(parse_query_string("bare", q));      // no '='
+  EXPECT_FALSE(parse_query_string("a=1&&b=2", q));  // empty pair
+  EXPECT_FALSE(parse_query_string("a=1&", q));      // trailing empty pair
+  EXPECT_FALSE(parse_query_string("a=%zz", q));     // bad escape
 }
 
 TEST(Http, QueryParamsDecodedAndMalformedQueryGets400) {
@@ -496,32 +480,32 @@ TEST(Http, QueryParamsDecodedAndMalformedQueryGets400) {
 // --- frame tickets and flow propagation --------------------------------------
 
 TEST(FrameTicket, MintedUniqueAndScopedPerThread) {
-  const std::uint64_t a = obs::mint_frame_ticket();
-  const std::uint64_t b = obs::mint_frame_ticket();
+  const std::uint64_t a = mint_frame_ticket();
+  const std::uint64_t b = mint_frame_ticket();
   EXPECT_GT(a, 0u);
   EXPECT_NE(a, b);
 
-  EXPECT_EQ(obs::current_frame_ticket(), 0u);
+  EXPECT_EQ(current_frame_ticket(), 0u);
   {
-    obs::FrameTicketScope outer{a};
-    EXPECT_EQ(obs::current_frame_ticket(), a);
+    FrameTicketScope outer{a};
+    EXPECT_EQ(current_frame_ticket(), a);
     {
-      obs::FrameTicketScope inner{b};
-      EXPECT_EQ(obs::current_frame_ticket(), b);
+      FrameTicketScope inner{b};
+      EXPECT_EQ(current_frame_ticket(), b);
     }
-    EXPECT_EQ(obs::current_frame_ticket(), a);
+    EXPECT_EQ(current_frame_ticket(), a);
 
     // Tickets are thread-local: another thread sees none.
     std::uint64_t seen = 99;
-    std::thread{[&] { seen = obs::current_frame_ticket(); }}.join();
+    std::thread{[&] { seen = current_frame_ticket(); }}.join();
     EXPECT_EQ(seen, 0u);
   }
-  EXPECT_EQ(obs::current_frame_ticket(), 0u);
+  EXPECT_EQ(current_frame_ticket(), 0u);
 }
 
 TEST(ServeFlow, FrameJourneyEmitsConnectedFlowEvents) {
-  telemetry::TraceRecorder trace;
-  telemetry::set_tracer(&trace);
+  TraceRecorder trace;
+  set_tracer(&trace);
   {
     serve::ServeConfig cfg;
     serve::StreamServer<double> server{cfg};
@@ -538,14 +522,14 @@ TEST(ServeFlow, FrameJourneyEmitsConnectedFlowEvents) {
       server.submit(id, scene.frame(t), t / 30.0);
     server.drain();
   }
-  telemetry::set_tracer(nullptr);
+  set_tracer(nullptr);
 
   // Every frame's journey is an s -> t... -> f chain keyed by its ticket.
   std::vector<std::uint64_t> begins, steps, ends;
-  for (const telemetry::TraceEvent& ev : trace.events()) {
+  for (const TraceEvent& ev : trace.events()) {
     if (ev.cat != "serve.flow") continue;
     EXPECT_EQ(ev.name, "frame");
-    EXPECT_GE(ev.tid, telemetry::TraceRecorder::kServeTrackBase);
+    EXPECT_GE(ev.tid, TraceRecorder::kServeTrackBase);
     EXPECT_GT(ev.flow_id, 0u);
     if (ev.phase == 's') begins.push_back(ev.flow_id);
     if (ev.phase == 't') steps.push_back(ev.flow_id);
@@ -560,23 +544,22 @@ TEST(ServeFlow, FrameJourneyEmitsConnectedFlowEvents) {
 }
 
 TEST(Trace, TruncationIsSurfacedInTheExport) {
-  telemetry::TraceRecorder trace{2};
+  TraceRecorder trace{2};
   trace.instant("kept1");
   trace.instant("kept2");
   trace.instant("lost1");
   trace.instant("lost2");
   EXPECT_EQ(trace.dropped(), 2u);
 
-  const telemetry::Json doc = trace.to_json();
-  const telemetry::Json::Array& events =
-      doc.find("traceEvents")->as_array();
+  const Json doc = trace.to_json();
+  const Json::Array& events = doc.find("traceEvents")->as_array();
   bool truncated_seen = false, counter_seen = false;
-  for (const telemetry::Json& ev : events) {
-    const telemetry::Json* name = ev.find("name");
+  for (const Json& ev : events) {
+    const Json* name = ev.find("name");
     if (name == nullptr) continue;
     if (name->as_string() == "trace.truncated") {
       truncated_seen = true;
-      const telemetry::Json* args = ev.find("args");
+      const Json* args = ev.find("args");
       ASSERT_NE(args, nullptr);
       EXPECT_DOUBLE_EQ(args->find("dropped_events")->as_number(), 2.0);
       EXPECT_DOUBLE_EQ(args->find("capacity")->as_number(), 2.0);
@@ -587,10 +570,10 @@ TEST(Trace, TruncationIsSurfacedInTheExport) {
   EXPECT_TRUE(counter_seen);
 
   // An untruncated trace carries no such marker.
-  telemetry::TraceRecorder roomy;
+  TraceRecorder roomy;
   roomy.instant("only");
-  const telemetry::Json clean = roomy.to_json();
-  for (const telemetry::Json& ev : clean.find("traceEvents")->as_array())
+  const Json clean = roomy.to_json();
+  for (const Json& ev : clean.find("traceEvents")->as_array())
     EXPECT_NE(ev.find("name")->as_string(), "trace.truncated");
 }
 
@@ -604,8 +587,8 @@ cluster::FleetConfig one_device_fleet() {
 }
 
 TEST(ServerObs, MetricsHealthzStatuszOverHttp) {
-  telemetry::CounterRegistry reg;
-  telemetry::set_counters(&reg);
+  CounterRegistry reg;
+  set_counters(&reg);
 
   cluster::DeviceFleet<double> fleet{one_device_fleet()};
   ASSERT_GT(fleet.obs_port(), 0);
@@ -624,9 +607,9 @@ TEST(ServerObs, MetricsHealthzStatuszOverHttp) {
   // /metrics: Prometheus-parseable, right content type, live counters.
   const std::string metrics = http_get(fleet.obs_port(), "/metrics");
   EXPECT_NE(metrics.find("HTTP/1.1 200"), std::string::npos);
-  EXPECT_NE(metrics.find(obs::kPrometheusContentType), std::string::npos);
+  EXPECT_NE(metrics.find(kPrometheusContentType), std::string::npos);
   const std::string page = body_of(metrics);
-  EXPECT_EQ(obs::validate_exposition(page), "") << page;
+  EXPECT_EQ(validate_exposition(page), "") << page;
   EXPECT_NE(
       page.find("mog_serve_frames_submitted_total{stream=\"0\"} 6"),
       std::string::npos);
@@ -646,7 +629,7 @@ TEST(ServerObs, MetricsHealthzStatuszOverHttp) {
   EXPECT_NE(status.find("HTTP/1.1 200"), std::string::npos);
   EXPECT_FALSE(body_of(status).empty());
 
-  telemetry::set_counters(nullptr);
+  set_counters(nullptr);
 }
 
 TEST(ServerObs, HealthzFlipsTo503OnForcedDegradation) {
@@ -684,7 +667,7 @@ TEST(ServerObs, HealthzFlipsTo503OnForcedDegradation) {
 
   // The degraded tier is also visible on /metrics as a gauge.
   const std::string page = body_of(http_get(fleet.obs_port(), "/metrics"));
-  EXPECT_EQ(obs::validate_exposition(page), "") << page;
+  EXPECT_EQ(validate_exposition(page), "") << page;
   EXPECT_NE(page.find("mog_serve_stream_tier{stream=\"0\"} 2"),
             std::string::npos);
 }
@@ -697,14 +680,14 @@ TEST(ServerObs, ObsPortDisabledByDefault) {
   // The in-process bodies still work without a socket.
   std::string detail;
   EXPECT_TRUE(fleet.healthz(detail));
-  EXPECT_EQ(obs::validate_exposition(fleet.metrics_text()), "");
+  EXPECT_EQ(validate_exposition(fleet.metrics_text()), "");
   EXPECT_FALSE(fleet.statusz().empty());
 }
 
 // --- sampling profiler -------------------------------------------------------
 
 TEST(Sampler, StartStopDoubleStartAndTake) {
-  obs::Sampler sampler;
+  Sampler sampler;
   EXPECT_FALSE(sampler.running());
   sampler.stop();  // stop before start is a no-op
   EXPECT_THROW(sampler.start(0), Error);      // below range
@@ -714,41 +697,40 @@ TEST(Sampler, StartStopDoubleStartAndTake) {
   EXPECT_TRUE(sampler.running());
   EXPECT_FALSE(sampler.start(500)) << "double start must be refused";
   // One running sampler process-wide: a second instance is refused too.
-  EXPECT_FALSE(obs::Sampler::global().start(500));
+  EXPECT_FALSE(Sampler::global().start(500));
   EXPECT_THROW(sampler.take(), Error);  // take() requires stop() first
 
   {
-    const obs::ProfSpan span{obs::ProfTag::kDecode};
+    const ProfSpan span{ProfTag::kDecode};
     std::this_thread::sleep_for(std::chrono::milliseconds(40));
   }
   sampler.stop();
   sampler.stop();  // idempotent
   EXPECT_FALSE(sampler.running());
 
-  const obs::FlameProfile profile = sampler.take();
+  const FlameProfile profile = sampler.take();
   EXPECT_EQ(profile.hz, 500);
   EXPECT_GT(profile.seconds, 0.0);
   EXPECT_GT(profile.ticks, 0u);
   EXPECT_TRUE(sampler.take().empty()) << "take() clears the stored profile";
 
   // The registry is re-armed after stop: a fresh capture works.
-  ASSERT_TRUE(obs::Sampler::global().start(500));
-  obs::Sampler::global().stop();
-  obs::Sampler::global().take();
+  ASSERT_TRUE(Sampler::global().start(500));
+  Sampler::global().stop();
+  Sampler::global().take();
 }
 
 TEST(Sampler, TagStackOverflowTruncatesButKeepsCounting) {
-  obs::Sampler sampler;
+  Sampler sampler;
   ASSERT_TRUE(sampler.start(4000));
 
   std::thread deep([] {
-    obs::prof_set_thread_name("deep");
+    prof_set_thread_name("deep");
     // 20 nested spans: the published stack caps at kProfMaxDepth frames,
     // the 4 pushes beyond it are tallied, and the pops balance on unwind.
-    std::vector<std::unique_ptr<obs::ProfSpan>> spans;
+    std::vector<std::unique_ptr<ProfSpan>> spans;
     for (int i = 0; i < 20; ++i)
-      spans.push_back(
-          std::make_unique<obs::ProfSpan>(obs::ProfTag::kWarpDispatch));
+      spans.push_back(std::make_unique<ProfSpan>(ProfTag::kWarpDispatch));
     std::this_thread::sleep_for(std::chrono::milliseconds(60));
     while (!spans.empty()) spans.pop_back();
     // After full unwind the thread samples as idle, not as a corrupt stack.
@@ -757,13 +739,13 @@ TEST(Sampler, TagStackOverflowTruncatesButKeepsCounting) {
   deep.join();
   sampler.stop();
 
-  const obs::FlameProfile profile = sampler.take();
+  const FlameProfile profile = sampler.take();
   EXPECT_GE(profile.truncated, 4u);
   bool saw_capped = false;
-  for (const obs::FlameStack& stack : profile.stacks) {
+  for (const FlameStack& stack : profile.stacks) {
     if (stack.thread != "deep") continue;
-    EXPECT_LE(stack.frames.size(), obs::kProfMaxDepth);
-    if (stack.frames.size() == obs::kProfMaxDepth) {
+    EXPECT_LE(stack.frames.size(), kProfMaxDepth);
+    if (stack.frames.size() == kProfMaxDepth) {
       saw_capped = true;
       for (const std::string& frame : stack.frames)
         EXPECT_EQ(frame, "warp_dispatch");
@@ -773,7 +755,7 @@ TEST(Sampler, TagStackOverflowTruncatesButKeepsCounting) {
 }
 
 TEST(Flame, CollapsedRoundTripGolden) {
-  obs::FlameProfile profile;
+  FlameProfile profile;
   profile.hz = 997;
   profile.stacks = {
       {"exec0", {"kernel_launch", "warp_dispatch", "coalescer_access"}, 42},
@@ -784,14 +766,14 @@ TEST(Flame, CollapsedRoundTripGolden) {
   profile.samples = 68;
   profile.idle = 5;
 
-  const std::string text = obs::render_collapsed(profile);
+  const std::string text = render_collapsed(profile);
   EXPECT_EQ(text,
             "exec0;kernel_launch;warp_dispatch;coalescer_access 42\n"
             "exec0;kernel_launch;warp_dispatch 17\n"
             "serve.pump;pump 9\n"
             "decode1;(idle) 5\n");
 
-  const obs::FlameProfile parsed = obs::parse_collapsed(text);
+  const FlameProfile parsed = parse_collapsed(text);
   ASSERT_EQ(parsed.stacks.size(), profile.stacks.size());
   for (std::size_t i = 0; i < parsed.stacks.size(); ++i) {
     EXPECT_EQ(parsed.stacks[i].thread, profile.stacks[i].thread);
@@ -800,16 +782,16 @@ TEST(Flame, CollapsedRoundTripGolden) {
   }
   EXPECT_EQ(parsed.samples, 68u);
   EXPECT_EQ(parsed.idle, 5u);
-  EXPECT_EQ(obs::render_collapsed(parsed), text) << "round-trip is stable";
+  EXPECT_EQ(render_collapsed(parsed), text) << "round-trip is stable";
 
-  EXPECT_THROW(obs::parse_collapsed("nocount\n"), Error);
-  EXPECT_THROW(obs::parse_collapsed(";frame 1\n"), Error);      // empty thread
-  EXPECT_THROW(obs::parse_collapsed("t;;frame 1\n"), Error);    // empty frame
-  EXPECT_THROW(obs::parse_collapsed("t;frame 12x\n"), Error);   // bad count
+  EXPECT_THROW(parse_collapsed("nocount\n"), Error);
+  EXPECT_THROW(parse_collapsed(";frame 1\n"), Error);     // empty thread
+  EXPECT_THROW(parse_collapsed("t;;frame 1\n"), Error);   // empty frame
+  EXPECT_THROW(parse_collapsed("t;frame 12x\n"), Error);  // bad count
 }
 
 TEST(Flame, ReportJsonAndSpeedscopeExports) {
-  obs::FlameProfile profile;
+  FlameProfile profile;
   profile.hz = 199;
   profile.seconds = 0.5;
   profile.ticks = 100;
@@ -819,33 +801,32 @@ TEST(Flame, ReportJsonAndSpeedscopeExports) {
   profile.stacks = {{"exec0", {"kernel_launch", "warp_dispatch"}, 30},
                     {"exec0", {}, 10}};
 
-  const telemetry::Json prof = obs::profile_report_json(profile);
-  const obs::FlameProfile back = obs::profile_from_report_json(prof);
+  const Json prof = profile_report_json(profile);
+  const FlameProfile back = profile_from_report_json(prof);
   EXPECT_EQ(back.hz, 199);
   EXPECT_DOUBLE_EQ(back.seconds, 0.5);
   EXPECT_EQ(back.ticks, 100u);
   EXPECT_EQ(back.samples, 30u);
   EXPECT_EQ(back.idle, 10u);
   EXPECT_EQ(back.truncated, 2u);
-  EXPECT_EQ(obs::render_collapsed(back), obs::render_collapsed(profile));
+  EXPECT_EQ(render_collapsed(back), render_collapsed(profile));
 
-  const telemetry::Json scope = obs::render_speedscope(profile);
+  const Json scope = render_speedscope(profile);
   EXPECT_NE(scope.find("$schema"), nullptr);
   ASSERT_NE(scope.find("shared"), nullptr);
   ASSERT_NE(scope.find("profiles"), nullptr);
   EXPECT_EQ(scope.find("profiles")->as_array().size(), 1u);  // one thread
-  const telemetry::Json& entry = scope.find("profiles")->as_array()[0];
+  const Json& entry = scope.find("profiles")->as_array()[0];
   EXPECT_EQ(entry.find("type")->as_string(), "sampled");
   EXPECT_EQ(entry.find("samples")->as_array().size(), 2u);
   // The table renderer mentions the truncation so it is never silent.
-  EXPECT_NE(obs::render_flame_table(profile).find("truncated"),
-            std::string::npos);
+  EXPECT_NE(render_flame_table(profile).find("truncated"), std::string::npos);
 }
 
 // --- per-block heatmaps ------------------------------------------------------
 
 TEST(Heatmap, BinsBlockDeltasByPixelOverlap) {
-  obs::HeatmapSink sink;
+  HeatmapSink sink;
   sink.bind_frame(32, 16, 8);  // 4x2 cells, 8x8 px each
   gpusim::KernelStats launch;
   sink.on_kernel_launch(launch);
@@ -865,7 +846,7 @@ TEST(Heatmap, BinsBlockDeltasByPixelOverlap) {
   top.delta.bytes_transferred_load = 6400;
   sink.on_block_stats(top);
 
-  const obs::Heatmap map = sink.snapshot();
+  const Heatmap map = sink.snapshot();
   EXPECT_EQ(map.cells_x, 4);
   EXPECT_EQ(map.cells_y, 2);
   EXPECT_EQ(map.launches, 1u);
@@ -880,9 +861,9 @@ TEST(Heatmap, BinsBlockDeltasByPixelOverlap) {
   EXPECT_DOUBLE_EQ(total, 6400.0) << "distribution conserves the block total";
 
   // Derived views: divergence ratio and coalescing replay per cell.
-  const std::vector<double> div = obs::divergence_grid(map);
+  const std::vector<double> div = divergence_grid(map);
   EXPECT_DOUBLE_EQ(div[0], 0.25);
-  const std::vector<double> replay = obs::replay_grid(map);
+  const std::vector<double> replay = replay_grid(map);
   EXPECT_DOUBLE_EQ(replay[0], 25.0 - 10.0);  // transactions - mem insts
 
   // A block entirely past the frame (fused-epilogue halo) is ignored.
@@ -902,7 +883,7 @@ TEST(Heatmap, BinsBlockDeltasByPixelOverlap) {
 }
 
 TEST(Heatmap, JsonRoundTripAndRenderers) {
-  obs::HeatmapSink sink;
+  HeatmapSink sink;
   sink.bind_frame(16, 16, 8);  // 2x2 cells
   gpusim::BlockStats block;
   block.first_thread = 0;
@@ -911,45 +892,44 @@ TEST(Heatmap, JsonRoundTripAndRenderers) {
   block.delta.load_transactions = 40;
   block.delta.load_instructions = 10;
   sink.on_block_stats(block);
-  const obs::Heatmap map = sink.snapshot();
+  const Heatmap map = sink.snapshot();
 
-  const telemetry::Json doc = obs::heatmap_to_json(map);
+  const Json doc = heatmap_to_json(map);
   EXPECT_EQ(doc.find("schema")->as_string(), "mog-heatmap-v1");
-  const obs::Heatmap back = obs::heatmap_from_json(doc);
+  const Heatmap back = heatmap_from_json(doc);
   EXPECT_EQ(back.width, map.width);
   EXPECT_EQ(back.cells_x, map.cells_x);
   EXPECT_EQ(back.blocks, map.blocks);
   EXPECT_EQ(back.issue_cycles, map.issue_cycles);
   EXPECT_EQ(back.transactions, map.transactions);
 
-  telemetry::Json bad = obs::heatmap_to_json(map);
+  Json bad = heatmap_to_json(map);
   bad.set("schema", "not-a-heatmap");
-  EXPECT_THROW(obs::heatmap_from_json(bad), Error);
+  EXPECT_THROW(heatmap_from_json(bad), Error);
 
   const std::string pgm =
-      obs::heatmap_to_pgm(map.issue_cycles, map.cells_x, map.cells_y);
+      heatmap_to_pgm(map.issue_cycles, map.cells_x, map.cells_y);
   EXPECT_EQ(pgm.substr(0, 9), "P2\n2 2\n25");
   EXPECT_NE(pgm.find("255"), std::string::npos);  // hottest cell saturates
   const std::string csv =
-      obs::heatmap_to_csv(map.issue_cycles, map.cells_x, map.cells_y);
+      heatmap_to_csv(map.issue_cycles, map.cells_x, map.cells_y);
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 2);
-  EXPECT_NE(obs::render_heatmap_summary(map).find("hottest"),
-            std::string::npos);
+  EXPECT_NE(render_heatmap_summary(map).find("hottest"), std::string::npos);
 }
 
 // --- GET /profilez -----------------------------------------------------------
 
 TEST(Profilez, CapturesOverHttpWith400And503Paths) {
   HttpServer server;
-  server.handle("/profilez", obs::profilez_response);
+  server.handle("/profilez", profilez_response);
   server.start(0);
 
   // Keep a tagged thread busy so the capture has something to see.
   std::atomic<bool> stop{false};
   std::thread busy([&stop] {
-    obs::prof_set_thread_name("busy");
+    prof_set_thread_name("busy");
     while (!stop.load(std::memory_order_relaxed)) {
-      const obs::ProfSpan span{obs::ProfTag::kDecode};
+      const ProfSpan span{ProfTag::kDecode};
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
@@ -982,14 +962,14 @@ TEST(Profilez, CapturesOverHttpWith400And503Paths) {
   }
 
   // A capture already in flight (here: a long-running manual one) gets 503.
-  ASSERT_TRUE(obs::Sampler::global().start(50));
+  ASSERT_TRUE(Sampler::global().start(50));
   const std::string b = http_get(server.port(), "/profilez?seconds=0.05");
   EXPECT_NE(b.find("HTTP/1.1 503"), std::string::npos) << b;
-  obs::Sampler::global().stop();
-  obs::Sampler::global().take();
+  Sampler::global().stop();
+  Sampler::global().take();
 
   server.stop();
 }
 
 }  // namespace
-}  // namespace mog
+}  // namespace mog::telemetry

@@ -11,10 +11,10 @@
 
 #include "mog/fault/fault_injector.hpp"
 #include "mog/gpusim/transfer_model.hpp"
-#include "mog/obs/log.hpp"
 #include "mog/pipeline/gpu_pipeline.hpp"
 #include "mog/serve/frame_queue.hpp"
 #include "mog/serve/stream_server.hpp"
+#include "mog/telemetry/log.hpp"
 #include "mog/telemetry/telemetry.hpp"
 #include "mog/video/scene.hpp"
 
@@ -137,8 +137,8 @@ TEST(StreamServer, RoundRobinPumpIsFair) {
     for (int s = 0; s < kStreams; ++s)
       ASSERT_TRUE(server.submit(s, scene_for(s).frame(t)));
 
-  obs::RingBufferSink log;
-  obs::default_logger().add_sink(&log);
+  telemetry::RingBufferSink log;
+  telemetry::default_logger().add_sink(&log);
   while (server.pump() > 0) {
     std::uint64_t lo = ~0ull, hi = 0;
     for (int s = 0; s < kStreams; ++s) {
@@ -148,14 +148,14 @@ TEST(StreamServer, RoundRobinPumpIsFair) {
     }
     EXPECT_LE(hi - lo, 1u);
   }
-  obs::default_logger().remove_sink(&log);
+  telemetry::default_logger().remove_sink(&log);
   for (int s = 0; s < kStreams; ++s)
     EXPECT_EQ(server.stream_stats(s).masks_delivered,
               static_cast<std::uint64_t>(kFrames));
   // Healthy untiled streams start and stay on the direct GPU tier: the plane
   // must not report a degradation they never had.
-  for (const obs::LogRecord& r : log.snapshot())
-    EXPECT_NE(r.message, "stream degraded") << obs::format_jsonl(r);
+  for (const telemetry::LogRecord& r : log.snapshot())
+    EXPECT_NE(r.message, "stream degraded") << telemetry::format_jsonl(r);
 }
 
 TEST(StreamServer, DropNewestRefusesAtFullQueue) {

@@ -120,11 +120,11 @@ TEST(Json, RejectsNonFiniteNumbers) {
 TEST(TraceRecorder, ExportIsWellFormedChromeTrace) {
   TraceRecorder rec;
   {
-    auto sp = rec.span("kernel", "sim");
+    TraceRecorder::Span sp{&rec, "kernel", "sim"};
     sp.arg("frame", 3);
   }
   rec.instant("retry", "recovery", {{"attempt", 1}});
-  rec.counter("tier", 2);
+  rec.flow_begin("frame", "serve.flow", 7, TraceRecorder::kWallTrack, 10);
   rec.complete("upload", "modeled", TraceRecorder::kModeledTrack, 100, 50,
                {{"frames", 1}});
 
@@ -158,7 +158,7 @@ TEST(TraceRecorder, BoundedCapacityCountsDrops) {
 TEST(TraceRecorder, MovedFromSpanDoesNotEmit) {
   TraceRecorder rec;
   {
-    auto sp = rec.span("outer");
+    TraceRecorder::Span sp{&rec, "outer", "sim"};
     auto sp2 = std::move(sp);
   }
   EXPECT_EQ(rec.size(), 1u);
@@ -298,8 +298,15 @@ TEST(BenchReporter, SchemaRoundTrip) {
   ASSERT_EQ(cases.size(), 2u);
   EXPECT_EQ(cases[0].find("name")->as_string(), "A");
   EXPECT_EQ(cases[0].find("metrics")->find("occupancy")->as_number(), 0.45);
+  // The compiler and executor thread count live in "env" only; "host"
+  // keeps what env does not carry.
   ASSERT_NE(doc.find("host"), nullptr);
-  EXPECT_NE(doc.find("host")->find("compiler"), nullptr);
+  ASSERT_NE(doc.find("env"), nullptr);
+  EXPECT_NE(doc.find("host")->find("build_type"), nullptr);
+  EXPECT_EQ(doc.find("host")->find("compiler"), nullptr);
+  EXPECT_EQ(doc.find("host")->find("executor_threads"), nullptr);
+  EXPECT_NE(doc.find("env")->find("compiler"), nullptr);
+  EXPECT_NE(doc.find("env")->find("executor_threads"), nullptr);
 }
 
 TEST(BenchReporter, CountersExpandWithPrefix) {
