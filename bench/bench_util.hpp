@@ -25,6 +25,8 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "mog/common/strutil.hpp"
@@ -245,15 +247,47 @@ inline void print_table(const std::string& title,
   if (!footnote.empty()) std::printf("%s\n", footnote.c_str());
 }
 
+/// False, after a one-line reason on stderr, when the output format or the
+/// file output format google-benchmark would use is not one it has: the
+/// BENCHMARK_FORMAT / BENCHMARK_OUT_FORMAT environment value, overridden by
+/// the last --benchmark_format= / --benchmark_out_format= flag. The library
+/// itself answers an unknown format with its full usage and exit code 0.
+inline bool output_formats_known(int argc, char** argv) {
+  const std::pair<const char*, std::string_view> settings[] = {
+      {"BENCHMARK_FORMAT", "--benchmark_format="},
+      {"BENCHMARK_OUT_FORMAT", "--benchmark_out_format="}};
+  for (const auto& [env, flag] : settings) {
+    std::string source;  // the setting that chose the format, if any did
+    std::string_view format = "console";
+    if (const char* value = std::getenv(env); value != nullptr) {
+      source = std::string{env} + "=" + value;
+      format = value;
+    }
+    for (int i = 1; i < argc; ++i) {
+      const std::string_view arg{argv[i]};
+      if (!arg.starts_with(flag)) continue;
+      source = arg;
+      format = arg.substr(flag.size());
+    }
+    if (format == "console" || format == "json" || format == "csv") continue;
+    std::fprintf(stderr,
+                 "%s: error: unknown output format in %s (console|json|csv)\n",
+                 argv[0], source.c_str());
+    return false;
+  }
+  return true;
+}
+
 /// Standard main: name the report, run benchmarks (profiled when
 /// MOG_BENCH_PROFILE is set), run the bench-specific epilogue, then write
-/// BENCH_<name>.json plus any PROF_/HEAT_ sidecars. An unknown flag, or a
-/// --benchmark_filter that selects no case (including one that does not
-/// compile), exits 2 after google-benchmark's one-line reason, and writes
-/// no report.
+/// BENCH_<name>.json plus any PROF_/HEAT_ sidecars. An unknown flag, an
+/// unknown output format, or a --benchmark_filter that selects no case
+/// (including one that does not compile), exits 2 after a one-line reason,
+/// and writes no report.
 #define MOG_BENCH_MAIN(bench_name, epilogue)                            \
   int main(int argc, char** argv) {                                     \
     ::mog::bench::reporter().set_name(bench_name);                      \
+    if (!::mog::bench::output_formats_known(argc, argv)) return 2;      \
     ::benchmark::Initialize(&argc, argv);                               \
     if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 2; \
     ::mog::bench::begin_bench_profile();                                \

@@ -51,23 +51,17 @@ struct Options {
   std::string save_model_path, load_model_path, background_path, demo_dir;
 };
 
-[[noreturn]] void usage(const char* msg = nullptr) {
-  if (msg != nullptr) std::fprintf(stderr, "error: %s\n", msg);
-  std::fprintf(stderr,
-               "usage: mogcli --in PATTERN --out PATTERN [--start N] "
-               "[--count N]\n"
-               "              [--backend gpu|serial|simd|parallel] "
-               "[--level A..F] [--tiled G]\n"
-               "              [--float] [--components K] [--validate]\n"
-               "              [--save-model P] [--load-model P] "
-               "[--background P] [--demo DIR]\n");
+/// Bad command line: one line naming the reason, exit 2 (the usage is in
+/// the comment at the top of this file).
+[[noreturn]] void bad_input(const std::string& why) {
+  std::fprintf(stderr, "error: %s\n", why.c_str());
   std::exit(2);
 }
 
 Options parse(int argc, char** argv) {
   Options o;
   auto need = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage("missing argument value");
+    if (i + 1 >= argc) bad_input("missing argument value");
     return argv[++i];
   };
   // Checked parsing: std::atoi would silently read "banana" or "12x" as a
@@ -76,7 +70,7 @@ Options parse(int argc, char** argv) {
     try {
       return mog::parse_int(need(i), lo, hi, what);
     } catch (const mog::Error& e) {
-      usage(e.what());
+      bad_input(e.what());
     }
   };
   for (int i = 1; i < argc; ++i) {
@@ -95,7 +89,7 @@ Options parse(int argc, char** argv) {
     else if (a == "--load-model") o.load_model_path = need(i);
     else if (a == "--background") o.background_path = need(i);
     else if (a == "--demo") o.demo_dir = need(i);
-    else usage(("unknown option: " + a).c_str());
+    else bad_input("unknown option: " + a);
   }
   if (!o.demo_dir.empty()) {
     if (o.in_pattern.empty()) o.in_pattern = o.demo_dir + "/frame_%03d.pgm";
@@ -103,7 +97,7 @@ Options parse(int argc, char** argv) {
     if (o.count < 0) o.count = 48;
   }
   if (o.in_pattern.empty() || o.out_pattern.empty())
-    usage("--in and --out are required (or use --demo DIR)");
+    bad_input("--in and --out are required (or use --demo DIR)");
   return o;
 }
 
@@ -133,7 +127,7 @@ mog::BackgroundSubtractor::Backend backend_from(const std::string& name) {
   if (name == "serial") return B::kCpuSerial;
   if (name == "simd") return B::kCpuSimd;
   if (name == "parallel") return B::kCpuParallel;
-  usage(("unknown backend: " + name).c_str());
+  bad_input("unknown backend: " + name);
 }
 
 }  // namespace

@@ -61,15 +61,10 @@
 
 namespace {
 
-[[noreturn]] void usage(const std::string& why) {
+/// Bad command line: one line naming the reason, exit 2 (the usage is in
+/// the comment at the top of this file).
+[[noreturn]] void bad_input(const std::string& why) {
   std::fprintf(stderr, "multicam: %s\n", why.c_str());
-  std::fprintf(stderr,
-               "usage: multicam [--devices N] [--streams N] [--frames N]\n"
-               "                [--depth N] [--drop newest|oldest]\n"
-               "                [--tiled G] [--fail-device IDX]\n"
-               "                [--fail-at-frame T] [--obs-port P]\n"
-               "                [--hold-seconds S] [--trace FILE]\n"
-               "                [--y4m FILE | --mjpeg FILE]\n");
   std::exit(2);
 }
 
@@ -134,7 +129,7 @@ int main(int argc, char** argv) try {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto need = [&](const char* what) -> std::string {
-      if (i + 1 >= argc) usage(std::string{what} + " needs a value");
+      if (i + 1 >= argc) bad_input(std::string{what} + " needs a value");
       return argv[++i];
     };
     try {
@@ -172,21 +167,21 @@ int main(int argc, char** argv) try {
         else if (v == "oldest")
           drop = mog::serve::DropPolicy::kDropOldest;
         else
-          usage("--drop: invalid value \"" + v + "\" (newest|oldest)");
+          bad_input("--drop: invalid value \"" + v + "\" (newest|oldest)");
       } else {
-        usage("unknown flag " + arg);
+        bad_input("unknown flag " + arg);
       }
     } catch (const mog::Error& e) {
-      usage(e.what());
+      bad_input(e.what());
     }
   }
   if (fail_device >= devices)
-    usage("--fail-device must name one of the --devices");
+    bad_input("--fail-device must name one of the --devices");
   if (fail_device >= 0 && devices < 2)
-    usage("--fail-device needs at least 2 devices to fail over to");
+    bad_input("--fail-device needs at least 2 devices to fail over to");
   if (fail_at_frame < 0) fail_at_frame = frames / 2;
   if (!y4m_path.empty() && !mjpeg_path.empty())
-    usage("--y4m and --mjpeg are mutually exclusive");
+    bad_input("--y4m and --mjpeg are mutually exclusive");
   const bool ingest_mode = !y4m_path.empty() || !mjpeg_path.empty();
 
   mog::telemetry::TraceRecorder trace;

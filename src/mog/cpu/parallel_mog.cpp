@@ -1,6 +1,6 @@
 #include "mog/cpu/parallel_mog.hpp"
 
-#include <algorithm>
+#include "mog/common/block_executor.hpp"
 
 namespace mog {
 
@@ -9,47 +9,8 @@ ParallelMog<T>::ParallelMog(int width, int height, const MogParams& params,
                             int num_threads)
     : params_(params),
       tp_(TypedMogParams<T>::from(params)),
-      model_(width, height, params) {
-  int n = num_threads;
-  if (n <= 0) n = static_cast<int>(std::thread::hardware_concurrency());
-  n = std::clamp(n, 1, 64);
-  // Band 0 runs on the calling thread; bands 1..n-1 on workers.
-  for (int band = 1; band < n; ++band)
-    workers_.emplace_back([this, band] { worker_loop(band); });
-}
-
-template <typename T>
-ParallelMog<T>::~ParallelMog() {
-  {
-    std::lock_guard lk{mu_};
-    shutting_down_ = true;
-    ++generation_;
-  }
-  cv_start_.notify_all();
-  for (auto& t : workers_) t.join();
-}
-
-template <typename T>
-void ParallelMog<T>::worker_loop(int band) {
-  std::uint64_t seen = 0;
-  while (true) {
-    const FrameU8* frame = nullptr;
-    FrameU8* fg = nullptr;
-    {
-      std::unique_lock lk{mu_};
-      cv_start_.wait(lk, [&] { return generation_ != seen || shutting_down_; });
-      if (shutting_down_) return;
-      seen = generation_;
-      frame = cur_frame_;
-      fg = cur_fg_;
-    }
-    process_band(band, *frame, *fg);
-    {
-      std::lock_guard lk{mu_};
-      if (--pending_ == 0) cv_done_.notify_all();
-    }
-  }
-}
+      model_(width, height, params),
+      num_threads_(resolve_pool_threads(num_threads)) {}
 
 template <typename T>
 void ParallelMog<T>::process_band(int band, const FrameU8& frame,
@@ -74,18 +35,10 @@ void ParallelMog<T>::apply(const FrameU8& frame, FrameU8& fg) {
                 frame.height() == model_.height(),
             "frame dimensions do not match the model");
   if (!fg.same_shape(frame)) fg = FrameU8(frame.width(), frame.height());
-
-  {
-    std::lock_guard lk{mu_};
-    cur_frame_ = &frame;
-    cur_fg_ = &fg;
-    pending_ = static_cast<int>(workers_.size());
-    ++generation_;
-  }
-  cv_start_.notify_all();
-  process_band(0, frame, fg);
-  std::unique_lock lk{mu_};
-  cv_done_.wait(lk, [&] { return pending_ == 0; });
+  BlockExecutor::shared().run(
+      num_threads_, num_threads_, [&](std::int64_t band, int) {
+        process_band(static_cast<int>(band), frame, fg);
+      });
 }
 
 template class ParallelMog<float>;

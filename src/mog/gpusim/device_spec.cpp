@@ -1,23 +1,17 @@
 #include "mog/gpusim/device_spec.hpp"
 
-#include <algorithm>
 #include <cstdlib>
-#include <thread>
 
+#include "mog/common/block_executor.hpp"
 #include "mog/common/strutil.hpp"
 
 namespace mog::gpusim {
 
 int resolved_executor_threads(int requested) {
-  int n = requested;
-  if (n <= 0) {
-    if (const char* env = std::getenv("MOG_EXECUTOR_THREADS");
-        env != nullptr && std::atoi(env) > 0)
-      n = std::atoi(env);
-    else
-      n = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  return std::clamp(n, 1, 64);
+  if (requested <= 0)
+    if (const char* env = std::getenv("MOG_EXECUTOR_THREADS"); env != nullptr)
+      requested = std::atoi(env);
+  return resolve_pool_threads(requested);
 }
 
 std::string describe_device(const DeviceSpec& spec) {

@@ -64,7 +64,7 @@ struct DeviceSpec {
 
 /// Resolve an executor_threads knob to a concrete worker count in [1, 64].
 /// `requested` <= 0 means auto: the MOG_EXECUTOR_THREADS environment
-/// variable if set and positive, else std::thread::hardware_concurrency().
+/// variable if set and positive, else one per hardware thread.
 int resolved_executor_threads(int requested);
 
 /// The paper's Table I CPU column lives in mog/cpu/cost_model.hpp; this

@@ -1,5 +1,6 @@
 #include "mog/gpusim/kernel_launch.hpp"
 
+#include "mog/common/block_executor.hpp"
 #include "mog/gpusim/timing_constants.hpp"
 
 namespace mog::gpusim {
@@ -119,13 +120,7 @@ KernelStats Device::run_blocks(
     }
   };
 
-  if (pool == 1) {
-    for (std::int64_t b = 0; b < blocks; ++b) run_one(b, 0);
-  } else {
-    if (executor_ == nullptr || executor_->num_threads() != pool)
-      executor_ = std::make_unique<BlockExecutor>(pool);
-    executor_->run(blocks, run_one);
-  }
+  BlockExecutor::shared().run(blocks, pool, run_one);
 
   // Deterministic reduction: fold per-worker stats in worker order. Every
   // merged field is an integer sum or max, so the totals are independent of

@@ -13,17 +13,17 @@
 // blocks have across SMs: a kernel may not communicate between blocks
 // within a launch. Kernel callables are invoked concurrently from multiple
 // threads and must only write device memory owned by their own block's
-// threads — exactly the discipline the modeled hardware enforces.
+// threads — exactly the discipline the modeled hardware enforces. They must
+// not launch a kernel themselves: every device shares one host pool that
+// runs one launch at a time (see mog/common/block_executor.hpp).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <utility>
 #include <vector>
 
-#include "mog/gpusim/block_executor.hpp"
 #include "mog/gpusim/coalescer.hpp"
 #include "mog/gpusim/device_memory.hpp"
 #include "mog/gpusim/device_spec.hpp"
@@ -175,8 +175,10 @@ class Device {
   /// failure); a MOG_CHECK failure inside the kernel propagates from
   /// whichever host worker hit it.
   ///
-  /// Blocks execute across spec().executor_threads host workers (resolved by
-  /// resolved_executor_threads; 1 = serial). Results are bit-identical at
+  /// Blocks execute on up to spec().executor_threads threads of the
+  /// process-wide BlockExecutor (resolved by resolved_executor_threads;
+  /// 1 = serial, on the launching thread); launches on different devices
+  /// take turns on that pool. Results are bit-identical at
   /// any thread count: blocks are independent, each worker accumulates into
   /// private state (KernelStats, Coalescer, shared-memory arena), the
   /// per-worker stats merge in fixed worker order with commutative integer
@@ -198,8 +200,8 @@ class Device {
  private:
   void validate(const LaunchConfig& config) const;
 
-  /// Type-erased launch body: per-worker state setup, block dispatch
-  /// (serial or via the persistent BlockExecutor), deterministic reduction.
+  /// Type-erased launch body: per-worker state setup, block dispatch on the
+  /// process-wide BlockExecutor, deterministic reduction.
   KernelStats run_blocks(const LaunchConfig& config,
                          const std::function<void(BlockCtx&)>& block_fn);
 
@@ -235,8 +237,6 @@ class Device {
   std::vector<std::vector<std::byte>> worker_arenas_;
   std::vector<WorkerState> workers_;
   std::vector<TraceSpan> block_spans_;
-  std::unique_ptr<BlockExecutor> executor_;  ///< lazy; created on first
-                                             ///< parallel launch
   FaultHook* fault_hook_ = nullptr;
   StatsSink* stats_sink_ = nullptr;
 };

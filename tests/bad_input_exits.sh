@@ -13,9 +13,11 @@
 # gets a frame count and a fault rate that are not numbers; the tools get an
 # unknown flag, a value that is not a number or a file that does not exist;
 # every google-benchmark BENCH gets an unknown flag, a filter that does not
-# compile and a filter that selects no case, and the first two BENCHes and
-# bench_probe a frame width below the 16-pixel minimum. The tools and the
-# benches must say why in exactly one line.
+# compile, a filter that selects no case and an unknown output format (by
+# flag and by google-benchmark's environment default), and the first two
+# BENCHes and bench_probe a frame width below the 16-pixel minimum. The
+# flag-driven examples, the tools and the benches must say why in exactly
+# one line.
 status=0
 out_file=""
 run() {
@@ -53,7 +55,7 @@ mkdir -p "$work" || exit 1
 out_file="$work/output.txt"
 
 for example in "$1" "$2" "$3" "$4" "$5"; do
-  expect_exit_2 "$example" --no-such-flag
+  expect_one_line_exit_2 "$example" --no-such-flag
 done
 expect_exit_2 "$6" 3x
 expect_exit_2 "$6" 3 . banana
@@ -83,5 +85,13 @@ for bench in "$@"; do
     "--benchmark_filter=["
   expect_one_line_exit_2 env MOG_BENCH_NO_REPORT=1 "$bench" \
     "--benchmark_filter=^no_such_case$"
+  expect_one_line_exit_2 env MOG_BENCH_NO_REPORT=1 "$bench" \
+    --benchmark_format=bad
+  expect_one_line_exit_2 env MOG_BENCH_NO_REPORT=1 "$bench" \
+    --benchmark_out_format=bad
+  expect_one_line_exit_2 env MOG_BENCH_NO_REPORT=1 BENCHMARK_FORMAT=bad \
+    "$bench"
+  expect_one_line_exit_2 env MOG_BENCH_NO_REPORT=1 BENCHMARK_OUT_FORMAT=bad \
+    "$bench"
 done
 exit "$status"

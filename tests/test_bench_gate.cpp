@@ -143,7 +143,7 @@ TEST(BenchGate, WarnWallFlagsGrossSlowdownWithoutFailing) {
   // The comparison row carries the verdict for the machine-readable diff.
   const GateComparison& row = r.comparisons[0];
   EXPECT_EQ(row.metric, "wall_ms");
-  EXPECT_EQ(row.verdict, "warn_wall");
+  EXPECT_STREQ(row.verdict, "warn_wall");
 
   const Json doc = gate_result_to_json("unit", r);
   EXPECT_TRUE(doc.find("ok")->as_bool());
@@ -161,7 +161,7 @@ TEST(BenchGate, WarnWallStaysQuietWithinTheFactor) {
   const GateResult r = gate_reports(base.to_json(), fresh.to_json(), opt);
   EXPECT_TRUE(r.ok());
   EXPECT_TRUE(r.warnings.empty());
-  EXPECT_EQ(r.comparisons[0].verdict, "skipped_wall");
+  EXPECT_STREQ(r.comparisons[0].verdict, "skipped_wall");
 }
 
 TEST(BenchGate, WarnWallIgnoresZeroBaselines) {
@@ -201,25 +201,25 @@ TEST(BenchGate, ComparisonRowsRecordEveryBaselineMetric) {
 
   const GateComparison& regressed = r.comparisons[0];
   EXPECT_EQ(regressed.metric, "speedup");
-  EXPECT_EQ(regressed.verdict, "fail");
+  EXPECT_STREQ(regressed.verdict, "fail");
   EXPECT_DOUBLE_EQ(regressed.baseline, 100.0);
   EXPECT_DOUBLE_EQ(regressed.fresh, 110.0);
   EXPECT_NEAR(regressed.rel_delta, 0.10, 1e-12);
 
   const GateComparison& wall = r.comparisons[1];
   EXPECT_EQ(wall.metric, "wall_ms");
-  EXPECT_EQ(wall.verdict, "skipped_wall");
+  EXPECT_STREQ(wall.verdict, "skipped_wall");
   EXPECT_DOUBLE_EQ(wall.fresh, 9.0);  // captured even though not gated
 
   const GateComparison& missing = r.comparisons[2];
   EXPECT_EQ(missing.metric, "gone");
-  EXPECT_EQ(missing.verdict, "missing");
+  EXPECT_STREQ(missing.verdict, "missing");
 }
 
 TEST(BenchGate, PassingComparisonRowKeepsPassVerdict) {
   const GateResult r = gate_reports(report(100.0), report(101.0));
   ASSERT_EQ(r.comparisons.size(), 1u);
-  EXPECT_EQ(r.comparisons[0].verdict, "pass");
+  EXPECT_STREQ(r.comparisons[0].verdict, "pass");
   EXPECT_NEAR(r.comparisons[0].rel_delta, 0.01, 1e-12);
 }
 

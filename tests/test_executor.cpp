@@ -1,19 +1,25 @@
-// Tests for the multi-threaded block executor: the pool itself (every block
+// Tests for the process-wide block executor: the pool itself (every block
 // runs exactly once, exceptions propagate, the pool survives failures), the
 // bit-exact determinism guarantee (identical masks, KernelStats, and modeled
-// timing at 1, 2, and 8 host threads), fault-hook ordering, and the
-// exec_env() RAII guard that keeps a throwing kernel from leaving a dangling
-// thread-local behind.
+// timing at 1, 2, and 8 host threads), the sharing guarantees (host threads
+// bounded by the largest request, concurrent callers taking turns without
+// changing results), fault-hook ordering, and the exec_env() RAII guard that
+// keeps a throwing kernel from leaving a dangling thread-local behind.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
+#include <latch>
+#include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
-#include "mog/gpusim/block_executor.hpp"
+#include "mog/common/block_executor.hpp"
+#include "mog/cpu/parallel_mog.hpp"
 #include "mog/gpusim/kernel_launch.hpp"
 #include "mog/pipeline/gpu_pipeline.hpp"
 #include "mog/video/scene.hpp"
@@ -48,12 +54,11 @@ std::vector<std::pair<std::string, double>> metric_vector(
 // ---------------------------------------------------------------------------
 
 TEST(BlockExecutor, RunsEveryBlockExactlyOnceAndPoolIsReusable) {
-  gpusim::BlockExecutor pool{8};
-  EXPECT_EQ(pool.num_threads(), 8);
+  BlockExecutor& pool = BlockExecutor::shared();
   constexpr std::int64_t kBlocks = 1000;
   for (int run = 0; run < 3; ++run) {
     std::vector<std::atomic<int>> hits(kBlocks);
-    pool.run(kBlocks, [&](std::int64_t block, int worker) {
+    pool.run(kBlocks, 8, [&](std::int64_t block, int worker) {
       ASSERT_GE(worker, 0);
       ASSERT_LT(worker, 8);
       hits[static_cast<std::size_t>(block)].fetch_add(
@@ -66,11 +71,11 @@ TEST(BlockExecutor, RunsEveryBlockExactlyOnceAndPoolIsReusable) {
 }
 
 TEST(BlockExecutor, RethrowsLowestFailingBlockAndStaysUsable) {
-  gpusim::BlockExecutor pool{4};
+  BlockExecutor& pool = BlockExecutor::shared();
   // Blocks are claimed in increasing order, so block 3 — the lowest thrower —
   // is always attempted before any later thrower can short-circuit the run.
   try {
-    pool.run(100, [](std::int64_t block, int) {
+    pool.run(100, 4, [](std::int64_t block, int) {
       if (block % 10 == 3) throw Error{"block " + std::to_string(block)};
     });
     FAIL() << "expected the pool to rethrow";
@@ -78,18 +83,18 @@ TEST(BlockExecutor, RethrowsLowestFailingBlockAndStaysUsable) {
     EXPECT_STREQ(e.what(), "block 3");
   }
   std::atomic<std::int64_t> done{0};
-  pool.run(50, [&](std::int64_t, int) {
+  pool.run(50, 4, [&](std::int64_t, int) {
     done.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(done.load(), 50);
 }
 
 TEST(BlockExecutor, SingleThreadPoolRunsOnCallingThread) {
-  gpusim::BlockExecutor pool{1};
-  EXPECT_EQ(pool.num_threads(), 1);
+  const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::int64_t> order;
-  pool.run(8, [&](std::int64_t block, int worker) {
+  BlockExecutor::shared().run(8, 1, [&](std::int64_t block, int worker) {
     EXPECT_EQ(worker, 0);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
     order.push_back(block);
   });
   EXPECT_EQ(order, (std::vector<std::int64_t>{0, 1, 2, 3, 4, 5, 6, 7}));
@@ -213,6 +218,98 @@ TEST(ExecutorDeterminism, PipelineBitIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
+// One pool for the whole process
+// ---------------------------------------------------------------------------
+
+/// Threads of this process: the entries of /proc/self/task.
+int process_threads() {
+  int n = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator{"/proc/self/task"}) {
+    (void)task;
+    ++n;
+  }
+  return n;
+}
+
+TEST(SharedPool, EightPipelinesAddAtMostOnePoolOfWorkers) {
+  SceneConfig sc;
+  sc.width = kW;
+  sc.height = kH;
+  const SyntheticScene scene{sc};
+  const int before = process_threads();
+
+  std::vector<std::unique_ptr<GpuMogPipeline<double>>> pipes;
+  FrameU8 fg;
+  for (int i = 0; i < 8; ++i) {
+    typename GpuMogPipeline<double>::Config cfg;
+    cfg.width = kW;
+    cfg.height = kH;
+    cfg.executor_threads = 4;
+    pipes.push_back(std::make_unique<GpuMogPipeline<double>>(cfg));
+    pipes.back()->process(scene.frame(0), fg);
+  }
+  // Every device runs its blocks on the one shared pool: 3 workers beside
+  // the launching thread, however many devices exist.
+  EXPECT_LE(process_threads() - before, 3);
+}
+
+/// Masks of a ParallelMog run over the first 8 frames of the test scene.
+std::vector<FrameU8> run_parallel_cpu(int threads) {
+  SceneConfig sc;
+  sc.width = kW;
+  sc.height = kH;
+  const SyntheticScene scene{sc};
+  ParallelMog<double> engine{kW, kH, MogParams{}, threads};
+  std::vector<FrameU8> masks(8);
+  for (int t = 0; t < 8; ++t)
+    engine.apply(scene.frame(t), masks[static_cast<std::size_t>(t)]);
+  return masks;
+}
+
+TEST(SharedPool, ConcurrentDevicesAndCpuEngineMatchSoloRuns) {
+  // Different thread counts, so the jobs that take turns on the pool are
+  // of different sizes: some workers sit out a smaller job.
+  const PipelineRun solo_a = run_pipeline(8, false);
+  const PipelineRun solo_b = run_pipeline(2, true);
+  const std::vector<FrameU8> solo_cpu = run_parallel_cpu(3);
+
+  constexpr int kRounds = 3;
+  std::vector<PipelineRun> runs_a(kRounds), runs_b(kRounds);
+  std::vector<std::vector<FrameU8>> runs_cpu(kRounds);
+  std::latch start{3};
+  std::thread device_a{[&] {
+    start.arrive_and_wait();
+    for (PipelineRun& r : runs_a) r = run_pipeline(8, false);
+  }};
+  std::thread device_b{[&] {
+    start.arrive_and_wait();
+    for (PipelineRun& r : runs_b) r = run_pipeline(2, true);
+  }};
+  std::thread cpu{[&] {
+    start.arrive_and_wait();
+    for (std::vector<FrameU8>& r : runs_cpu) r = run_parallel_cpu(3);
+  }};
+  device_a.join();
+  device_b.join();
+  cpu.join();
+
+  for (int round = 0; round < kRounds; ++round) {
+    for (const auto& [solo, run] : {std::pair{&solo_a, &runs_a[round]},
+                                    std::pair{&solo_b, &runs_b[round]}}) {
+      ASSERT_EQ(run->masks.size(), solo->masks.size()) << "round " << round;
+      for (std::size_t i = 0; i < solo->masks.size(); ++i)
+        EXPECT_TRUE(run->masks[i] == solo->masks[i])
+            << "round " << round << ", mask " << i;
+      EXPECT_EQ(run->per_frame_metrics, solo->per_frame_metrics)
+          << "round " << round;
+      EXPECT_EQ(run->modeled_seconds, solo->modeled_seconds);
+    }
+    EXPECT_EQ(runs_cpu[round], solo_cpu) << "round " << round;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Failure paths
 // ---------------------------------------------------------------------------
 
@@ -266,7 +363,7 @@ TEST(ExecutorFaults, MidKernelThrowPropagatesFromWorkerThreads) {
               std::string::npos);
   }
   EXPECT_EQ(gpusim::exec_env(), nullptr);
-  // The device (and its persistent pool) stays usable.
+  // The device (and the shared pool) stays usable.
   const KernelStats s = dev.launch(cfg, [&](BlockCtx& blk) {
     blk.parallel([&](WarpCtx& w) { (void)w.active_count(); });
   });
