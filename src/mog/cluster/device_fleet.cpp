@@ -1,7 +1,6 @@
 #include "mog/cluster/device_fleet.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <iterator>
 #include <utility>
 
@@ -10,6 +9,7 @@
 #include "mog/fault/model_health.hpp"
 #include "mog/telemetry/flame.hpp"
 #include "mog/telemetry/prometheus.hpp"
+#include "mog/telemetry/sampler.hpp"
 #include "mog/telemetry/telemetry.hpp"
 
 namespace mog::cluster {
@@ -59,11 +59,12 @@ std::string MigrationStats::summary() const {
 template <typename T>
 DeviceFleet<T>::DeviceFleet(const FleetConfig& config) : config_(config) {
   config_.validate();
-  nodes_.reserve(static_cast<std::size_t>(config_.devices));
+  // Sized once: a node is neither copyable nor movable (its pump thread
+  // holds its address).
+  nodes_ = std::vector<DeviceNode>(static_cast<std::size_t>(config_.devices));
   for (int d = 0; d < config_.devices; ++d) {
-    DeviceNode node;
-    node.server = std::make_unique<serve::StreamServer<T>>(config_.serve, d);
-    nodes_.push_back(std::move(node));
+    nodes_[static_cast<std::size_t>(d)].server =
+        std::make_unique<serve::StreamServer<T>>(config_.serve);
     scheduler_.add_device(d);
   }
   start_obs_server();
@@ -97,8 +98,8 @@ void DeviceFleet<T>::start_obs_server() {
     r.body = statusz();
     return r;
   });
-  // The sampler is process-global, so one capture covers every device
-  // plane's pump and executor threads ("dev<i>.pump", "exec<w>") at once.
+  // The sampler is process-global, so one capture covers every device's
+  // pump and executor threads ("dev<i>.pump", "exec<w>") at once.
   obs_http_.handle("/profilez", telemetry::profilez_response);
   obs_http_.start(config_.obs_port);
   log_.info("fleet observability endpoint up",
@@ -133,7 +134,7 @@ std::vector<DeviceLoad> DeviceFleet<T>::loads_locked(
 }
 
 template <typename T>
-int DeviceFleet<T>::open_on_some_device_locked(StreamRec& rec,
+int DeviceFleet<T>::open_on_some_device_locked(int id, StreamRec& rec,
                                                int exclude_device) {
   std::vector<DeviceLoad> loads = loads_locked(exclude_device);
   while (true) {
@@ -145,7 +146,7 @@ int DeviceFleet<T>::open_on_some_device_locked(StreamRec& rec,
     std::shared_ptr<fault::FaultInjector> inj =
         rec.own_injector != nullptr ? rec.own_injector : node.injector;
     try {
-      rec.local_id = node.server->open_stream(rec.gpu, std::move(inj));
+      rec.local_id = node.server->open_stream(rec.gpu, std::move(inj), id);
       rec.device = d;
       return d;
     } catch (const serve::AdmissionError&) {
@@ -167,9 +168,7 @@ int DeviceFleet<T>::open_stream(const GpuConfig& gpu_config,
   rec.own_injector = std::move(injector);
   rec.key = placement_key.empty() ? strprintf("stream-%d", id)
                                   : std::move(placement_key);
-  rec.last_tier = gpu_config.tiled ? fault::ExecutionTier::kTiledGpu
-                                   : fault::ExecutionTier::kGpuDirect;
-  const int d = open_on_some_device_locked(rec, /*exclude_device=*/-1);
+  const int d = open_on_some_device_locked(id, rec, /*exclude_device=*/-1);
   if (d < 0) {
     int alive = 0;
     for (const DeviceNode& node : nodes_) alive += node.alive ? 1 : 0;
@@ -202,29 +201,33 @@ bool DeviceFleet<T>::submit(int id, FrameU8 frame, double arrival_seconds,
   std::lock_guard<std::mutex> lock(mu_);
   StreamRec& rec = rec_at(id);
   MOG_CHECK(rec.open, "submit to a closed stream");
-  return nodes_[static_cast<std::size_t>(rec.device)].server->submit(
-      rec.local_id, std::move(frame), arrival_seconds, ticket);
+  DeviceNode& node = nodes_[static_cast<std::size_t>(rec.device)];
+  const bool accepted = node.server->submit(rec.local_id, std::move(frame),
+                                            arrival_seconds, ticket);
+  node.wake();
+  return accepted;
 }
 
 template <typename T>
 int DeviceFleet<T>::pump() {
   std::lock_guard<std::mutex> lock(mu_);
-  return pump_locked();
-}
-
-template <typename T>
-int DeviceFleet<T>::pump_locked() {
-  int n = 0;
-  for (DeviceNode& node : nodes_) n += node.server->pump();
-  supervise_locked();
-  return n;
+  int ingested = 0;
+  std::vector<int> degraded(nodes_.size());
+  for (std::size_t d = 0; d < nodes_.size(); ++d) {
+    const serve::PumpRound round = nodes_[d].server->pump();
+    ingested += round.ingested;
+    degraded[d] = round.degraded;
+  }
+  for (std::size_t d = 0; d < nodes_.size(); ++d)
+    charge_strikes_locked(static_cast<int>(d), degraded[d]);
+  return ingested;
 }
 
 template <typename T>
 void DeviceFleet<T>::drain() {
-  // Two consecutive idle rounds: a migration inside supervise can requeue
-  // frames after the round's ingest phase already ran, so one idle round is
-  // not proof the fleet is dry.
+  // Two consecutive idle rounds: a migration at the end of a round can
+  // requeue frames after the round's ingest phase already ran, so one idle
+  // round is not proof the fleet is dry.
   int idle = 0;
   while (idle < 2) idle = pump() > 0 ? 0 : idle + 1;
 }
@@ -232,21 +235,34 @@ void DeviceFleet<T>::drain() {
 template <typename T>
 void DeviceFleet<T>::start() {
   std::lock_guard<std::mutex> lock(mu_);
-  MOG_CHECK(!running_, "fleet supervisor already running");
+  MOG_CHECK(!running_, "fleet pumps already running");
   log_.info("fleet starting",
             {{"devices", static_cast<int>(nodes_.size())}});
   stop_requested_.store(false);
-  for (DeviceNode& node : nodes_) node.server->start();
   running_ = true;
-  supervisor_ = std::thread([this] {
-    while (!stop_requested_.load()) {
-      {
-        std::lock_guard<std::mutex> supervise_lock(mu_);
-        supervise_locked();
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  for (std::size_t d = 0; d < nodes_.size(); ++d)
+    nodes_[d].pump = std::thread([this, d] { pump_loop(static_cast<int>(d)); });
+}
+
+template <typename T>
+void DeviceFleet<T>::pump_loop(int d) {
+  telemetry::prof_set_thread_name(strprintf("dev%d.pump", d).c_str());
+  DeviceNode& node = nodes_[static_cast<std::size_t>(d)];
+  while (true) {
+    // Read before the round: a wake() from here on makes wait() return.
+    const std::uint32_t seen = node.wakeups.load();
+    if (stop_requested_.load()) return;
+    const serve::PumpRound round = node.server->pump();
+    if (round.degraded > 0) {
+      std::lock_guard<std::mutex> lock(mu_);
+      charge_strikes_locked(d, round.degraded);
     }
-  });
+    // A round that ingested frames owes their downloads to the next one; an
+    // idle round owes nothing, so sleeping after it strands no mask.
+    if (round.ingested > 0) continue;
+    const telemetry::ProfSpan wait_span{telemetry::ProfTag::kQueueWait};
+    node.wakeups.wait(seen);
+  }
 }
 
 template <typename T>
@@ -256,8 +272,8 @@ void DeviceFleet<T>::stop() {
     if (!running_) return;
     stop_requested_.store(true);
   }
-  supervisor_.join();
-  for (DeviceNode& node : nodes_) node.server->stop();
+  for (DeviceNode& node : nodes_) node.wake();
+  for (DeviceNode& node : nodes_) node.pump.join();
   std::lock_guard<std::mutex> lock(mu_);
   running_ = false;
 }
@@ -271,30 +287,21 @@ void DeviceFleet<T>::fail_device(int d) {
 }
 
 template <typename T>
-void DeviceFleet<T>::supervise_locked() {
-  // Charge degradation strikes: a stream stepping down the recovery ladder
-  // is evidence against the device hosting it (launch/transfer failures are
-  // device-side in this model; frame-level corruption never degrades).
-  for (std::size_t i = 0; i < recs_.size(); ++i) {
-    StreamRec& rec = recs_[i];
-    if (!rec.open) continue;
-    DeviceNode& node = nodes_[static_cast<std::size_t>(rec.device)];
-    const fault::ExecutionTier tier =
-        node.server->stream_stats(rec.local_id).tier;
-    if (static_cast<int>(tier) > static_cast<int>(rec.last_tier) &&
-        node.alive) {
-      ++node.strikes;
-      log_.warn("degradation strike",
-                {{"stream", static_cast<int>(i)},
-                 {"device", rec.device},
-                 {"tier", fault::to_string(tier)},
-                 {"strikes", node.strikes}});
-    }
-    rec.last_tier = tier;
-  }
-  for (std::size_t d = 0; d < nodes_.size(); ++d)
-    if (nodes_[d].alive && nodes_[d].strikes >= kDeviceLossStrikes)
-      declare_lost_locked(static_cast<int>(d), "degradation strikes");
+void DeviceFleet<T>::charge_strikes_locked(int d, int degraded) {
+  // A stream stepping down the recovery ladder is evidence against the
+  // device hosting it (launch/transfer failures are device-side in this
+  // model; frame-level corruption never degrades). Charging only changes
+  // this device's count, so charging and declaring device by device
+  // migrates exactly as charging every device first would.
+  DeviceNode& node = nodes_[static_cast<std::size_t>(d)];
+  if (degraded == 0 || !node.alive) return;
+  node.strikes += degraded;
+  log_.warn("degradation strike",
+            {{"device", d},
+             {"streams_degraded", degraded},
+             {"strikes", node.strikes}});
+  if (node.strikes >= kDeviceLossStrikes)
+    declare_lost_locked(d, "degradation strikes");
 }
 
 template <typename T>
@@ -319,7 +326,7 @@ bool DeviceFleet<T>::migrate_stream_locked(int id) {
 
   // 1. Reserve a slot on a healthy device first: when nobody can take the
   //    stream it stays untouched and rides its per-stream ladder in place.
-  const int dst_d = open_on_some_device_locked(rec, src_d);
+  const int dst_d = open_on_some_device_locked(id, rec, src_d);
   if (dst_d < 0) {
     ++migration_stats_.capacity_exhausted;
     log_.warn("migration refused: no device has capacity",
@@ -380,11 +387,8 @@ bool DeviceFleet<T>::migrate_stream_locked(int id) {
     if (!dst.resubmit(nl, std::move(qf)))
       ++migration_stats_.frames_dropped_in_transit;
   }
+  nodes_[static_cast<std::size_t>(dst_d)].wake();
 
-  // The target opened with the stream's original GPU config, so a degraded
-  // victim returns to its full tier.
-  rec.last_tier = rec.gpu.tiled ? fault::ExecutionTier::kTiledGpu
-                                : fault::ExecutionTier::kGpuDirect;
   ++nodes_[static_cast<std::size_t>(src_d)].migrations_out;
   ++nodes_[static_cast<std::size_t>(dst_d)].migrations_in;
   ++migration_stats_.completed;

@@ -17,9 +17,9 @@
 //
 // Live migration (the headline robustness mechanism): when a device is
 // declared lost — explicitly via fail_device(), or automatically on the
-// first degradation strike, when a stream on it steps down the recovery
-// ladder after repeated launch/transfer failures — every stream it hosts is
-// moved to a healthy device:
+// first degradation strike, charged by the pump round in which a stream on
+// it steps down the recovery ladder after repeated launch/transfer
+// failures — every stream it hosts is moved to a healthy device:
 //
 //   1. freeze   — steal the stream's queued frames (stamps and trace
 //                 tickets preserved), flush its partial tiled group;
@@ -47,13 +47,19 @@
 // families sum over a stream's incarnations, so a failover never resets a
 // counter.
 //
-// Thread safety: public methods lock the fleet mutex; member servers have
-// their own locks (always acquired after the fleet's, never the reverse).
-// start()/stop() run every member pump on its own thread plus one fleet
-// supervisor thread that watches for device loss and migrates in the
-// background; deterministic callers use pump()/drain() synchronously.
+// Threads and locking: public methods lock the fleet mutex; member servers
+// have their own locks, always acquired after the fleet's, never the
+// reverse. The fleet owns every serving thread. start() runs one pump
+// thread per device ("dev<i>.pump"); it pumps its plane under the plane
+// lock only, and takes the fleet lock only after a round that degraded a
+// stream, to charge the strikes and declare the device lost. An idle pump
+// sleeps until a submit(), a migration that requeues frames onto its
+// device, or stop() wakes it. stop() joins the pumps without holding the
+// fleet lock. Deterministic callers use pump()/drain() synchronously.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -142,15 +148,17 @@ class DeviceFleet {
   bool submit(int id, FrameU8 frame, double arrival_seconds = 0,
               std::uint64_t ticket = 0);
 
-  /// Pump every device one round, then supervise: charge degradation
-  /// strikes, declare lost devices, migrate their streams. Returns frames
+  /// Pump every device one round, then charge the round's degradation
+  /// strikes in device order; a device that reaches its strike limit is
+  /// declared lost and its streams migrate in fleet-id order. Returns frames
   /// ingested across the fleet this round.
   int pump();
 
   /// Pump until every queue is drained and every owed mask is delivered.
   void drain();
 
-  /// Background mode: every member pump thread plus the fleet supervisor.
+  /// Live mode: one pump thread per device, each pumping as long as its
+  /// plane has work and sleeping until woken otherwise. stop() joins them.
   void start();
   void stop();
 
@@ -216,6 +224,17 @@ class DeviceFleet {
     int strikes = 0;
     std::uint64_t migrations_in = 0;
     std::uint64_t migrations_out = 0;
+    /// Bumped by every wake(); the live pump reads it before a round and
+    /// sleeps until it changes, so a wake-up during a round is never lost.
+    /// 32 bits: the width a futex waits on directly, where a 64-bit atomic
+    /// waits through a waiter table shared with other addresses.
+    std::atomic<std::uint32_t> wakeups{0};
+    std::thread pump;  ///< live mode only
+
+    void wake() {
+      wakeups.fetch_add(1);
+      wakeups.notify_one();
+    }
   };
 
   /// Where one incarnation of a fleet stream lives.
@@ -231,7 +250,6 @@ class DeviceFleet {
     GpuConfig gpu;
     std::shared_ptr<fault::FaultInjector> own_injector;
     std::string key;
-    fault::ExecutionTier last_tier = fault::ExecutionTier::kGpuDirect;
     /// Closed incarnations a migration left behind, oldest first; their
     /// planes keep their masks, latencies and counters.
     std::vector<Placement> retired;
@@ -244,9 +262,9 @@ class DeviceFleet {
   std::vector<Placement> incarnations(const StreamRec& rec) const;
   serve::StreamServer<T>& plane(const Placement& p) const;
   std::vector<DeviceLoad> loads_locked(int exclude_device = -1) const;
-  int open_on_some_device_locked(StreamRec& rec, int exclude_device);
-  int pump_locked();
-  void supervise_locked();
+  int open_on_some_device_locked(int id, StreamRec& rec, int exclude_device);
+  void pump_loop(int d);
+  void charge_strikes_locked(int d, int degraded);
   void declare_lost_locked(int d, const char* reason);
   bool migrate_stream_locked(int id);
   void start_obs_server();
@@ -268,7 +286,6 @@ class DeviceFleet {
   telemetry::ScopedLogger log_{"cluster"};
   telemetry::HttpServer obs_http_;
 
-  std::thread supervisor_;
   std::atomic<bool> stop_requested_{false};
   bool running_ = false;
 };

@@ -1,7 +1,6 @@
 #include "mog/serve/stream_server.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "mog/common/strutil.hpp"
@@ -26,20 +25,14 @@ void ServeConfig::validate() const {
 }
 
 template <typename T>
-StreamServer<T>::StreamServer(const ServeConfig& config, int device)
-    : config_(config), device_(device) {
+StreamServer<T>::StreamServer(const ServeConfig& config) : config_(config) {
   config_.validate();
 }
 
 template <typename T>
-StreamServer<T>::~StreamServer() {
-  stop();
-}
-
-template <typename T>
-int StreamServer<T>::open_stream(
-    const GpuConfig& gpu_config,
-    std::shared_ptr<fault::FaultInjector> injector) {
+int StreamServer<T>::open_stream(const GpuConfig& gpu_config,
+                                 std::shared_ptr<fault::FaultInjector> injector,
+                                 int trace_id) {
   std::lock_guard<std::mutex> lock(mu_);
   int open_count = 0;
   for (const auto& s : streams_) open_count += s->open ? 1 : 0;
@@ -68,17 +61,18 @@ int StreamServer<T>::open_stream(
   s->queue = std::make_unique<BoundedFrameQueue>(config_.queue_depth,
                                                  config_.drop_policy);
   s->gpu_config = gpu_config;
+  const int id = static_cast<int>(streams_.size());
+  s->trace_id = trace_id >= 0 ? trace_id : id;
   const int buffers =
       gpu_config.tiled ? 2 * gpu_config.tiled_config.frame_group : 2;
   s->lane = timeline_.add_stream(buffers);
   s->device_bytes = bytes;
   bytes_in_use_ += bytes;
-  streams_.push_back(std::move(s));
-  const int id = static_cast<int>(streams_.size()) - 1;
   log_.info("stream opened",
-            {{"stream", id},
+            {{"stream", s->trace_id},
              {"buffers", buffers},
              {"device_bytes", static_cast<std::int64_t>(bytes)}});
+  streams_.push_back(std::move(s));
   return id;
 }
 
@@ -95,7 +89,7 @@ void StreamServer<T>::close_stream(int id) {
   s.pipeline.reset();
   s.open = false;
   log_.info("stream closed",
-            {{"stream", id},
+            {{"stream", s.trace_id},
              {"masks_delivered",
               static_cast<std::int64_t>(s.masks_delivered)}});
 }
@@ -103,28 +97,25 @@ void StreamServer<T>::close_stream(int id) {
 template <typename T>
 bool StreamServer<T>::submit(int id, FrameU8 frame, double arrival_seconds,
                              std::uint64_t ticket) {
-  bool accepted = false;
   const bool preminted = ticket != 0;
   if (!preminted) ticket = telemetry::mint_frame_ticket();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    Stream& s = stream_at(id);
-    MOG_CHECK(s.open, "submit to a closed stream");
-    accepted = s.queue->push(std::move(frame), arrival_seconds, ticket);
-    if (accepted) {
-      // Flow begin: the frame's journey starts at queue admission; every
-      // later hop (upload, kernel, download) extends this ticket's chain.
-      // A pre-minted ticket means the chain began upstream (decode span),
-      // so admission is a step on it rather than its start.
-      emit_flow(preminted ? 't' : 's', ticket, id, arrival_seconds);
-    } else {
-      log_.warn("frame dropped at ingress",
-                {{"stream", id},
-                 {"ticket", static_cast<std::int64_t>(ticket)},
-                 {"policy", to_string(config_.drop_policy)}});
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  Stream& s = stream_at(id);
+  MOG_CHECK(s.open, "submit to a closed stream");
+  const bool accepted =
+      s.queue->push(std::move(frame), arrival_seconds, ticket);
+  if (accepted) {
+    // Flow begin: the frame's journey starts at queue admission; every
+    // later hop (upload, kernel, download) extends this ticket's chain.
+    // A pre-minted ticket means the chain began upstream (decode span),
+    // so admission is a step on it rather than its start.
+    emit_flow(s, preminted ? 't' : 's', ticket, arrival_seconds);
+  } else {
+    log_.warn("frame dropped at ingress",
+              {{"stream", s.trace_id},
+               {"ticket", static_cast<std::int64_t>(ticket)},
+               {"policy", to_string(config_.drop_policy)}});
   }
-  cv_.notify_all();
   return accepted;
 }
 
@@ -141,20 +132,16 @@ std::vector<QueuedFrame> StreamServer<T>::steal_queue(int id) {
 
 template <typename T>
 bool StreamServer<T>::resubmit(int id, QueuedFrame qf) {
-  bool accepted = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    Stream& s = stream_at(id);
-    MOG_CHECK(s.open, "resubmit to a closed stream");
-    accepted =
-        s.queue->push(std::move(qf.frame), qf.arrival_seconds, qf.ticket);
-    if (!accepted)
-      log_.warn("migrated frame dropped at ingress",
-                {{"stream", id},
-                 {"ticket", static_cast<std::int64_t>(qf.ticket)},
-                 {"policy", to_string(config_.drop_policy)}});
-  }
-  cv_.notify_all();
+  std::lock_guard<std::mutex> lock(mu_);
+  Stream& s = stream_at(id);
+  MOG_CHECK(s.open, "resubmit to a closed stream");
+  const bool accepted =
+      s.queue->push(std::move(qf.frame), qf.arrival_seconds, qf.ticket);
+  if (!accepted)
+    log_.warn("migrated frame dropped at ingress",
+              {{"stream", s.trace_id},
+               {"ticket", static_cast<std::int64_t>(qf.ticket)},
+               {"policy", to_string(config_.drop_policy)}});
   return accepted;
 }
 
@@ -199,16 +186,12 @@ std::vector<double> StreamServer<T>::aggregate_latencies() const {
 }
 
 template <typename T>
-int StreamServer<T>::pump() {
+PumpRound StreamServer<T>::pump() {
   std::lock_guard<std::mutex> lock(mu_);
-  return pump_locked();
-}
-
-template <typename T>
-int StreamServer<T>::pump_locked() {
   const telemetry::ProfSpan pump_span{telemetry::ProfTag::kPump};
+  PumpRound round;
   const int n = static_cast<int>(streams_.size());
-  if (n == 0) return 0;
+  if (n == 0) return round;
 
   // Round-robin order rotated by the fairness cursor; the same order drives
   // all three phases of this round.
@@ -237,15 +220,15 @@ int StreamServer<T>::pump_locked() {
       s.last_upload_end = w.end_seconds;
       s.dma_seconds += w.end_seconds - w.start_seconds;
       ++s.uploads_outstanding;
-      emit_window(id, "up", w.start_seconds, w.end_seconds);
-      emit_flow('t', qf.ticket, id, w.start_seconds);
+      emit_window(s, "up", w.start_seconds, w.end_seconds);
+      emit_flow(s, 't', qf.ticket, w.start_seconds);
     }
     popped.push_back(Popped{id, std::move(qf)});
   }
 
   // Phase 2 — deliver: the previous round's pending downloads.
   for (const int id : order)
-    deliver_pending(*streams_[static_cast<std::size_t>(id)], id);
+    deliver_pending(*streams_[static_cast<std::size_t>(id)]);
 
   // Phase 3 — compute: run each ingested frame through its pipeline; when
   // masks come due, reserve the kernel engine and defer the batched
@@ -265,11 +248,14 @@ int StreamServer<T>::pump_locked() {
       delivered = s.pipeline->process(p.qf.frame, fg);
     }
     const fault::ExecutionTier tier_now = s.pipeline->tier();
-    if (tier_now != s.last_tier)
+    if (tier_now != s.last_tier) {
+      // Tiers only step down, so any change is a degradation.
+      ++round.degraded;
       log_.warn("stream degraded",
-                {{"stream", p.id},
+                {{"stream", s.trace_id},
                  {"from", fault::to_string(s.last_tier)},
                  {"to", fault::to_string(tier_now)}});
+    }
     s.last_tier = tier_now;
 
     if (!was_gpu) {
@@ -284,7 +270,7 @@ int StreamServer<T>::pump_locked() {
         d.arrivals.push_back(arrival);
         d.tickets.push_back(p.qf.ticket);
         if (config_.collect_masks) d.masks.push_back(std::move(fg));
-        complete_masks(s, p.id, std::move(d), done);
+        complete_masks(s, std::move(d), done);
       }
       continue;
     }
@@ -300,14 +286,14 @@ int StreamServer<T>::pump_locked() {
       masks = gpu->last_group_masks();
     else
       masks.push_back(std::move(fg));
-    finish_group(s, p.id, std::move(masks));
+    finish_group(s, std::move(masks));
   }
-  return static_cast<int>(popped.size());
+  round.ingested = static_cast<int>(popped.size());
+  return round;
 }
 
 template <typename T>
-void StreamServer<T>::finish_group(Stream& s, int id,
-                                   std::vector<FrameU8> masks) {
+void StreamServer<T>::finish_group(Stream& s, std::vector<FrameU8> masks) {
   const std::size_t count = std::min(masks.size(), s.in_model.size());
   PendingDownload d;
   // Masks bias newest (a salvage delivers only the latest), so attach the
@@ -328,9 +314,9 @@ void StreamServer<T>::finish_group(Stream& s, int id,
         s.lane, s.last_upload_end, sched.kernel_seconds * consumed, consumed);
     s.kernel_seconds += w.end_seconds - w.start_seconds;
     s.uploads_outstanding = 0;
-    emit_window(id, "kernel", w.start_seconds, w.end_seconds);
+    emit_window(s, "kernel", w.start_seconds, w.end_seconds);
     for (const std::uint64_t t : d.tickets)
-      emit_flow('t', t, id, w.start_seconds);
+      emit_flow(s, 't', t, w.start_seconds);
     d.ready_seconds = w.end_seconds;
     s.pending.push_back(std::move(d));
     return;
@@ -342,11 +328,11 @@ void StreamServer<T>::finish_group(Stream& s, int id,
   for (const double a : d.arrivals) done = std::max(done, a);
   s.cpu_clock = done;
   d.ready_seconds = done;
-  complete_masks(s, id, std::move(d), done);
+  complete_masks(s, std::move(d), done);
 }
 
 template <typename T>
-void StreamServer<T>::deliver_pending(Stream& s, int id) {
+void StreamServer<T>::deliver_pending(Stream& s) {
   if (s.pending.empty()) return;
   std::vector<PendingDownload> pending = std::move(s.pending);
   s.pending.clear();
@@ -361,19 +347,19 @@ void StreamServer<T>::deliver_pending(Stream& s, int id) {
           s.lane, d.ready_seconds,
           sched.download_seconds * static_cast<double>(count));
       s.dma_seconds += w.end_seconds - w.start_seconds;
-      emit_window(id, "down", w.start_seconds, w.end_seconds);
+      emit_window(s, "down", w.start_seconds, w.end_seconds);
       end = w.end_seconds;
     }
-    complete_masks(s, id, std::move(d), end);
+    complete_masks(s, std::move(d), end);
   }
 }
 
 template <typename T>
-void StreamServer<T>::complete_masks(Stream& s, int id, PendingDownload&& d,
+void StreamServer<T>::complete_masks(Stream& s, PendingDownload&& d,
                                      double end_seconds) {
   for (std::size_t i = 0; i < d.arrivals.size(); ++i) {
     s.latencies.push_back(std::max(0.0, end_seconds - d.arrivals[i]));
-    if (i < d.tickets.size()) emit_flow('f', d.tickets[i], id, end_seconds);
+    if (i < d.tickets.size()) emit_flow(s, 'f', d.tickets[i], end_seconds);
     ++s.masks_delivered;
   }
   if (config_.collect_masks)
@@ -391,12 +377,12 @@ template <typename T>
 int StreamServer<T>::flush_locked(int id) {
   Stream& s = stream_at(id);
   MOG_CHECK(s.open, "flush of a closed stream");
-  deliver_pending(s, id);
+  deliver_pending(s);
   std::vector<FrameU8> out;
   const int n = s.pipeline->flush(out);
   if (n > 0) {
-    finish_group(s, id, std::move(out));
-    deliver_pending(s, id);
+    finish_group(s, std::move(out));
+    deliver_pending(s);
   }
   s.in_model.clear();
   s.uploads_outstanding = 0;
@@ -405,39 +391,8 @@ int StreamServer<T>::flush_locked(int id) {
 
 template <typename T>
 void StreamServer<T>::drain() {
-  while (pump() > 0) {
+  while (pump().ingested > 0) {
   }
-}
-
-template <typename T>
-void StreamServer<T>::start() {
-  std::lock_guard<std::mutex> lock(mu_);
-  MOG_CHECK(!running_, "scheduler thread already running");
-  log_.info("scheduler thread starting");
-  stop_requested_ = false;
-  running_ = true;
-  worker_ = std::thread([this] {
-    telemetry::prof_set_thread_name(strprintf("dev%d.pump", device_).c_str());
-    std::unique_lock<std::mutex> lk(mu_);
-    while (!stop_requested_) {
-      if (pump_locked() > 0) continue;
-      const telemetry::ProfSpan wait_span{telemetry::ProfTag::kQueueWait};
-      cv_.wait_for(lk, std::chrono::milliseconds(1));
-    }
-  });
-}
-
-template <typename T>
-void StreamServer<T>::stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!running_) return;
-    stop_requested_ = true;
-  }
-  cv_.notify_all();
-  worker_.join();
-  std::lock_guard<std::mutex> lock(mu_);
-  running_ = false;
 }
 
 template <typename T>
@@ -526,22 +481,23 @@ const typename StreamServer<T>::Stream& StreamServer<T>::stream_at(
 }
 
 template <typename T>
-void StreamServer<T>::emit_window(int id, const char* kind,
+void StreamServer<T>::emit_window(const Stream& s, const char* kind,
                                   double start_seconds, double end_seconds) {
   telemetry::TraceRecorder* tr = telemetry::tracer();
   if (tr == nullptr) return;
-  tr->complete(kind, "serve", telemetry::TraceRecorder::kServeTrackBase + id,
+  tr->complete(kind, "serve",
+               telemetry::TraceRecorder::kServeTrackBase + s.trace_id,
                to_us(start_seconds), to_us(end_seconds - start_seconds),
-               {{"stream", static_cast<double>(id)}});
+               {{"stream", static_cast<double>(s.trace_id)}});
 }
 
 template <typename T>
-void StreamServer<T>::emit_flow(char phase, std::uint64_t ticket, int id,
-                                double seconds) {
+void StreamServer<T>::emit_flow(const Stream& s, char phase,
+                                std::uint64_t ticket, double seconds) {
   if (ticket == 0) return;
   telemetry::TraceRecorder* tr = telemetry::tracer();
   if (tr == nullptr) return;
-  const int tid = telemetry::TraceRecorder::kServeTrackBase + id;
+  const int tid = telemetry::TraceRecorder::kServeTrackBase + s.trace_id;
   if (phase == 's')
     tr->flow_begin("frame", "serve.flow", ticket, tid, to_us(seconds));
   else if (phase == 't')

@@ -33,23 +33,23 @@
 // complete on a private CPU clock instead.
 //
 // Per-stream telemetry: modeled op windows go to the installed trace
-// recorder on track TraceRecorder::kServeTrackBase + id; end-to-end
-// latencies stay in the stream's own samples (latency_samples()), the one
-// latency record the fleet's /metrics renders.
+// recorder on track TraceRecorder::kServeTrackBase + the stream's trace id
+// (the fleet stream id under a DeviceFleet, so a migrated stream keeps its
+// row); end-to-end latencies stay in the stream's own samples
+// (latency_samples()), the one latency record the fleet's /metrics renders.
 //
 // Thread safety: every public method locks the plane mutex; submit() may be
-// called from capture threads while the scheduler pumps. start()/stop() run
-// the pump on a background thread for live use; deterministic callers call
-// pump()/drain() synchronously instead.
+// called from capture threads while another thread pumps. The plane runs no
+// thread of its own: cluster::DeviceFleet::start() drives each plane's
+// pump() from one thread per device, and deterministic callers call
+// pump()/drain() synchronously.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "mog/fault/resilient_pipeline.hpp"
@@ -98,15 +98,18 @@ struct StreamStats {
   fault::RecoveryStats recovery;
 };
 
+/// What one StreamServer::pump() round did.
+struct PumpRound {
+  int ingested = 0;  ///< frames popped into the pipelines
+  int degraded = 0;  ///< streams whose execution tier worsened
+};
+
 template <typename T>
 class StreamServer {
  public:
   using GpuConfig = typename GpuMogPipeline<T>::Config;
 
-  /// `device` is the plane's index in its fleet; it names the pump thread
-  /// ("dev<device>.pump") in sampling profiles.
-  explicit StreamServer(const ServeConfig& config, int device = 0);
-  ~StreamServer();
+  explicit StreamServer(const ServeConfig& config);
 
   StreamServer(const StreamServer&) = delete;
   StreamServer& operator=(const StreamServer&) = delete;
@@ -114,9 +117,12 @@ class StreamServer {
   /// Admit a stream: builds its ResilientPipeline and timeline lane. Throws
   /// AdmissionError when the stream cap or the device-memory budget would be
   /// exceeded (the stream is not admitted and nothing leaks). `injector` is
-  /// forwarded to the stream's ResilientPipeline. Returns the stream id.
+  /// forwarded to the stream's ResilientPipeline. `trace_id` is the id the
+  /// stream's trace rows and log lines carry; -1 uses the plane-local id.
+  /// Returns the plane-local stream id.
   int open_stream(const GpuConfig& gpu_config,
-                  std::shared_ptr<fault::FaultInjector> injector = nullptr);
+                  std::shared_ptr<fault::FaultInjector> injector = nullptr,
+                  int trace_id = -1);
 
   /// Flush the stream's partial tiled group, deliver the remaining masks,
   /// and release its pipeline (its memory leaves the admission budget). The
@@ -133,10 +139,11 @@ class StreamServer {
   bool submit(int id, FrameU8 frame, double arrival_seconds = 0,
               std::uint64_t ticket = 0);
 
-  /// Run one scheduling round (see file comment). Returns the number of
-  /// frames ingested this round; pending downloads from the previous round
-  /// are delivered even when that count is 0.
-  int pump();
+  /// Run one scheduling round (see file comment). Pending downloads from
+  /// the previous round are delivered even when no frame is ingested, so a
+  /// round that ingests nothing leaves nothing owed. A stream's tier changes
+  /// only here, so `degraded` counts every step down the ladder.
+  PumpRound pump();
 
   /// Pump until every queue is empty and every scheduled mask is delivered.
   /// Partial tiled groups stay buffered (close_stream() flushes them).
@@ -144,11 +151,6 @@ class StreamServer {
 
   /// Flush stream `id`'s partial tiled group without closing it.
   int flush_stream(int id);
-
-  /// Background scheduler thread driving pump() (live serving / TSan
-  /// coverage). Deterministic callers use pump()/drain() directly.
-  void start();
-  void stop();
 
   /// Move out the masks delivered so far for stream `id` (arrival order).
   /// Empty when ServeConfig::collect_masks is off.
@@ -218,6 +220,7 @@ class StreamServer {
     std::unique_ptr<fault::ResilientPipeline<T>> pipeline;
     std::unique_ptr<BoundedFrameQueue> queue;
     GpuConfig gpu_config;
+    int trace_id = -1;           ///< id on trace rows and log lines
     int lane = -1;               ///< SharedTimeline stream index
     bool open = true;
     std::size_t device_bytes = 0;
@@ -242,29 +245,22 @@ class StreamServer {
 
   Stream& stream_at(int id);
   const Stream& stream_at(int id) const;
-  int pump_locked();
-  void deliver_pending(Stream& s, int id);
-  void complete_masks(Stream& s, int id, PendingDownload&& d,
-                      double end_seconds);
-  void finish_group(Stream& s, int id, std::vector<FrameU8> masks);
+  void deliver_pending(Stream& s);
+  void complete_masks(Stream& s, PendingDownload&& d, double end_seconds);
+  void finish_group(Stream& s, std::vector<FrameU8> masks);
   int flush_locked(int id);
-  void emit_window(int id, const char* kind, double start_seconds,
+  void emit_window(const Stream& s, const char* kind, double start_seconds,
                    double end_seconds);
-  void emit_flow(char phase, std::uint64_t ticket, int id, double seconds);
+  void emit_flow(const Stream& s, char phase, std::uint64_t ticket,
+                 double seconds);
 
   ServeConfig config_;
-  int device_;
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Stream>> streams_;
   gpusim::SharedTimeline timeline_;
   int cursor_ = 0;
   std::size_t bytes_in_use_ = 0;
   telemetry::ScopedLogger log_{"serve"};
-
-  std::condition_variable cv_;
-  std::thread worker_;
-  bool stop_requested_ = false;
-  bool running_ = false;
 };
 
 extern template class StreamServer<float>;

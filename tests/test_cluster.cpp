@@ -1,15 +1,18 @@
 // Tests for the multi-device fleet: placement policy, fault domains, live
 // stream migration (the acceptance criterion: a stream failing over
 // mid-sequence produces bit-identical masks to an uninterrupted run),
-// capacity-exhausted degradation, fleet observability, concurrent
-// submission against the background supervisor, and the shared telemetry
-// sinks under live serving.
+// capacity-exhausted degradation, fleet observability and trace rows, the
+// live pump threads (one per device, failing over on their own, concurrent
+// submission against them), and the shared telemetry sinks under live
+// serving.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -234,8 +237,8 @@ TEST(DeviceFleet, DeviceLossMovesQueuedFramesWithZeroLoss) {
 
 TEST(DeviceFleet, RepeatedLaunchFailuresTriggerAutomaticFailover) {
   // A device-scoped injector makes device 0 a sick fault domain: its stream
-  // degrades, the supervisor charges the strike, declares the device lost,
-  // and migrates the stream back to full GPU service elsewhere.
+  // degrades, the pump round that saw it charges the strike, declares the
+  // device lost, and migrates the stream back to full GPU service elsewhere.
   FleetConfig cfg = fleet_config(2);
   cfg.serve.resilience.retry.max_attempts = 2;
   cfg.serve.resilience.degrade_after_failures = 1;
@@ -512,9 +515,61 @@ TEST(DeviceFleet, MetricsHealthzStatuszReflectFleetState) {
       << status;
 }
 
-TEST(DeviceFleet, ConcurrentSubmitWithBackgroundSupervisorAndFailover) {
-  // Live mode: member pump threads + fleet supervisor running, capture
-  // threads submitting, one device failed mid-flight. Nothing may be lost.
+TEST(DeviceFleet, TraceRowsFollowFleetStreamIds) {
+  // Each device plane hosts its first stream as its local stream 0, so
+  // plane ids would draw both fleet streams on one row. Before and after a
+  // migration, every serve window and flow event of a fleet stream sits on
+  // the row of its fleet id and carries that id.
+  constexpr int kStreams = 2, kFrames = 3;
+  const ScopedGlobalSinks sinks;
+  DeviceFleet<double> fleet{fleet_config(2)};
+  for (int s = 0; s < kStreams; ++s)
+    ASSERT_EQ(fleet.open_stream(gpu_config()), s);
+  ASSERT_NE(fleet.stream_device(0), fleet.stream_device(1));
+
+  // Pre-minted tickets tell which stream a flow event belongs to.
+  const auto ticket = [](int s, int t) {
+    return static_cast<std::uint64_t>(1000 * (s + 1) + t);
+  };
+  const auto submit_frames = [&](int from, int to) {
+    for (int t = from; t < to; ++t)
+      for (int s = 0; s < kStreams; ++s)
+        ASSERT_TRUE(fleet.submit(s, scene_for(s).frame(t), 0, ticket(s, t)));
+  };
+  submit_frames(0, kFrames);
+  fleet.drain();
+  fleet.fail_device(0);
+  submit_frames(kFrames, 2 * kFrames);
+  fleet.drain();
+  ASSERT_EQ(fleet.migration_stats().completed, 1u);
+
+  const int base = telemetry::TraceRecorder::kServeTrackBase;
+  std::map<int, int> windows;  // fleet stream id -> serve windows
+  std::map<int, int> flows;    // fleet stream id -> flow events
+  for (const telemetry::TraceEvent& e : sinks.trace.events()) {
+    if (e.cat == "serve") {
+      ASSERT_EQ(e.args.size(), 1u);
+      ASSERT_EQ(e.args[0].first, "stream");
+      const int s = static_cast<int>(e.args[0].second);
+      EXPECT_EQ(e.tid, base + s) << e.name;
+      ++windows[s];
+    } else if (e.cat == "serve.flow") {
+      const int s = static_cast<int>(e.flow_id / 1000) - 1;
+      EXPECT_EQ(e.tid, base + s) << "ticket " << e.flow_id;
+      ++flows[s];
+    }
+  }
+  for (int s = 0; s < kStreams; ++s) {
+    // An upload, a kernel and a download window per frame, on each device
+    // the stream lived on.
+    EXPECT_EQ(windows[s], 3 * 2 * kFrames) << "stream " << s;
+    EXPECT_GT(flows[s], 0) << "stream " << s;
+  }
+}
+
+TEST(DeviceFleet, ConcurrentSubmitWithLivePumpsAndFailover) {
+  // Live mode: the fleet's pump threads running, capture threads
+  // submitting, one device failed mid-flight. Nothing may be lost.
   constexpr int kStreams = 4, kFrames = 8;
   FleetConfig cfg = fleet_config(2);
   // Deep enough for a stream's own frames plus a migrated backlog, so no
@@ -525,8 +580,8 @@ TEST(DeviceFleet, ConcurrentSubmitWithBackgroundSupervisorAndFailover) {
     ASSERT_EQ(fleet.open_stream(gpu_config()), s);
 
   fleet.start();
-  // An operator thread reads the migration counters while fail_device() and
-  // the supervisor write them.
+  // An operator thread reads the migration counters while fail_device()
+  // writes them.
   std::atomic<bool> polling{true};
   std::uint64_t completed_seen = 0;
   std::thread poller([&] {
@@ -564,6 +619,109 @@ TEST(DeviceFleet, ConcurrentSubmitWithBackgroundSupervisorAndFailover) {
   EXPECT_FALSE(fleet.device_alive(0));
   for (int s = 0; s < kStreams; ++s)
     EXPECT_EQ(fleet.stream_device(s), 1) << "stream " << s;
+}
+
+/// Threads of this process: the entries of /proc/self/task.
+int process_threads() {
+  int n = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator{"/proc/self/task"}) {
+    (void)task;
+    ++n;
+  }
+  return n;
+}
+
+TEST(DeviceFleet, StartRunsOnePumpThreadPerDevice) {
+  // The fleet owns every serving thread: start() adds one pump per device
+  // and nothing else, and stop() takes them all down again.
+  DeviceFleet<double> fleet{fleet_config(3)};
+  const int before = process_threads();
+  fleet.start();
+  EXPECT_EQ(process_threads() - before, 3);
+  fleet.stop();
+  // A joined thread can stay listed for a moment after join() returns.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (process_threads() != before &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(process_threads(), before);
+}
+
+TEST(DeviceFleet, LivePumpChargesStrikeAndFailsOver) {
+  // Live mode with no pump() or drain() from the test: the round on the
+  // sick device that degrades its stream charges the strike from that pump
+  // thread, the device is declared lost, and the survivor's pump, woken by
+  // the requeue, serves the migrated stream.
+  FleetConfig cfg = fleet_config(2);
+  cfg.serve.resilience.retry.max_attempts = 2;
+  cfg.serve.resilience.degrade_after_failures = 1;
+
+  fault::FaultConfig storm;
+  storm.launch_fault_prob = 1.0;
+
+  DeviceFleet<double> fleet{cfg};
+  fleet.set_device_injector(0, std::make_shared<fault::FaultInjector>(storm));
+  const int a = fleet.open_stream(gpu_config());
+  const int b = fleet.open_stream(gpu_config());
+  const int victim = fleet.stream_device(a) == 0 ? a : b;
+  const int healthy = victim == a ? b : a;
+  ASSERT_EQ(fleet.stream_device(victim), 0);
+
+  constexpr int kFrames = 6;
+  constexpr auto kTotal = static_cast<std::uint64_t>(2 * kFrames);
+  fleet.start();
+  for (int t = 0; t < kFrames; ++t) {
+    ASSERT_TRUE(fleet.submit(victim, scene_for(81).frame(t)));
+    ASSERT_TRUE(fleet.submit(healthy, scene_for(82).frame(t)));
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while ((fleet.device_alive(0) || fleet.masks_delivered() < kTotal) &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  fleet.stop();
+
+  EXPECT_FALSE(fleet.device_alive(0));
+  EXPECT_EQ(fleet.stream_device(victim), 1);
+  EXPECT_EQ(fleet.stream_info(victim).migrations, 1u);
+  EXPECT_EQ(fleet.stream_info(victim).masks_delivered,
+            static_cast<std::uint64_t>(kFrames));
+  EXPECT_EQ(fleet.stream_info(healthy).masks_delivered,
+            static_cast<std::uint64_t>(kFrames));
+  EXPECT_EQ(fleet.frames_dropped(), 0u);
+}
+
+TEST(DeviceFleet, ConcurrentProducersWithBackgroundPump) {
+  // Thread-safety coverage (runs under TSan in CI): four capture threads
+  // submit while a one-device fleet's pump thread pumps.
+  constexpr int kStreams = 4, kFrames = 12;
+  FleetConfig cfg = fleet_config(1);
+  cfg.serve.queue_depth = kFrames;  // deep enough that nothing drops
+  cfg.serve.collect_masks = false;
+  DeviceFleet<double> fleet{cfg};
+  for (int s = 0; s < kStreams; ++s)
+    ASSERT_EQ(fleet.open_stream(gpu_config()), s);
+
+  fleet.start();
+  std::vector<std::thread> producers;
+  for (int s = 0; s < kStreams; ++s)
+    producers.emplace_back([&fleet, s] {
+      const SyntheticScene scene = scene_for(static_cast<std::uint64_t>(s));
+      for (int t = 0; t < kFrames; ++t)
+        fleet.submit(s, scene.frame(t), static_cast<double>(t) * 1e-3);
+    });
+  for (std::thread& p : producers) p.join();
+  fleet.stop();
+  fleet.drain();  // finish anything the pump had not reached
+
+  std::uint64_t accepted = 0;
+  for (int s = 0; s < kStreams; ++s)
+    accepted += fleet.stream_info(s).serve.queue.accepted;
+  EXPECT_EQ(accepted, static_cast<std::uint64_t>(kStreams * kFrames));
+  EXPECT_EQ(fleet.masks_delivered(), accepted);
+  EXPECT_GT(fleet.aggregate_latency_rollup().count, 0u);
 }
 
 TEST(DeviceFleet, SharedSinksAreThreadSafeUnderLiveServing) {

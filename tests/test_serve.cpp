@@ -1,6 +1,8 @@
-// Tests for the multi-stream serving layer: bounded-queue backpressure,
+// Tests for the per-device serving plane: bounded-queue backpressure,
 // round-robin fairness, admission control, per-stream mask parity with solo
-// pipelines, modeled device-time sharing, and thread-safe submission.
+// pipelines, modeled device-time sharing, and the degradations a pump round
+// reports. The plane runs no thread; producers racing live pumps are tested
+// through the fleet that owns them (test_cluster.cpp).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -139,7 +141,7 @@ TEST(StreamServer, RoundRobinPumpIsFair) {
 
   telemetry::RingBufferSink log;
   telemetry::default_logger().add_sink(&log);
-  while (server.pump() > 0) {
+  while (server.pump().ingested > 0) {
     std::uint64_t lo = ~0ull, hi = 0;
     for (int s = 0; s < kStreams; ++s) {
       const std::uint64_t n = server.stream_stats(s).frames_scheduled;
@@ -393,37 +395,6 @@ TEST(StreamServer, SharedDeviceStretchesLatencyButNotCorrectness) {
   EXPECT_LT(four, one * 8.0);  // but overlap must still help
 }
 
-TEST(StreamServer, ConcurrentProducersWithBackgroundScheduler) {
-  // Thread-safety coverage (runs under TSan in CI): four capture threads
-  // submit while the background scheduler pumps.
-  constexpr int kStreams = 4, kFrames = 12;
-  ServeConfig cfg;
-  cfg.queue_depth = kFrames;  // deep enough that nothing drops
-  cfg.collect_masks = false;
-  StreamServer<double> server{cfg};
-  for (int s = 0; s < kStreams; ++s) server.open_stream(gpu_config());
-
-  server.start();
-  std::vector<std::thread> producers;
-  for (int s = 0; s < kStreams; ++s)
-    producers.emplace_back([&server, s] {
-      const SyntheticScene scene = scene_for(static_cast<std::uint64_t>(s));
-      for (int t = 0; t < kFrames; ++t)
-        server.submit(s, scene.frame(t),
-                      static_cast<double>(t) * 1e-3);
-    });
-  for (std::thread& p : producers) p.join();
-  server.stop();
-  server.drain();  // finish anything the worker had not reached
-
-  std::uint64_t accepted = 0;
-  for (int s = 0; s < kStreams; ++s)
-    accepted += server.stream_stats(s).queue.accepted;
-  EXPECT_EQ(accepted, static_cast<std::uint64_t>(kStreams * kFrames));
-  EXPECT_EQ(server.masks_delivered(), accepted);
-  EXPECT_FALSE(server.aggregate_latencies().empty());
-}
-
 TEST(StreamServer, FeedsGlobalTelemetrySinks) {
   telemetry::TraceRecorder rec;
   telemetry::CounterRegistry reg;
@@ -471,7 +442,15 @@ TEST(StreamServer, DegradedStreamKeepsServingOffTheSharedDevice) {
     server.submit(sick, scene_for(1).frame(t));
     server.submit(healthy, scene_for(2).frame(t));
   }
-  server.drain();
+  // Drain by hand: the round that steps the sick stream down the ladder
+  // reports it (the fleet charges device strikes from this count).
+  int degraded = 0;
+  serve::PumpRound round;
+  do {
+    round = server.pump();
+    degraded += round.degraded;
+  } while (round.ingested > 0);
+  EXPECT_EQ(degraded, 1);  // direct GPU -> CPU is one step
 
   EXPECT_EQ(server.stream_stats(sick).tier, fault::ExecutionTier::kCpuSerial);
   EXPECT_EQ(server.stream_stats(sick).masks_delivered, 8u);
