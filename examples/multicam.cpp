@@ -20,8 +20,10 @@
 // reading FILE (Y4M container or concatenated baseline-JPEG parts), decoding
 // off the pump thread, and submitting into the fleet with a pre-minted trace
 // ticket — so a --trace timeline shows the decode span as the first hop of
-// each frame's flow chain. Frame dimensions come from the file header;
-// --frames caps the frames pulled per stream.
+// each frame's flow chain. Like a camera, each stream offers its frames at
+// the file's rate on the wall clock (MJPEG: 30 fps), not as fast as they
+// decode. Frame dimensions come from the file header; --frames caps the
+// frames pulled per stream.
 //
 // --fail-device IDX declares device IDX lost mid-run (at --fail-at-frame T,
 // default half the frame budget): its streams checkpoint their MoG models,
@@ -124,7 +126,7 @@ int main(int argc, char** argv) try {
   std::string y4m_path;    // encoded ingestion instead of synthetic scenes
   std::string mjpeg_path;
   std::string trace_path;  // Chrome trace dump (decode spans + flow chains)
-  mog::serve::DropPolicy drop = mog::serve::DropPolicy::kDropNewest;
+  mog::cluster::DropPolicy drop = mog::cluster::DropPolicy::kDropNewest;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -163,9 +165,9 @@ int main(int argc, char** argv) try {
       else if (arg == "--drop") {
         const std::string v = need("--drop");
         if (v == "newest")
-          drop = mog::serve::DropPolicy::kDropNewest;
+          drop = mog::cluster::DropPolicy::kDropNewest;
         else if (v == "oldest")
-          drop = mog::serve::DropPolicy::kDropOldest;
+          drop = mog::cluster::DropPolicy::kDropOldest;
         else
           bad_input("--drop: invalid value \"" + v + "\" (newest|oldest)");
       } else {
@@ -241,8 +243,14 @@ int main(int argc, char** argv) try {
     // Encoded ingestion: one DecodeWorker per stream, each with its own
     // cursor into the file. Decode happens on the worker threads — never the
     // pump thread — and every frame enters the fleet with the pre-minted
-    // ticket whose flow chain began at the decode span. The --fail-device
-    // injection still applies: it is driven off stream 0's progress.
+    // ticket whose flow chain began at the decode span, no earlier than its
+    // arrival stamp on the wall clock. The --fail-device injection still
+    // applies, timed off the same clock.
+    using Clock = std::chrono::steady_clock;
+    const auto at = [epoch = Clock::now()](double seconds) {
+      return epoch + std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double>(seconds));
+    };
     std::vector<std::unique_ptr<mog::ingest::DecodeWorker>> workers;
     for (int s = 0; s < streams; ++s) {
       const int id = ids[static_cast<std::size_t>(s)];
@@ -253,8 +261,9 @@ int main(int argc, char** argv) try {
       wc.stream_id = id;
       workers.push_back(std::make_unique<mog::ingest::DecodeWorker>(
           open_reader(y4m_path, mjpeg_path),
-          [&fleet, id, stagger](mog::FrameU8 frame, double arrival,
-                                std::uint64_t ticket) {
+          [&fleet, id, stagger, at](mog::FrameU8 frame, double arrival,
+                                    std::uint64_t ticket) {
+            std::this_thread::sleep_until(at(arrival + stagger));
             return fleet.submit(id, std::move(frame), arrival + stagger,
                                 ticket);
           },
@@ -263,9 +272,8 @@ int main(int argc, char** argv) try {
     std::unique_ptr<std::thread> failer;
     if (fail_device >= 0)
       failer = std::make_unique<std::thread>([&] {
-        // Fail the device roughly when the cameras reach --fail-at-frame.
-        std::this_thread::sleep_for(std::chrono::duration<double>(
-            0.02 * fail_at_frame));
+        // Fail the device when the cameras reach --fail-at-frame.
+        std::this_thread::sleep_until(at(fail_at_frame / probed.fps));
         std::printf("failing device %d: streams migrate live\n", fail_device);
         fleet.fail_device(fail_device);
       });

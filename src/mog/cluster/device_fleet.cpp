@@ -64,7 +64,7 @@ DeviceFleet<T>::DeviceFleet(const FleetConfig& config) : config_(config) {
   nodes_ = std::vector<DeviceNode>(static_cast<std::size_t>(config_.devices));
   for (int d = 0; d < config_.devices; ++d) {
     nodes_[static_cast<std::size_t>(d)].server =
-        std::make_unique<serve::StreamServer<T>>(config_.serve);
+        std::unique_ptr<StreamServer<T>>(new StreamServer<T>(config_.serve));
     scheduler_.add_device(d);
   }
   start_obs_server();
@@ -135,6 +135,7 @@ std::vector<DeviceLoad> DeviceFleet<T>::loads_locked(
 
 template <typename T>
 int DeviceFleet<T>::open_on_some_device_locked(int id, StreamRec& rec,
+                                               std::string& refusal,
                                                int exclude_device) {
   std::vector<DeviceLoad> loads = loads_locked(exclude_device);
   while (true) {
@@ -149,8 +150,9 @@ int DeviceFleet<T>::open_on_some_device_locked(int id, StreamRec& rec,
       rec.local_id = node.server->open_stream(rec.gpu, std::move(inj), id);
       rec.device = d;
       return d;
-    } catch (const serve::AdmissionError&) {
+    } catch (const AdmissionError& e) {
       // This device is full; strike it from the candidate set and retry.
+      refusal = strprintf("device %d: %s", d, e.what());
       for (DeviceLoad& l : loads)
         if (l.device == d) l.alive = false;
     }
@@ -168,14 +170,16 @@ int DeviceFleet<T>::open_stream(const GpuConfig& gpu_config,
   rec.own_injector = std::move(injector);
   rec.key = placement_key.empty() ? strprintf("stream-%d", id)
                                   : std::move(placement_key);
-  const int d = open_on_some_device_locked(id, rec, /*exclude_device=*/-1);
+  std::string refusal;
+  const int d = open_on_some_device_locked(id, rec, refusal);
   if (d < 0) {
     int alive = 0;
     for (const DeviceNode& node : nodes_) alive += node.alive ? 1 : 0;
-    throw serve::AdmissionError{strprintf(
+    throw AdmissionError{strprintf(
         "stream refused: every alive device is at capacity (%d devices, "
-        "%d alive)",
-        static_cast<int>(nodes_.size()), alive)};
+        "%d alive)%s%s",
+        static_cast<int>(nodes_.size()), alive, refusal.empty() ? "" : "; ",
+        refusal.c_str())};
   }
   recs_.push_back(std::move(rec));
   log_.info("stream placed",
@@ -214,7 +218,7 @@ int DeviceFleet<T>::pump() {
   int ingested = 0;
   std::vector<int> degraded(nodes_.size());
   for (std::size_t d = 0; d < nodes_.size(); ++d) {
-    const serve::PumpRound round = nodes_[d].server->pump();
+    const PumpRound round = nodes_[d].server->pump();
     ingested += round.ingested;
     degraded[d] = round.degraded;
   }
@@ -252,7 +256,7 @@ void DeviceFleet<T>::pump_loop(int d) {
     // Read before the round: a wake() from here on makes wait() return.
     const std::uint32_t seen = node.wakeups.load();
     if (stop_requested_.load()) return;
-    const serve::PumpRound round = node.server->pump();
+    const PumpRound round = node.server->pump();
     if (round.degraded > 0) {
       std::lock_guard<std::mutex> lock(mu_);
       charge_strikes_locked(d, round.degraded);
@@ -322,31 +326,33 @@ bool DeviceFleet<T>::migrate_stream_locked(int id) {
   StreamRec& rec = recs_[static_cast<std::size_t>(id)];
   const int src_d = rec.device;
   const int local = rec.local_id;
-  serve::StreamServer<T>& src = *nodes_[static_cast<std::size_t>(src_d)].server;
 
   // 1. Reserve a slot on a healthy device first: when nobody can take the
   //    stream it stays untouched and rides its per-stream ladder in place.
-  const int dst_d = open_on_some_device_locked(id, rec, src_d);
+  std::string refusal;
+  const int dst_d = open_on_some_device_locked(id, rec, refusal, src_d);
   if (dst_d < 0) {
     ++migration_stats_.capacity_exhausted;
     log_.warn("migration refused: no device has capacity",
-              {{"stream", id}, {"device", src_d}});
+              {{"stream", id}, {"device", src_d}, {"refusal", refusal}});
     return false;
   }
-  serve::StreamServer<T>& dst = *nodes_[static_cast<std::size_t>(dst_d)].server;
-  const int nl = rec.local_id;
 
-  // 2. Freeze the victim: steal its queued frames (arrival stamps and trace
-  //    tickets preserved), flush the partial tiled group.
-  std::vector<serve::QueuedFrame> stolen = src.steal_queue(local);
-  const fault::ExecutionTier victim_tier = src.stream_stats(local).tier;
-  src.flush_stream(local);
+  // 2. Freeze the victim in one plane step: steal its queued frames (arrival
+  //    stamps and trace tickets preserved), flush its partial tiled group,
+  //    copy its model to the host and close it. The closed incarnation keeps
+  //    the masks, latencies and counters it produced; the fleet reads them
+  //    through `retired`.
+  auto victim = nodes_[static_cast<std::size_t>(src_d)].server->evacuate(local);
+  rec.retired.push_back(Placement{src_d, local});
 
-  // 3. Snapshot the model through the MOGM v2 CRC checkpoint encoding. A
-  //    corrupt payload is rejected by type; retry once from a fresh device
-  //    read before falling back to a fresh model.
+  // 3. Snapshot the host copy through the MOGM v2 CRC checkpoint encoding. A
+  //    corrupt payload is rejected by type; retry once by re-encoding the
+  //    host copy before falling back to a fresh model.
   std::unique_ptr<MogModel<T>> model;
-  const auto decode = [&](const std::vector<std::uint8_t>& payload) {
+  const auto snapshot = [&] {
+    std::vector<std::uint8_t> payload = serialize_model(victim.model);
+    if (snapshot_corruptor_) snapshot_corruptor_(payload);
     try {
       model = std::make_unique<MogModel<T>>(deserialize_model<T>(
           payload.data(), payload.size(), rec.gpu.params,
@@ -359,34 +365,25 @@ bool DeviceFleet<T>::migrate_stream_locked(int id) {
       return false;
     }
   };
-  std::vector<std::uint8_t> payload = serialize_model(src.stream_model(local));
-  if (snapshot_corruptor_) snapshot_corruptor_(payload);
-  if (!decode(payload)) {
+  if (!snapshot()) {
     ++migration_stats_.snapshot_retries;
-    payload = serialize_model(src.stream_model(local));
-    if (snapshot_corruptor_) snapshot_corruptor_(payload);
-    decode(payload);
+    snapshot();
   }
-  if (model != nullptr) {
-    dst.restore_stream_model(nl, *model);
-  } else {
+  victim.model = MogModel<T>{};  // free the host copy before adopt() uploads
+  if (model == nullptr) {
     ++migration_stats_.models_reset;
     log_.error("snapshot unrecoverable; stream resumes with a fresh model",
                {{"stream", id}});
   }
 
-  // 4. Retire the victim incarnation. Its plane keeps the masks, latencies
-  //    and counters it produced; the fleet reads them through `retired`.
-  src.close_stream(local);
-  rec.retired.push_back(Placement{src_d, local});
-
-  // 5. Requeue the stolen frames on the target, oldest first.
-  rec.requeued += stolen.size();
-  for (serve::QueuedFrame& qf : stolen) {
-    ++migration_stats_.frames_requeued;
-    if (!dst.resubmit(nl, std::move(qf)))
-      ++migration_stats_.frames_dropped_in_transit;
-  }
+  // 4. Resume on the target: adopt the restored model, then requeue the
+  //    stolen frames, oldest first.
+  const std::size_t requeued = victim.frames.size();
+  rec.requeued += requeued;
+  migration_stats_.frames_requeued += requeued;
+  migration_stats_.frames_dropped_in_transit +=
+      nodes_[static_cast<std::size_t>(dst_d)].server->adopt(
+          rec.local_id, model.get(), std::move(victim.frames));
   nodes_[static_cast<std::size_t>(dst_d)].wake();
 
   ++nodes_[static_cast<std::size_t>(src_d)].migrations_out;
@@ -396,8 +393,8 @@ bool DeviceFleet<T>::migrate_stream_locked(int id) {
             {{"stream", id},
              {"from", src_d},
              {"to", dst_d},
-             {"frames_requeued", static_cast<std::int64_t>(stolen.size())},
-             {"victim_tier", fault::to_string(victim_tier)},
+             {"frames_requeued", static_cast<std::int64_t>(requeued)},
+             {"victim_tier", fault::to_string(victim.tier)},
              {"model", model != nullptr ? "restored" : "reset"}});
   return true;
 }
@@ -464,10 +461,10 @@ MigrationStats DeviceFleet<T>::migration_stats() const {
 }
 
 template <typename T>
-serve::StreamStats DeviceFleet<T>::totals_locked(const StreamRec& rec) const {
-  serve::StreamStats sum;
+StreamStats DeviceFleet<T>::totals_locked(const StreamRec& rec) const {
+  StreamStats sum;
   for (const Placement& p : incarnations(rec)) {
-    const serve::StreamStats st = plane(p).stream_stats(p.local_id);
+    const StreamStats st = plane(p).stream_stats(p.local_id);
     sum.queue.submitted += st.queue.submitted;
     sum.queue.dropped += st.queue.dropped;
     sum.queue.high_water = std::max(sum.queue.high_water, st.queue.high_water);
@@ -539,14 +536,7 @@ double DeviceFleet<T>::makespan_seconds() const {
 }
 
 template <typename T>
-serve::StreamServer<T>& DeviceFleet<T>::device_server(int d) {
-  MOG_CHECK(d >= 0 && d < static_cast<int>(nodes_.size()),
-            "unknown device id");
-  return *nodes_[static_cast<std::size_t>(d)].server;
-}
-
-template <typename T>
-const serve::StreamServer<T>& DeviceFleet<T>::device_server(int d) const {
+const StreamServer<T>& DeviceFleet<T>::device_server(int d) const {
   MOG_CHECK(d >= 0 && d < static_cast<int>(nodes_.size()),
             "unknown device id");
   return *nodes_[static_cast<std::size_t>(d)].server;
@@ -583,7 +573,7 @@ std::vector<typename DeviceFleet<T>::Placement> DeviceFleet<T>::incarnations(
 }
 
 template <typename T>
-serve::StreamServer<T>& DeviceFleet<T>::plane(const Placement& p) const {
+StreamServer<T>& DeviceFleet<T>::plane(const Placement& p) const {
   return *nodes_[static_cast<std::size_t>(p.device)].server;
 }
 
@@ -680,13 +670,13 @@ std::string DeviceFleet<T>::metrics_text_locked() const {
     f.name = "mog_fleet_engine_busy_seconds";
     f.help = "Cumulative busy time of each device's shared engines";
     for (std::size_t d = 0; d < nodes_.size(); ++d) {
-      const gpusim::SharedTimeline& tl = nodes_[d].server->timeline();
+      const StreamServer<T>& server = *nodes_[d].server;
       telemetry::LabelSet dma = device_label(d);
       dma.emplace_back("engine", "dma");
-      f.samples.push_back({std::move(dma), tl.dma_busy_seconds()});
+      f.samples.push_back({std::move(dma), server.dma_busy_seconds()});
       telemetry::LabelSet kernel = device_label(d);
       kernel.emplace_back("engine", "kernel");
-      f.samples.push_back({std::move(kernel), tl.kernel_busy_seconds()});
+      f.samples.push_back({std::move(kernel), server.kernel_busy_seconds()});
     }
     families.push_back(std::move(f));
   }
@@ -754,7 +744,7 @@ std::string DeviceFleet<T>::metrics_text_locked() const {
   }
 
   // Per-stream families, keyed by fleet stream id.
-  std::vector<serve::StreamStats> totals;
+  std::vector<StreamStats> totals;
   for (const StreamRec& rec : recs_) totals.push_back(totals_locked(rec));
   const auto stream_label = [](std::size_t i) {
     return telemetry::LabelSet{{"stream", strprintf("%zu", i)}};
@@ -763,31 +753,31 @@ std::string DeviceFleet<T>::metrics_text_locked() const {
     const char* name;
     const char* help;
     MetricType type;
-    std::uint64_t (*value)(const serve::StreamStats&);
+    std::uint64_t (*value)(const StreamStats&);
   };
   const StreamSpec specs[] = {
       {"mog_serve_frames_submitted_total", "Frames offered to submit()",
        MetricType::kCounter,
-       [](const serve::StreamStats& s) { return s.queue.submitted; }},
+       [](const StreamStats& s) { return s.queue.submitted; }},
       {"mog_serve_frames_dropped_total",
        "Frames lost to the queue drop policy", MetricType::kCounter,
-       [](const serve::StreamStats& s) { return s.queue.dropped; }},
+       [](const StreamStats& s) { return s.queue.dropped; }},
       {"mog_serve_frames_scheduled_total", "Frames popped into the pipeline",
        MetricType::kCounter,
-       [](const serve::StreamStats& s) { return s.frames_scheduled; }},
+       [](const StreamStats& s) { return s.frames_scheduled; }},
       {"mog_serve_masks_delivered_total", "Masks completed end to end",
        MetricType::kCounter,
-       [](const serve::StreamStats& s) { return s.masks_delivered; }},
+       [](const StreamStats& s) { return s.masks_delivered; }},
       {"mog_serve_queue_depth",
        "Frames currently waiting in the ingress queue", MetricType::kGauge,
-       [](const serve::StreamStats& s) { return s.queue_depth; }},
+       [](const StreamStats& s) { return s.queue_depth; }},
       {"mog_serve_queue_high_water", "Maximum ingress queue depth observed",
        MetricType::kGauge,
-       [](const serve::StreamStats& s) { return s.queue.high_water; }},
+       [](const StreamStats& s) { return s.queue.high_water; }},
       {"mog_serve_stream_tier",
        "Degradation-ladder tier (0 tiled GPU, 1 direct GPU, 2 CPU)",
        MetricType::kGauge,
-       [](const serve::StreamStats& s) {
+       [](const StreamStats& s) {
          return static_cast<std::uint64_t>(s.tier);
        }},
   };
@@ -889,7 +879,6 @@ std::string DeviceFleet<T>::statusz_locked() const {
   out += migration_stats_.summary() + "\n";
   for (std::size_t d = 0; d < nodes_.size(); ++d) {
     const DeviceNode& node = nodes_[d];
-    const gpusim::SharedTimeline& tl = node.server->timeline();
     out += strprintf(
         "-- device %zu [%s, %d strike(s), %llu in / %llu out migrations]: "
         "%d open stream(s), makespan %.3f s, device memory %s, "
@@ -900,12 +889,12 @@ std::string DeviceFleet<T>::statusz_locked() const {
         node.server->open_streams(), node.server->makespan_seconds(),
         human_bytes(static_cast<double>(node.server->device_bytes_in_use()))
             .c_str(),
-        tl.dma_busy_seconds(), tl.kernel_busy_seconds());
+        node.server->dma_busy_seconds(), node.server->kernel_busy_seconds());
   }
   out += "== streams ==\n";
   for (std::size_t i = 0; i < recs_.size(); ++i) {
     const StreamRec& rec = recs_[i];
-    const serve::StreamStats sum = totals_locked(rec);
+    const StreamStats sum = totals_locked(rec);
     const telemetry::Rollup lat =
         telemetry::make_rollup(latencies_locked(rec));
     out += strprintf(
@@ -918,7 +907,7 @@ std::string DeviceFleet<T>::statusz_locked() const {
         static_cast<unsigned long long>(sum.queue.dropped), lat.p50 * 1e3,
         lat.p99 * 1e3);
     // The full recovery digest of the current incarnation's pipeline.
-    const serve::StreamStats cur =
+    const StreamStats cur =
         plane({rec.device, rec.local_id}).stream_stats(rec.local_id);
     out += strprintf("  on device %d: %s\n", rec.device,
                      cur.recovery.summary().c_str());

@@ -1,14 +1,15 @@
 // Multi-device fleet: N simulated devices behind one serving front end.
 //
 // DeviceFleet is the serving API (devices = 1 for a single GPU). It owns N
-// device nodes. Each node is a single-device serving plane — a
-// serve::StreamServer with its own gpusim::SharedTimeline (DMA + compute
-// engines), its own device-memory admission budget, its own
-// pump, and optionally its own fault::FaultInjector. The injector makes the
-// node a *fault domain*: every stream placed on the node shares it, so an
-// injected device failure correlates across exactly the streams that live
-// there and no others — the "one device dies, its cameras fail over, the
-// rest of the fleet never notices" production story.
+// device nodes. Each node is a single-device serving plane — a StreamServer
+// (stream_server.hpp) with its own gpusim::SharedTimeline (DMA + compute
+// engines), its own device-memory admission budget, its own pump, and
+// optionally its own fault::FaultInjector. The fleet alone constructs and
+// drives its planes; device_server() hands out a read-only view. The
+// injector makes the node a *fault domain*: every stream placed on the node
+// shares it, so an injected device failure correlates across exactly the
+// streams that live there and no others — the "one device dies, its cameras
+// fail over, the rest of the fleet never notices" production story.
 //
 // Placement: streams are admitted through a ClusterScheduler —
 // least-loaded first with a consistent-hash tiebreak (placement.hpp) — and
@@ -21,16 +22,18 @@
 // it steps down the recovery ladder after repeated launch/transfer
 // failures — every stream it hosts is moved to a healthy device:
 //
-//   1. freeze   — steal the stream's queued frames (stamps and trace
-//                 tickets preserved), flush its partial tiled group;
-//   2. snapshot — round-trip the MoG model through the MOGM v2 CRC
+//   1. reserve  — open a stream on the target (same GPU config, so a
+//                 degraded victim returns to its full tier);
+//   2. freeze   — evacuate() the victim in one plane step: steal its queued
+//                 frames (stamps and trace tickets preserved), flush its
+//                 partial tiled group, copy its model to the host, close it;
+//   3. snapshot — round-trip that host copy through the MOGM v2 CRC
 //                 checkpoint encoding (serialize_model/deserialize_model).
 //                 A corrupt snapshot is *rejected by type* (ModelIoError),
-//                 retried from a fresh device read, and only as a last
+//                 retried by re-encoding the host copy, and only as a last
 //                 resort replaced by a fresh model;
-//   3. resume   — open a stream on the target (same GPU config, so a
-//                 degraded victim returns to its full tier), adopt the
-//                 restored model, requeue the stolen frames in order.
+//   4. resume   — adopt() on the target: the restored model, then the
+//                 stolen frames requeued in order.
 //
 // Degradation order, fleet-wide: healthy GPU tier -> migrate to another
 // device -> (no capacity anywhere) ride the per-stream ladder down to CPU
@@ -67,7 +70,7 @@
 #include <vector>
 
 #include "mog/cluster/placement.hpp"
-#include "mog/serve/stream_server.hpp"
+#include "mog/cluster/stream_server.hpp"
 #include "mog/telemetry/counters.hpp"
 #include "mog/telemetry/http_server.hpp"
 
@@ -77,7 +80,7 @@ struct FleetConfig {
   int devices = 2;  ///< device nodes (each a single-device serving plane)
 
   /// Template applied to every device node.
-  serve::ServeConfig serve;
+  ServeConfig serve;
 
   /// Observability endpoint (/metrics, /healthz, /statusz, /profilez),
   /// served from a thread the fleet owns for its whole lifetime: -1
@@ -110,13 +113,13 @@ struct FleetStreamInfo {
   std::uint64_t migrations = 0;     ///< times this stream failed over
   fault::ExecutionTier tier = fault::ExecutionTier::kTiledGpu;
   std::uint64_t masks_delivered = 0;  ///< across all incarnations
-  serve::StreamStats serve;           ///< current incarnation's stats
+  StreamStats serve;                  ///< current incarnation's stats
 };
 
 template <typename T>
 class DeviceFleet {
  public:
-  using GpuConfig = typename serve::StreamServer<T>::GpuConfig;
+  using GpuConfig = typename StreamServer<T>::GpuConfig;
 
   explicit DeviceFleet(const FleetConfig& config);
   ~DeviceFleet();
@@ -134,7 +137,8 @@ class DeviceFleet {
   /// tiebreak on `placement_key`; empty derives a key from the stream id).
   /// A stream-scoped `injector` (a sick camera) follows the stream across
   /// migrations; without one the stream joins its device's fault domain.
-  /// Throws serve::AdmissionError when every alive device refuses it.
+  /// Throws AdmissionError when every alive device refuses it; the message
+  /// ends with the last refusing device's reason.
   int open_stream(const GpuConfig& gpu_config,
                   std::shared_ptr<fault::FaultInjector> injector = nullptr,
                   std::string placement_key = {});
@@ -183,12 +187,9 @@ class DeviceFleet {
   std::uint64_t frames_dropped() const;   ///< fleet-wide queue drops
   double makespan_seconds() const;        ///< slowest device's clock
 
-  /// Member server access (tests, benches). The fleet owns it; treat as
-  /// read-mostly and never hold references across pump()/migration.
-  serve::StreamServer<T>& device_server(int d);
-  const serve::StreamServer<T>& device_server(int d) const;
-
-  const FleetConfig& config() const { return config_; }
+  /// Read-only view of device `d`'s plane (benches, tests). Never hold it
+  /// across pump()/migration.
+  const StreamServer<T>& device_server(int d) const;
 
   // --- observability plane (the /metrics, /healthz, /statusz bodies; also
   // callable directly so tests and embedders need no socket) ---------------
@@ -218,7 +219,7 @@ class DeviceFleet {
 
  private:
   struct DeviceNode {
-    std::unique_ptr<serve::StreamServer<T>> server;
+    std::unique_ptr<StreamServer<T>> server;
     std::shared_ptr<fault::FaultInjector> injector;  ///< fault domain
     bool alive = true;
     int strikes = 0;
@@ -260,9 +261,13 @@ class DeviceFleet {
   const StreamRec& rec_at(int id) const;
   /// Every incarnation of `rec`, oldest first; the current one is last.
   std::vector<Placement> incarnations(const StreamRec& rec) const;
-  serve::StreamServer<T>& plane(const Placement& p) const;
+  StreamServer<T>& plane(const Placement& p) const;
   std::vector<DeviceLoad> loads_locked(int exclude_device = -1) const;
-  int open_on_some_device_locked(int id, StreamRec& rec, int exclude_device);
+  /// Open `rec` on the least-loaded alive device that admits it, never
+  /// `exclude_device`; returns it, or -1 with the last refusing device's
+  /// reason in `refusal` (empty when no device was eligible).
+  int open_on_some_device_locked(int id, StreamRec& rec, std::string& refusal,
+                                 int exclude_device = -1);
   void pump_loop(int d);
   void charge_strikes_locked(int d, int degraded);
   void declare_lost_locked(int d, const char* reason);
@@ -270,7 +275,7 @@ class DeviceFleet {
   void start_obs_server();
   /// `rec`'s counters summed over its incarnations (tier: the current one's;
   /// recovery: the exported action counts only).
-  serve::StreamStats totals_locked(const StreamRec& rec) const;
+  StreamStats totals_locked(const StreamRec& rec) const;
   std::vector<double> latencies_locked(const StreamRec& rec) const;
   std::string metrics_text_locked() const;
   bool healthz_locked(std::string& detail) const;

@@ -144,8 +144,6 @@ class ResilientPipeline {
   /// Active GPU pipeline, or nullptr after degradation to the CPU tier.
   const GpuMogPipeline<T>* gpu_pipeline() const { return gpu_.get(); }
 
-  const ResilienceConfig& resilience_config() const { return res_; }
-
  private:
   void build_engine(ExecutionTier tier);
   void degrade();

@@ -27,8 +27,6 @@ struct Occupancy {
   /// Which resource bound the result (useful in reports and tests).
   enum class Limiter { kWarps, kBlocks, kRegisters, kSharedMem };
   Limiter limiter = Limiter::kWarps;
-
-  int resident_threads() const { return warps_per_sm * 32; }
 };
 
 Occupancy compute_occupancy(const DeviceSpec& spec, int regs_per_thread,

@@ -87,9 +87,6 @@ class SharedTimeline {
   /// than `ready_seconds` (the producing kernel's end).
   Window schedule_download(int stream, double ready_seconds, double seconds);
 
-  double dma_free_seconds() const { return dma_free_; }
-  double kernel_free_seconds() const { return kernel_free_; }
-
   /// Cumulative seconds each engine spent occupied. Divided by the makespan
   /// these are the copy/compute utilizations the /metrics endpoint exports —
   /// the saturation signal that says which engine is the multi-stream

@@ -92,12 +92,6 @@ class DeviceMogState {
     return model;
   }
 
-  /// Parameter bytes touched per frame (read + write), the paper's
-  /// "284 MByte (475 MByte) per full HD frame" bandwidth figure.
-  std::size_t param_bytes_per_frame() const {
-    return 2 * n_ * static_cast<std::size_t>(k_) * 3 * sizeof(T);
-  }
-
  private:
   ParamLayout layout_;
   int width_, height_, k_;

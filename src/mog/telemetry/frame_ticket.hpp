@@ -1,7 +1,7 @@
 // Per-frame trace context.
 //
 // A frame ticket is a process-unique id minted when a frame enters a
-// serving queue. It rides in serve::QueuedFrame through the scheduler, and
+// serving queue. It rides in cluster::QueuedFrame through the scheduler, and
 // a thread-local FrameTicketScope makes it visible to the layers below
 // (ResilientPipeline recovery events) without threading an argument through
 // every signature. The serving layer emits Chrome-trace flow events keyed

@@ -855,7 +855,7 @@ TEST(DeviceFleet, AdmissionFailsOnlyWhenEveryAliveDeviceIsFull) {
   EXPECT_EQ(fleet.open_stream(gpu_config()), 0);
   EXPECT_EQ(fleet.open_stream(gpu_config()), 1);  // spills to device 2
   EXPECT_NE(fleet.stream_device(0), fleet.stream_device(1));
-  EXPECT_THROW(fleet.open_stream(gpu_config()), serve::AdmissionError);
+  EXPECT_THROW(fleet.open_stream(gpu_config()), cluster::AdmissionError);
   // Closing frees the slot; the replacement lands on the freed device.
   fleet.close_stream(0);
   const int replacement = fleet.open_stream(gpu_config());

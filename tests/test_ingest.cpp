@@ -3,8 +3,8 @@
 // bridge into the serving layer, and — the acceptance criterion —
 // round-trip
 // fidelity: frames encoded by the fixture encoder, decoded by ingest, and
-// served through StreamServer must produce masks bit-identical to the
-// synthetic path.
+// served through a one-device DeviceFleet must produce masks bit-identical
+// to the synthetic path.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,18 +15,20 @@
 #include <string>
 #include <vector>
 
+#include "mog/cluster/device_fleet.hpp"
 #include "mog/ingest/decode_worker.hpp"
 #include "mog/ingest/jpeg.hpp"
 #include "mog/ingest/mjpeg.hpp"
 #include "mog/ingest/y4m.hpp"
 #include "mog/pipeline/gpu_pipeline.hpp"
-#include "mog/serve/stream_server.hpp"
 #include "mog/telemetry/telemetry.hpp"
 #include "mog/video/scene.hpp"
 
 namespace mog {
 namespace {
 
+using cluster::DeviceFleet;
+using cluster::FleetConfig;
 using ingest::DecodeWorker;
 using ingest::DecodeWorkerConfig;
 using ingest::IngestError;
@@ -356,33 +358,34 @@ TEST(DecodeWorker, ErrorStopsAtFrameBoundaryNoPartialFrame) {
 
 // The acceptance criterion: Y4M is bit-lossless for grayscale, so frames
 // that travel scene -> fixture encoder -> Y4mReader -> DecodeWorker ->
-// StreamServer must yield masks bit-identical to submitting the scene
-// frames directly.
+// DeviceFleet must yield masks bit-identical to submitting the scene frames
+// directly.
 TEST(IngestFidelity, Y4mDecodedMasksMatchSyntheticPathBitExactly) {
   constexpr int kFrames = 6;
   const std::vector<FrameU8> fr = frames_for(77, kFrames);
   const std::string path =
       write_y4m_file("mog_ingest_fidelity.y4m", fr, Y4mColorspace::k420);
 
-  serve::ServeConfig cfg;
-  cfg.queue_depth = kFrames;
-  serve::StreamServer<double> server{cfg};
-  serve::StreamServer<double>::GpuConfig gpu;
+  FleetConfig cfg;
+  cfg.devices = 1;
+  cfg.serve.queue_depth = kFrames;
+  DeviceFleet<double> fleet{cfg};
+  DeviceFleet<double>::GpuConfig gpu;
   gpu.width = kW;
   gpu.height = kH;
-  const int id = server.open_stream(gpu);
+  const int id = fleet.open_stream(gpu);
 
   DecodeWorker w{
       std::make_unique<Y4mReader>(std::make_unique<ingest::FileSource>(path)),
       [&](FrameU8 f, double arrival, std::uint64_t ticket) {
-        return server.submit(id, std::move(f), arrival, ticket);
+        return fleet.submit(id, std::move(f), arrival, ticket);
       }};
   w.start();
   w.join();
   ASSERT_FALSE(w.failed()) << w.error();
-  server.drain();
+  fleet.drain();
 
-  const std::vector<FrameU8> served = server.take_masks(id);
+  const std::vector<FrameU8> served = fleet.take_masks(id);
   ASSERT_EQ(served.size(), static_cast<std::size_t>(kFrames));
 
   GpuMogPipeline<double>::Config solo_cfg = gpu;
@@ -424,29 +427,30 @@ TEST(IngestFidelity, MjpegWorkerPathMatchesDirectSubmissionOfDecodedFrames) {
   }
 
   const auto run = [&](bool via_worker) {
-    serve::ServeConfig cfg;
-    cfg.queue_depth = kFrames;
-    serve::StreamServer<double> server{cfg};
-    serve::StreamServer<double>::GpuConfig gpu;
+    FleetConfig cfg;
+    cfg.devices = 1;
+    cfg.serve.queue_depth = kFrames;
+    DeviceFleet<double> fleet{cfg};
+    DeviceFleet<double>::GpuConfig gpu;
     gpu.width = kW;
     gpu.height = kH;
-    const int id = server.open_stream(gpu);
+    const int id = fleet.open_stream(gpu);
     if (via_worker) {
       DecodeWorker w{
           std::make_unique<ingest::MjpegReader>(
               std::make_unique<MemorySource>(stream)),
           [&](FrameU8 f, double arrival, std::uint64_t ticket) {
-            return server.submit(id, std::move(f), arrival, ticket);
+            return fleet.submit(id, std::move(f), arrival, ticket);
           }};
       w.start();
       w.join();
       EXPECT_FALSE(w.failed()) << w.error();
     } else {
       for (int t = 0; t < kFrames; ++t)
-        server.submit(id, decoded[static_cast<std::size_t>(t)], t / 30.0);
+        fleet.submit(id, decoded[static_cast<std::size_t>(t)], t / 30.0);
     }
-    server.drain();
-    return server.take_masks(id);
+    fleet.drain();
+    return fleet.take_masks(id);
   };
   EXPECT_EQ(run(true), run(false));
 }
@@ -461,20 +465,21 @@ TEST(IngestFidelity, DecodeSpanStartsTheTicketFlowChain) {
 
   telemetry::TraceRecorder trace;
   telemetry::set_tracer(&trace);
-  serve::ServeConfig cfg;
-  serve::StreamServer<double> server{cfg};
-  serve::StreamServer<double>::GpuConfig gpu;
+  FleetConfig cfg;
+  cfg.devices = 1;
+  DeviceFleet<double> fleet{cfg};
+  DeviceFleet<double>::GpuConfig gpu;
   gpu.width = kW;
   gpu.height = kH;
-  const int id = server.open_stream(gpu);
+  const int id = fleet.open_stream(gpu);
   DecodeWorker w{
       std::make_unique<Y4mReader>(std::make_unique<ingest::FileSource>(path)),
       [&](FrameU8 f, double arrival, std::uint64_t ticket) {
-        return server.submit(id, std::move(f), arrival, ticket);
+        return fleet.submit(id, std::move(f), arrival, ticket);
       }};
   w.start();
   w.join();
-  server.drain();
+  fleet.drain();
   telemetry::set_tracer(nullptr);
 
   int decode_spans = 0, flow_begins = 0, flow_steps = 0, flow_ends = 0;

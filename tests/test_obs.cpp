@@ -507,20 +507,21 @@ TEST(ServeFlow, FrameJourneyEmitsConnectedFlowEvents) {
   TraceRecorder trace;
   set_tracer(&trace);
   {
-    serve::ServeConfig cfg;
-    serve::StreamServer<double> server{cfg};
-    serve::StreamServer<double>::GpuConfig gpu;
+    cluster::FleetConfig cfg;
+    cfg.devices = 1;
+    cluster::DeviceFleet<double> fleet{cfg};
+    cluster::DeviceFleet<double>::GpuConfig gpu;
     gpu.width = 48;
     gpu.height = 36;
     SceneConfig sc;
     sc.width = 48;
     sc.height = 36;
     const SyntheticScene scene{sc};
-    const int id = server.open_stream(gpu);
+    const int id = fleet.open_stream(gpu);
     constexpr int kFrames = 4;
     for (int t = 0; t < kFrames; ++t)
-      server.submit(id, scene.frame(t), t / 30.0);
-    server.drain();
+      fleet.submit(id, scene.frame(t), t / 30.0);
+    fleet.drain();
   }
   set_tracer(nullptr);
 

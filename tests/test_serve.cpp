@@ -1,21 +1,22 @@
 // Tests for the per-device serving plane: bounded-queue backpressure,
 // round-robin fairness, admission control, per-stream mask parity with solo
 // pipelines, modeled device-time sharing, and the degradations a pump round
-// reports. The plane runs no thread; producers racing live pumps are tested
-// through the fleet that owns them (test_cluster.cpp).
+// reports. Each test drives a one-device DeviceFleet, the only code that can
+// build or drive a plane; producers racing live pumps: test_cluster.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "mog/cluster/device_fleet.hpp"
+#include "mog/cluster/frame_queue.hpp"
 #include "mog/fault/fault_injector.hpp"
-#include "mog/gpusim/transfer_model.hpp"
 #include "mog/pipeline/gpu_pipeline.hpp"
-#include "mog/serve/frame_queue.hpp"
-#include "mog/serve/stream_server.hpp"
 #include "mog/telemetry/log.hpp"
 #include "mog/telemetry/telemetry.hpp"
 #include "mog/video/scene.hpp"
@@ -23,12 +24,13 @@
 namespace mog {
 namespace {
 
-using serve::AdmissionError;
-using serve::DropPolicy;
-using serve::QueueStats;
-using serve::ServeConfig;
-using serve::StreamServer;
-using serve::StreamStats;
+using cluster::AdmissionError;
+using cluster::DeviceFleet;
+using cluster::DropPolicy;
+using cluster::FleetConfig;
+using cluster::QueueStats;
+using cluster::ServeConfig;
+using cluster::StreamServer;
 
 constexpr int kW = 48, kH = 36;
 
@@ -40,9 +42,9 @@ SyntheticScene scene_for(std::uint64_t seed) {
   return SyntheticScene{c};
 }
 
-StreamServer<double>::GpuConfig gpu_config(bool tiled = false,
-                                           int executor_threads = 0) {
-  StreamServer<double>::GpuConfig cfg;
+DeviceFleet<double>::GpuConfig gpu_config(bool tiled = false,
+                                          int executor_threads = 0) {
+  DeviceFleet<double>::GpuConfig cfg;
   cfg.width = kW;
   cfg.height = kH;
   cfg.level = kernels::OptLevel::kF;
@@ -55,6 +57,24 @@ StreamServer<double>::GpuConfig gpu_config(bool tiled = false,
   return cfg;
 }
 
+/// A fleet of one device: its plane is the plane under test.
+FleetConfig one_device() {
+  FleetConfig cfg;
+  cfg.devices = 1;
+  return cfg;
+}
+
+TEST(StreamServer, PlaneBelongsToTheFleet) {
+  // Checked at compile time: nothing outside DeviceFleet can build a plane,
+  // and the fleet hands out only a read-only view of one.
+  static_assert(
+      !std::is_constructible_v<StreamServer<double>, const ServeConfig&>);
+  static_assert(
+      std::is_same_v<decltype(std::declval<DeviceFleet<double>&>()
+                                  .device_server(0)),
+                     const StreamServer<double>&>);
+}
+
 TEST(StreamServer, EightStreamMasksMatchSoloPipelines) {
   // The acceptance criterion of the serving layer: multiplexing shares
   // modeled device *time*, never model *state* — every stream's masks must
@@ -62,20 +82,20 @@ TEST(StreamServer, EightStreamMasksMatchSoloPipelines) {
   // count.
   constexpr int kStreams = 8, kFrames = 6;
   for (const int threads : {1, 8}) {
-    ServeConfig cfg;
-    cfg.queue_depth = kFrames;
-    StreamServer<double> server{cfg};
+    FleetConfig cfg = one_device();
+    cfg.serve.queue_depth = kFrames;
+    DeviceFleet<double> fleet{cfg};
     for (int s = 0; s < kStreams; ++s)
-      ASSERT_EQ(server.open_stream(gpu_config(false, threads)), s);
+      ASSERT_EQ(fleet.open_stream(gpu_config(false, threads)), s);
     for (int t = 0; t < kFrames; ++t)
       for (int s = 0; s < kStreams; ++s)
-        ASSERT_TRUE(server.submit(s, scene_for(100 + s).frame(t)));
-    server.drain();
+        ASSERT_TRUE(fleet.submit(s, scene_for(100 + s).frame(t)));
+    fleet.drain();
 
     for (int s = 0; s < kStreams; ++s) {
       GpuMogPipeline<double>::Config solo_cfg = gpu_config(false, threads);
       GpuMogPipeline<double> solo{solo_cfg};
-      const std::vector<FrameU8> served = server.take_masks(s);
+      const std::vector<FrameU8> served = fleet.take_masks(s);
       ASSERT_EQ(served.size(), static_cast<std::size_t>(kFrames))
           << "stream " << s;
       FrameU8 fg;
@@ -84,30 +104,30 @@ TEST(StreamServer, EightStreamMasksMatchSoloPipelines) {
         EXPECT_EQ(served[static_cast<std::size_t>(t)], fg)
             << "stream " << s << " frame " << t << " threads " << threads;
       }
-      EXPECT_EQ(server.stream_stats(s).masks_delivered,
+      EXPECT_EQ(fleet.stream_info(s).masks_delivered,
                 static_cast<std::uint64_t>(kFrames));
     }
-    EXPECT_EQ(server.masks_delivered(),
+    EXPECT_EQ(fleet.masks_delivered(),
               static_cast<std::uint64_t>(kStreams * kFrames));
-    EXPECT_EQ(server.frames_dropped(), 0u);
+    EXPECT_EQ(fleet.frames_dropped(), 0u);
   }
 }
 
 TEST(StreamServer, TiledStreamsDeliverGroupsAndCloseFlushesPartials) {
   constexpr int kFrames = 6;  // group of 4: one full group + 2 flushed
-  ServeConfig cfg;
-  cfg.queue_depth = kFrames;
-  StreamServer<double> server{cfg};
-  const int id = server.open_stream(gpu_config(true));
+  FleetConfig cfg = one_device();
+  cfg.serve.queue_depth = kFrames;
+  DeviceFleet<double> fleet{cfg};
+  const int id = fleet.open_stream(gpu_config(true));
   for (int t = 0; t < kFrames; ++t)
-    ASSERT_TRUE(server.submit(id, scene_for(7).frame(t)));
-  server.drain();
-  EXPECT_EQ(server.stream_stats(id).masks_delivered, 4u);
+    ASSERT_TRUE(fleet.submit(id, scene_for(7).frame(t)));
+  fleet.drain();
+  EXPECT_EQ(fleet.stream_info(id).masks_delivered, 4u);
 
-  server.close_stream(id);  // flushes the partial group of 2
-  EXPECT_EQ(server.stream_stats(id).masks_delivered, 6u);
-  EXPECT_EQ(server.open_streams(), 0);
-  EXPECT_EQ(server.device_bytes_in_use(), 0u);
+  fleet.close_stream(id);  // flushes the partial group of 2
+  EXPECT_EQ(fleet.stream_info(id).masks_delivered, 6u);
+  EXPECT_EQ(fleet.device_server(0).open_streams(), 0);
+  EXPECT_EQ(fleet.device_server(0).device_bytes_in_use(), 0u);
 
   // Bit-identical to the solo tiled pipeline, including the flush tail.
   GpuMogPipeline<double> solo{gpu_config(true)};
@@ -120,7 +140,7 @@ TEST(StreamServer, TiledStreamsDeliverGroupsAndCloseFlushesPartials) {
   solo.flush(rest);
   for (auto& m : rest) expected.push_back(std::move(m));
 
-  const std::vector<FrameU8> served = server.take_masks(id);
+  const std::vector<FrameU8> served = fleet.take_masks(id);
   ASSERT_EQ(served.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i)
     EXPECT_EQ(served[i], expected[i]) << "mask " << i;
@@ -131,20 +151,20 @@ TEST(StreamServer, RoundRobinPumpIsFair) {
   // another ready stream gets one: after each round the scheduled counts
   // spread by at most 1.
   constexpr int kStreams = 3, kFrames = 5;
-  ServeConfig cfg;
-  cfg.queue_depth = kFrames;
-  StreamServer<double> server{cfg};
-  for (int s = 0; s < kStreams; ++s) server.open_stream(gpu_config());
+  FleetConfig cfg = one_device();
+  cfg.serve.queue_depth = kFrames;
+  DeviceFleet<double> fleet{cfg};
+  for (int s = 0; s < kStreams; ++s) fleet.open_stream(gpu_config());
   for (int t = 0; t < kFrames; ++t)
     for (int s = 0; s < kStreams; ++s)
-      ASSERT_TRUE(server.submit(s, scene_for(s).frame(t)));
+      ASSERT_TRUE(fleet.submit(s, scene_for(s).frame(t)));
 
   telemetry::RingBufferSink log;
   telemetry::default_logger().add_sink(&log);
-  while (server.pump().ingested > 0) {
+  while (fleet.pump() > 0) {
     std::uint64_t lo = ~0ull, hi = 0;
     for (int s = 0; s < kStreams; ++s) {
-      const std::uint64_t n = server.stream_stats(s).frames_scheduled;
+      const std::uint64_t n = fleet.stream_info(s).serve.frames_scheduled;
       lo = std::min(lo, n);
       hi = std::max(hi, n);
     }
@@ -152,7 +172,7 @@ TEST(StreamServer, RoundRobinPumpIsFair) {
   }
   telemetry::default_logger().remove_sink(&log);
   for (int s = 0; s < kStreams; ++s)
-    EXPECT_EQ(server.stream_stats(s).masks_delivered,
+    EXPECT_EQ(fleet.stream_info(s).masks_delivered,
               static_cast<std::uint64_t>(kFrames));
   // Healthy untiled streams start and stay on the direct GPU tier: the plane
   // must not report a degradation they never had.
@@ -161,28 +181,28 @@ TEST(StreamServer, RoundRobinPumpIsFair) {
 }
 
 TEST(StreamServer, DropNewestRefusesAtFullQueue) {
-  ServeConfig cfg;
-  cfg.queue_depth = 2;
-  cfg.drop_policy = DropPolicy::kDropNewest;
-  StreamServer<double> server{cfg};
-  const int id = server.open_stream(gpu_config());
+  FleetConfig cfg = one_device();
+  cfg.serve.queue_depth = 2;
+  cfg.serve.drop_policy = DropPolicy::kDropNewest;
+  DeviceFleet<double> fleet{cfg};
+  const int id = fleet.open_stream(gpu_config());
   const SyntheticScene scene = scene_for(1);
-  EXPECT_TRUE(server.submit(id, scene.frame(0)));
-  EXPECT_TRUE(server.submit(id, scene.frame(1)));
-  EXPECT_FALSE(server.submit(id, scene.frame(2)));  // explicit backpressure
-  EXPECT_FALSE(server.submit(id, scene.frame(3)));
+  EXPECT_TRUE(fleet.submit(id, scene.frame(0)));
+  EXPECT_TRUE(fleet.submit(id, scene.frame(1)));
+  EXPECT_FALSE(fleet.submit(id, scene.frame(2)));  // explicit backpressure
+  EXPECT_FALSE(fleet.submit(id, scene.frame(3)));
 
-  const QueueStats q = server.stream_stats(id).queue;
+  const QueueStats q = fleet.stream_info(id).serve.queue;
   EXPECT_EQ(q.submitted, 4u);
   EXPECT_EQ(q.accepted, 2u);
   EXPECT_EQ(q.dropped, 2u);
   EXPECT_EQ(q.submitted, q.accepted + q.dropped);  // conservation
   EXPECT_EQ(q.high_water, 2u);
 
-  server.drain();
+  fleet.drain();
   // The two *oldest* frames survived: masks match solo frames 0..1.
   GpuMogPipeline<double> solo{gpu_config()};
-  const std::vector<FrameU8> served = server.take_masks(id);
+  const std::vector<FrameU8> served = fleet.take_masks(id);
   ASSERT_EQ(served.size(), 2u);
   FrameU8 fg;
   for (int t = 0; t < 2; ++t) {
@@ -192,17 +212,17 @@ TEST(StreamServer, DropNewestRefusesAtFullQueue) {
 }
 
 TEST(StreamServer, DropOldestEvictsStaleFrames) {
-  ServeConfig cfg;
-  cfg.queue_depth = 2;
-  cfg.drop_policy = DropPolicy::kDropOldest;
-  StreamServer<double> server{cfg};
-  const int id = server.open_stream(gpu_config());
+  FleetConfig cfg = one_device();
+  cfg.serve.queue_depth = 2;
+  cfg.serve.drop_policy = DropPolicy::kDropOldest;
+  DeviceFleet<double> fleet{cfg};
+  const int id = fleet.open_stream(gpu_config());
   const SyntheticScene scene = scene_for(1);
   for (int t = 0; t < 4; ++t)
-    EXPECT_TRUE(server.submit(id, scene.frame(t)));  // always admitted
-  server.drain();
+    EXPECT_TRUE(fleet.submit(id, scene.frame(t)));  // always admitted
+  fleet.drain();
 
-  const QueueStats q = server.stream_stats(id).queue;
+  const QueueStats q = fleet.stream_info(id).serve.queue;
   EXPECT_EQ(q.submitted, 4u);
   EXPECT_EQ(q.accepted, 4u);
   EXPECT_EQ(q.dropped, 2u);
@@ -211,7 +231,7 @@ TEST(StreamServer, DropOldestEvictsStaleFrames) {
 
   // The two *newest* frames survived: the model saw frames 2..3.
   GpuMogPipeline<double> solo{gpu_config()};
-  const std::vector<FrameU8> served = server.take_masks(id);
+  const std::vector<FrameU8> served = fleet.take_masks(id);
   ASSERT_EQ(served.size(), 2u);
   FrameU8 fg;
   for (int t = 2; t < 4; ++t) {
@@ -231,8 +251,8 @@ TEST(BoundedFrameQueue, ConcurrentProducersPreserveStatsConservation) {
 
   for (const DropPolicy policy :
        {DropPolicy::kDropNewest, DropPolicy::kDropOldest}) {
-    SCOPED_TRACE(serve::to_string(policy));
-    serve::BoundedFrameQueue queue{kDepth, policy};
+    SCOPED_TRACE(cluster::to_string(policy));
+    cluster::BoundedFrameQueue queue{kDepth, policy};
 
     std::atomic<std::uint64_t> refused{0};
     std::atomic<std::uint64_t> popped{0};
@@ -248,7 +268,7 @@ TEST(BoundedFrameQueue, ConcurrentProducersPreserveStatsConservation) {
       });
     }
     std::thread consumer([&] {
-      serve::QueuedFrame out;
+      cluster::QueuedFrame out;
       while (producers_left.load() > 0 || !queue.empty()) {
         if (queue.pop(out))
           popped.fetch_add(1);
@@ -282,39 +302,39 @@ TEST(BoundedFrameQueue, ConcurrentProducersPreserveStatsConservation) {
 }
 
 TEST(StreamServer, AdmissionControlEnforcesStreamCap) {
-  ServeConfig cfg;
-  cfg.max_streams = 2;
-  StreamServer<double> server{cfg};
-  server.open_stream(gpu_config());
-  server.open_stream(gpu_config());
-  EXPECT_THROW(server.open_stream(gpu_config()), AdmissionError);
+  FleetConfig cfg = one_device();
+  cfg.serve.max_streams = 2;
+  DeviceFleet<double> fleet{cfg};
+  fleet.open_stream(gpu_config());
+  fleet.open_stream(gpu_config());
+  EXPECT_THROW(fleet.open_stream(gpu_config()), AdmissionError);
   // Closing a stream frees its slot.
-  server.close_stream(0);
-  EXPECT_NO_THROW(server.open_stream(gpu_config()));
+  fleet.close_stream(0);
+  EXPECT_NO_THROW(fleet.open_stream(gpu_config()));
 }
 
 TEST(StreamServer, AdmissionControlEnforcesMemoryBudget) {
-  ServeConfig cfg;
-  StreamServer<double> probe{cfg};
+  FleetConfig cfg = one_device();
+  DeviceFleet<double> probe{cfg};
   probe.open_stream(gpu_config());
-  const std::size_t per_stream = probe.device_bytes_in_use();
+  const std::size_t per_stream = probe.device_server(0).device_bytes_in_use();
   ASSERT_GT(per_stream, 0u);
 
   // Budget for two streams; the third must be refused with a useful message.
-  cfg.device_memory_budget_bytes = 2 * per_stream + per_stream / 2;
-  StreamServer<double> server{cfg};
-  server.open_stream(gpu_config());
-  server.open_stream(gpu_config());
+  cfg.serve.device_memory_budget_bytes = 2 * per_stream + per_stream / 2;
+  DeviceFleet<double> fleet{cfg};
+  fleet.open_stream(gpu_config());
+  fleet.open_stream(gpu_config());
   try {
-    server.open_stream(gpu_config());
+    fleet.open_stream(gpu_config());
     FAIL() << "admission control accepted a stream over the memory budget";
   } catch (const AdmissionError& e) {
     EXPECT_NE(std::string{e.what()}.find("budget"), std::string::npos);
   }
-  EXPECT_EQ(server.device_bytes_in_use(), 2 * per_stream);
+  EXPECT_EQ(fleet.device_server(0).device_bytes_in_use(), 2 * per_stream);
   // A refused stream leaks nothing; closing one admits the next.
-  server.close_stream(1);
-  EXPECT_NO_THROW(server.open_stream(gpu_config()));
+  fleet.close_stream(1);
+  EXPECT_NO_THROW(fleet.open_stream(gpu_config()));
 }
 
 TEST(StreamServer, SingleStreamMakespanTracksOverlappedModel) {
@@ -324,46 +344,44 @@ TEST(StreamServer, SingleStreamMakespanTracksOverlappedModel) {
   // timeline prices each round at the counters averaged so far while
   // modeled_seconds() uses the final average.
   constexpr int kFrames = 8;
-  ServeConfig cfg;
-  cfg.queue_depth = kFrames;
-  cfg.collect_masks = false;
-  StreamServer<double> server{cfg};
-  const int id = server.open_stream(gpu_config());
+  FleetConfig cfg = one_device();
+  cfg.serve.queue_depth = kFrames;
+  cfg.serve.collect_masks = false;
+  DeviceFleet<double> fleet{cfg};
+  const int id = fleet.open_stream(gpu_config());
   const SyntheticScene scene = scene_for(3);
   for (int t = 0; t < kFrames; ++t)
-    ASSERT_TRUE(server.submit(id, scene.frame(t)));
-  server.drain();
+    ASSERT_TRUE(fleet.submit(id, scene.frame(t)));
+  fleet.drain();
 
   GpuMogPipeline<double> solo{gpu_config()};
   FrameU8 fg;
   for (int t = 0; t < kFrames; ++t) solo.process(scene.frame(t), fg);
   const double modeled = solo.modeled_seconds(kFrames);
-  EXPECT_NEAR(server.makespan_seconds(), modeled, 0.05 * modeled);
+  EXPECT_NEAR(fleet.makespan_seconds(), modeled, 0.05 * modeled);
 
-  const telemetry::Rollup lat =
-      telemetry::make_rollup(server.latency_samples(id));
+  const telemetry::Rollup lat = fleet.latency_rollup(id);
   EXPECT_EQ(lat.count, static_cast<std::size_t>(kFrames));
   EXPECT_GT(lat.p50, 0.0);
   EXPECT_LE(lat.p50, lat.p99);
-  EXPECT_LE(lat.p99, server.makespan_seconds() + 1e-12);
+  EXPECT_LE(lat.p99, fleet.makespan_seconds() + 1e-12);
 }
 
 TEST(StreamServer, ModeledTimesAreIdenticalAcrossExecutorThreads) {
   // executor_threads is a wall-clock knob only: the modeled makespan and
   // every latency must be bit-identical at 1 and 8 workers.
   auto run = [](int threads) {
-    ServeConfig cfg;
-    cfg.queue_depth = 8;
-    StreamServer<double> server{cfg};
-    for (int s = 0; s < 2; ++s) server.open_stream(gpu_config(false, threads));
+    FleetConfig cfg = one_device();
+    cfg.serve.queue_depth = 8;
+    DeviceFleet<double> fleet{cfg};
+    for (int s = 0; s < 2; ++s) fleet.open_stream(gpu_config(false, threads));
     for (int t = 0; t < 5; ++t)
       for (int s = 0; s < 2; ++s)
-        server.submit(s, scene_for(40 + s).frame(t));
-    server.drain();
-    std::vector<double> out{server.makespan_seconds()};
+        fleet.submit(s, scene_for(40 + s).frame(t));
+    fleet.drain();
+    std::vector<double> out{fleet.makespan_seconds()};
     for (int s = 0; s < 2; ++s) {
-      const telemetry::Rollup r =
-          telemetry::make_rollup(server.latency_samples(s));
+      const telemetry::Rollup r = fleet.latency_rollup(s);
       out.push_back(r.p50);
       out.push_back(r.p99);
       out.push_back(r.total);
@@ -378,16 +396,16 @@ TEST(StreamServer, SharedDeviceStretchesLatencyButNotCorrectness) {
   // whole point of modeling the shared copy engine — while aggregate
   // throughput accounting stays conserved.
   auto makespan_for = [](int streams) {
-    ServeConfig cfg;
-    cfg.queue_depth = 6;
-    cfg.collect_masks = false;
-    StreamServer<double> server{cfg};
-    for (int s = 0; s < streams; ++s) server.open_stream(gpu_config());
+    FleetConfig cfg = one_device();
+    cfg.serve.queue_depth = 6;
+    cfg.serve.collect_masks = false;
+    DeviceFleet<double> fleet{cfg};
+    for (int s = 0; s < streams; ++s) fleet.open_stream(gpu_config());
     for (int t = 0; t < 6; ++t)
       for (int s = 0; s < streams; ++s)
-        server.submit(s, scene_for(60 + s).frame(t));
-    server.drain();
-    return server.makespan_seconds();
+        fleet.submit(s, scene_for(60 + s).frame(t));
+    fleet.drain();
+    return fleet.makespan_seconds();
   };
   const double one = makespan_for(1);
   const double four = makespan_for(4);
@@ -401,18 +419,18 @@ TEST(StreamServer, FeedsGlobalTelemetrySinks) {
   telemetry::set_tracer(&rec);
   telemetry::set_counters(&reg);
   {
-    ServeConfig cfg;
-    cfg.queue_depth = 4;
-    StreamServer<double> server{cfg};
-    for (int s = 0; s < 2; ++s) server.open_stream(gpu_config());
+    FleetConfig cfg = one_device();
+    cfg.serve.queue_depth = 4;
+    DeviceFleet<double> fleet{cfg};
+    for (int s = 0; s < 2; ++s) fleet.open_stream(gpu_config());
     for (int t = 0; t < 3; ++t)
-      for (int s = 0; s < 2; ++s) server.submit(s, scene_for(9).frame(t));
-    server.drain();
+      for (int s = 0; s < 2; ++s) fleet.submit(s, scene_for(9).frame(t));
+    fleet.drain();
 
     // The registry is a kernel-launch sink; the per-stream samples are the
     // one latency record.
     EXPECT_GT(reg.launches(), 0u);
-    EXPECT_EQ(server.aggregate_latencies().size(), server.masks_delivered());
+    EXPECT_EQ(fleet.aggregate_latency_rollup().count, fleet.masks_delivered());
     bool serve_track_seen = false;
     for (const telemetry::TraceEvent& ev : rec.events())
       serve_track_seen |=
@@ -426,39 +444,42 @@ TEST(StreamServer, FeedsGlobalTelemetrySinks) {
 TEST(StreamServer, DegradedStreamKeepsServingOffTheSharedDevice) {
   // Hammer one stream with launch faults until it degrades to the CPU tier;
   // it must keep delivering masks while the healthy stream is unaffected.
-  ServeConfig cfg;
-  cfg.queue_depth = 16;
-  cfg.resilience.retry.max_attempts = 2;
-  cfg.resilience.degrade_after_failures = 1;
-  StreamServer<double> server{cfg};
+  FleetConfig cfg = one_device();
+  cfg.serve.queue_depth = 16;
+  cfg.serve.resilience.retry.max_attempts = 2;
+  cfg.serve.resilience.degrade_after_failures = 1;
+  DeviceFleet<double> fleet{cfg};
   auto injector = std::make_shared<fault::FaultInjector>([] {
     fault::FaultConfig fc;
     fc.launch_fault_prob = 1.0;
     return fc;
   }());
-  const int sick = server.open_stream(gpu_config(), injector);
-  const int healthy = server.open_stream(gpu_config());
+  const int sick = fleet.open_stream(gpu_config(), injector);
+  const int healthy = fleet.open_stream(gpu_config());
   for (int t = 0; t < 8; ++t) {
-    server.submit(sick, scene_for(1).frame(t));
-    server.submit(healthy, scene_for(2).frame(t));
+    fleet.submit(sick, scene_for(1).frame(t));
+    fleet.submit(healthy, scene_for(2).frame(t));
   }
-  // Drain by hand: the round that steps the sick stream down the ladder
-  // reports it (the fleet charges device strikes from this count).
+  // Each step down the ladder logs one "stream degraded" line and costs the
+  // device a strike; the lost device has nowhere to migrate its streams to.
+  telemetry::RingBufferSink log;
+  telemetry::default_logger().add_sink(&log);
+  fleet.drain();
+  telemetry::default_logger().remove_sink(&log);
   int degraded = 0;
-  serve::PumpRound round;
-  do {
-    round = server.pump();
-    degraded += round.degraded;
-  } while (round.ingested > 0);
+  for (const telemetry::LogRecord& r : log.snapshot())
+    degraded += r.message == "stream degraded" ? 1 : 0;
   EXPECT_EQ(degraded, 1);  // direct GPU -> CPU is one step
+  const std::string one_strike = "mog_fleet_device_strikes{device=\"0\"} 1\n";
+  EXPECT_NE(fleet.metrics_text().find(one_strike), std::string::npos);
 
-  EXPECT_EQ(server.stream_stats(sick).tier, fault::ExecutionTier::kCpuSerial);
-  EXPECT_EQ(server.stream_stats(sick).masks_delivered, 8u);
-  EXPECT_EQ(server.stream_stats(healthy).masks_delivered, 8u);
+  EXPECT_EQ(fleet.stream_info(sick).tier, fault::ExecutionTier::kCpuSerial);
+  EXPECT_EQ(fleet.stream_info(sick).masks_delivered, 8u);
+  EXPECT_EQ(fleet.stream_info(healthy).masks_delivered, 8u);
 
   // The healthy stream's masks are still bit-identical to its solo run.
   GpuMogPipeline<double> solo{gpu_config()};
-  const std::vector<FrameU8> served = server.take_masks(healthy);
+  const std::vector<FrameU8> served = fleet.take_masks(healthy);
   ASSERT_EQ(served.size(), 8u);
   FrameU8 fg;
   for (int t = 0; t < 8; ++t) {
@@ -468,17 +489,17 @@ TEST(StreamServer, DegradedStreamKeepsServingOffTheSharedDevice) {
 }
 
 TEST(StreamServer, ValidatesApiMisuse) {
-  ServeConfig bad;
-  bad.queue_depth = 0;
-  EXPECT_THROW(StreamServer<double>{bad}, Error);
+  FleetConfig bad = one_device();
+  bad.serve.queue_depth = 0;
+  EXPECT_THROW(DeviceFleet<double>{bad}, Error);
 
-  StreamServer<double> server{ServeConfig{}};
+  DeviceFleet<double> fleet{one_device()};
   const SyntheticScene scene = scene_for(5);
-  EXPECT_THROW(server.submit(0, scene.frame(0)), Error);  // unknown id
-  const int id = server.open_stream(gpu_config());
-  server.close_stream(id);
-  EXPECT_THROW(server.submit(id, scene.frame(0)), Error);  // closed
-  EXPECT_THROW(server.close_stream(id), Error);            // double close
+  EXPECT_THROW(fleet.submit(0, scene.frame(0)), Error);  // unknown id
+  const int id = fleet.open_stream(gpu_config());
+  fleet.close_stream(id);
+  EXPECT_THROW(fleet.submit(id, scene.frame(0)), Error);  // closed
+  EXPECT_THROW(fleet.close_stream(id), Error);            // double close
 }
 
 }  // namespace
