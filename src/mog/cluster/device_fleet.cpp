@@ -216,11 +216,11 @@ template <typename T>
 int DeviceFleet<T>::pump() {
   std::lock_guard<std::mutex> lock(mu_);
   int ingested = 0;
-  std::vector<int> degraded(nodes_.size());
+  std::vector<std::vector<int>> degraded(nodes_.size());
   for (std::size_t d = 0; d < nodes_.size(); ++d) {
-    const PumpRound round = nodes_[d].server->pump();
+    PumpRound round = nodes_[d].server->pump();
     ingested += round.ingested;
-    degraded[d] = round.degraded;
+    degraded[d] = std::move(round.degraded);
   }
   for (std::size_t d = 0; d < nodes_.size(); ++d)
     charge_strikes_locked(static_cast<int>(d), degraded[d]);
@@ -257,7 +257,7 @@ void DeviceFleet<T>::pump_loop(int d) {
     const std::uint32_t seen = node.wakeups.load();
     if (stop_requested_.load()) return;
     const PumpRound round = node.server->pump();
-    if (round.degraded > 0) {
+    if (!round.degraded.empty()) {
       std::lock_guard<std::mutex> lock(mu_);
       charge_strikes_locked(d, round.degraded);
     }
@@ -291,18 +291,26 @@ void DeviceFleet<T>::fail_device(int d) {
 }
 
 template <typename T>
-void DeviceFleet<T>::charge_strikes_locked(int d, int degraded) {
+void DeviceFleet<T>::charge_strikes_locked(int d,
+                                           const std::vector<int>& degraded) {
   // A stream stepping down the recovery ladder is evidence against the
   // device hosting it (launch/transfer failures are device-side in this
-  // model; frame-level corruption never degrades). Charging only changes
-  // this device's count, so charging and declaring device by device
-  // migrates exactly as charging every device first would.
+  // model; frame-level corruption never degrades) — unless the stream runs
+  // under its own injector: a sick camera's faults follow it from device
+  // to device, so they say nothing about any of them, and the stream rides
+  // its own ladder in place. Charging only changes this device's count, so
+  // charging and declaring device by device migrates exactly as charging
+  // every device first would.
   DeviceNode& node = nodes_[static_cast<std::size_t>(d)];
-  if (degraded == 0 || !node.alive) return;
-  node.strikes += degraded;
+  if (!node.alive) return;
+  int charged = 0;
+  for (const int id : degraded)
+    if (rec_at(id).own_injector == nullptr) ++charged;
+  if (charged == 0) return;
+  node.strikes += charged;
   log_.warn("degradation strike",
             {{"device", d},
-             {"streams_degraded", degraded},
+             {"streams_degraded", charged},
              {"strikes", node.strikes}});
   if (node.strikes >= kDeviceLossStrikes)
     declare_lost_locked(d, "degradation strikes");

@@ -269,7 +269,7 @@ class DeviceFleet {
   int open_on_some_device_locked(int id, StreamRec& rec, std::string& refusal,
                                  int exclude_device = -1);
   void pump_loop(int d);
-  void charge_strikes_locked(int d, int degraded);
+  void charge_strikes_locked(int d, const std::vector<int>& degraded);
   void declare_lost_locked(int d, const char* reason);
   bool migrate_stream_locked(int id);
   void start_obs_server();

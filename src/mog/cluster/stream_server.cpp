@@ -254,7 +254,7 @@ PumpRound StreamServer<T>::pump() {
     const fault::ExecutionTier tier_now = s.pipeline->tier();
     if (tier_now != s.last_tier) {
       // Tiers only step down, so any change is a degradation.
-      ++round.degraded;
+      round.degraded.push_back(s.trace_id);
       log_.warn("stream degraded",
                 {{"stream", s.trace_id},
                  {"from", fault::to_string(s.last_tier)},

@@ -101,7 +101,9 @@ struct StreamStats {
 /// What one StreamServer::pump() round did.
 struct PumpRound {
   int ingested = 0;  ///< frames popped into the pipelines
-  int degraded = 0;  ///< streams whose execution tier worsened
+  /// Trace ids (fleet stream ids) of the streams whose execution tier
+  /// worsened this round.
+  std::vector<int> degraded;
 };
 
 template <typename T>
@@ -193,7 +195,7 @@ class StreamServer {
   /// Run one scheduling round (see file comment). Pending downloads from
   /// the previous round are delivered even when no frame is ingested, so a
   /// round that ingests nothing leaves nothing owed. A stream's tier changes
-  /// only here, so `degraded` counts every step down the ladder.
+  /// only here, so `degraded` lists every step down the ladder.
   PumpRound pump();
 
   /// Move out the masks delivered so far for stream `id` (arrival order).

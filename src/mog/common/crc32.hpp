@@ -24,4 +24,12 @@ class Crc32 {
 /// One-shot convenience over a single buffer.
 std::uint32_t crc32(const void* data, std::size_t bytes);
 
+namespace detail {
+/// The one-byte-per-step table loop over a raw (unfinalized) CRC state:
+/// the reference Crc32::update's eight-bytes-per-step loop is tested
+/// against.
+std::uint32_t crc32_bytewise(std::uint32_t state, const void* data,
+                             std::size_t bytes);
+}  // namespace detail
+
 }  // namespace mog

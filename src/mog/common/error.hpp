@@ -19,22 +19,14 @@ class Error : public std::runtime_error {
 };
 
 namespace detail {
-[[noreturn]] inline void fail(const char* kind, const char* cond,
-                              const char* file, int line,
-                              const std::string& msg) {
-  std::string s{kind};
-  s += ": (";
-  s += cond;
-  s += ") at ";
-  s += file;
-  s += ':';
-  s += std::to_string(line);
-  if (!msg.empty()) {
-    s += " — ";
-    s += msg;
-  }
-  throw Error{s};
-}
+/// Throws the Error that MOG_CHECK / MOG_ASSERT report. Out of line, with a
+/// const char* overload so a literal message builds no std::string at the
+/// check site: code compiled for another x86-64 level (the device kernels)
+/// then carries no weak copy of this or of std::string's members.
+[[noreturn]] void fail(const char* kind, const char* cond, const char* file,
+                       int line, const std::string& msg);
+[[noreturn]] void fail(const char* kind, const char* cond, const char* file,
+                       int line, const char* msg);
 }  // namespace detail
 
 }  // namespace mog

@@ -5,17 +5,6 @@
 
 namespace mog::gpusim {
 
-BlockCtx::BlockCtx(std::int64_t block_id, int threads_in_block,
-                   int threads_per_block, KernelStats& stats,
-                   Coalescer& coalescer,
-                   std::vector<std::byte>& shared_arena)
-    : block_id_(block_id),
-      threads_in_block_(threads_in_block),
-      threads_per_block_(threads_per_block),
-      stats_(stats),
-      coalescer_(coalescer),
-      shared_arena_(shared_arena) {}
-
 Device::Device(DeviceSpec spec) : spec_(std::move(spec)), memory_() {
   worker_arena(0);  // the launching thread's arena always exists
 }
@@ -39,9 +28,8 @@ std::vector<std::byte>& Device::worker_arena(int worker) {
   return worker_arenas_[static_cast<std::size_t>(worker)];
 }
 
-KernelStats Device::run_blocks(
-    const LaunchConfig& config,
-    const std::function<void(BlockCtx&)>& block_fn) {
+KernelStats Device::run_blocks(const LaunchConfig& config, BlockFn block_fn,
+                               void* kernel) {
   const telemetry::ProfSpan launch_span{telemetry::ProfTag::kKernelLaunch};
   KernelStats stats;
   stats.threads_per_block = config.threads_per_block;
@@ -53,7 +41,7 @@ KernelStats Device::run_blocks(
   // Per-worker private accumulation state, persistent across launches (see
   // WorkerState in the header). Everything a kernel touches outside device
   // memory is either per-worker (stats, coalescer, arena) or per-block
-  // (BlockCtx), so kernel callables never contend; device memory itself is
+  // (BlockState), so kernel callables never contend; device memory itself is
   // safe because blocks only write locations owned by their own threads.
   const int pool =
       blocks > 1 ? resolved_executor_threads(spec_.executor_threads) : 1;
@@ -101,14 +89,14 @@ KernelStats Device::run_blocks(
     const std::size_t trace_begin = ws.page_trace.size();
     KernelStats before;
     if (block_stats) before = ws.stats;
-    BlockCtx blk{b, threads_in_block, config.threads_per_block, ws.stats,
-                 ws.coalescer, worker_arenas_[static_cast<std::size_t>(w)]};
-    block_fn(blk);
+    BlockState blk{b, threads_in_block, config.threads_per_block, ws.stats,
+                   ws.coalescer, worker_arenas_[static_cast<std::size_t>(w)]};
+    block_fn(kernel, blk);
     if (traced)
       block_spans_[static_cast<std::size_t>(b)] =
           TraceSpan{w, trace_begin, ws.page_trace.size()};
-    if (blk.peak_reg_words() > ws.peak_reg_words)
-      ws.peak_reg_words = blk.peak_reg_words();
+    if (blk.peak_reg_words > ws.peak_reg_words)
+      ws.peak_reg_words = blk.peak_reg_words;
     if (block_stats) {
       BlockStats record;
       record.block_id = b;

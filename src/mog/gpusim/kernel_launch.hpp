@@ -20,7 +20,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -41,17 +42,34 @@ struct LaunchConfig {
   int threads_per_block = 128;
 };
 
+/// One block's launch state: its ids and the executing worker's private
+/// stats, coalescer and shared-memory arena. Device::run_blocks builds one
+/// per block; kernels see it through BlockCtx.
+struct BlockState {
+  std::int64_t block_id = 0;
+  int threads_in_block = 0;
+  int threads_per_block = 0;
+  KernelStats& stats;
+  Coalescer& coalescer;
+  std::vector<std::byte>& shared_arena;
+  std::size_t shared_used = 0;
+  int peak_reg_words = 0;
+};
+
+// The kernel-facing block API is part of the interpreter layer each x86-64
+// level compiles for itself (see isa_ns.hpp): parallel() runs the level's
+// warps and flushes the level's accumulators.
+inline namespace MOG_ISA_NS {
+
 class BlockCtx {
  public:
-  BlockCtx(std::int64_t block_id, int threads_in_block, int threads_per_block,
-           KernelStats& stats, Coalescer& coalescer,
-           std::vector<std::byte>& shared_arena);
+  explicit BlockCtx(BlockState& state) : s_(state) {}
 
-  std::int64_t block_id() const { return block_id_; }
-  int threads_per_block() const { return threads_per_block_; }
-  int threads_in_block() const { return threads_in_block_; }
+  std::int64_t block_id() const { return s_.block_id; }
+  int threads_per_block() const { return s_.threads_per_block; }
+  int threads_in_block() const { return s_.threads_in_block; }
   int num_warps() const {
-    return (threads_in_block_ + kWarpSize - 1) / kWarpSize;
+    return (s_.threads_in_block + kWarpSize - 1) / kWarpSize;
   }
 
   /// Allocate a block-scope shared array (8-byte aligned). Counts toward the
@@ -60,34 +78,35 @@ class BlockCtx {
   /// pointers never dangle; over-allocation is a kernel bug and throws.
   template <typename T>
   SharedSpan<T> shared_alloc(std::size_t count) {
-    const std::size_t offset = (shared_used_ + 7) / 8 * 8;
+    const std::size_t offset = (s_.shared_used + 7) / 8 * 8;
     const std::size_t bytes = count * sizeof(T);
-    MOG_CHECK(offset + bytes <= shared_arena_.size(),
+    MOG_CHECK(offset + bytes <= s_.shared_arena.size(),
               "kernel exceeds per-SM shared memory capacity");
-    shared_used_ = offset + bytes;
-    if (shared_used_ > stats_.shared_bytes_per_block)
-      stats_.shared_bytes_per_block = shared_used_;
-    return SharedSpan<T>{reinterpret_cast<T*>(shared_arena_.data() + offset),
-                         static_cast<std::uint32_t>(offset), count};
+    s_.shared_used = offset + bytes;
+    if (s_.shared_used > s_.stats.shared_bytes_per_block)
+      s_.stats.shared_bytes_per_block = s_.shared_used;
+    return SharedSpan<T>{
+        reinterpret_cast<T*>(s_.shared_arena.data() + offset),
+        static_cast<std::uint32_t>(offset), count};
   }
 
   /// Run `fn(WarpCtx&)` for every warp of the block. Implicit barrier
   /// between consecutive parallel() calls.
   template <typename Fn>
   void parallel(Fn&& fn) {
-    const telemetry::ProfSpan prof_span{telemetry::ProfTag::kWarpDispatch};
+    const ProfTagScope prof_span{telemetry::ProfTag::kWarpDispatch};
     const int warps = num_warps();
     for (int w = 0; w < warps; ++w) {
-      const int lanes = std::min<int>(kWarpSize,
-                                      threads_in_block_ - w * kWarpSize);
-      ExecEnv env{&stats_, &coalescer_, 0xffffffffu};
-      coalescer_.begin_warp();
+      const int lanes =
+          std::min<int>(kWarpSize, s_.threads_in_block - w * kWarpSize);
+      ExecEnv env{&s_.stats, &s_.coalescer, kFullMask};
+      s_.coalescer.begin_warp();
       // RAII: a kernel that throws mid-warp (MOG_CHECK, fault injection)
       // must not leave this thread's exec_env() dangling for the next
       // launch's bookkeeping to scribble through.
       ExecEnvScope env_scope{env};
       {
-        WarpCtx warp{env, block_id_ * threads_per_block_ +
+        WarpCtx warp{env, s_.block_id * s_.threads_per_block +
                               static_cast<std::int64_t>(w) * kWarpSize,
                      lanes};
         fn(warp);
@@ -97,27 +116,55 @@ class BlockCtx {
       // detail::charge / detail::track_alloc); fold them in here, once per
       // warp, while the scope is still installed.
       {
-        const telemetry::ProfSpan flush_span{telemetry::ProfTag::kChargeFlush};
-        detail::flush_charges(stats_);
-        ++stats_.num_warps;
-        if (detail::tl_regs.peak_words > peak_reg_words_)
-          peak_reg_words_ = detail::tl_regs.peak_words;
+        const ProfTagScope flush_span{telemetry::ProfTag::kChargeFlush};
+        detail::flush_charges(s_.stats);
+        ++s_.stats.num_warps;
+        if (detail::tl_regs.peak_words > s_.peak_reg_words)
+          s_.peak_reg_words = detail::tl_regs.peak_words;
       }
     }
   }
 
-  int peak_reg_words() const { return peak_reg_words_; }
-
  private:
-  std::int64_t block_id_;
-  int threads_in_block_;
-  int threads_per_block_;
-  KernelStats& stats_;
-  Coalescer& coalescer_;
-  std::vector<std::byte>& shared_arena_;
-  std::size_t shared_used_ = 0;
-  int peak_reg_words_ = 0;
+  /// telemetry::ProfSpan for the interpreter's own tags. ProfSpan is one
+  /// baseline class, and a member the compiler leaves out of line (as it
+  /// does on unwind paths) would be a weak copy any level could end up
+  /// running; this copy is the level's own. It also never claims a profile
+  /// slot, which would compile the claim path's thread_local init function
+  /// into the level: it tags only a thread that already holds one — every
+  /// executor worker, and a launching thread inside its kernel_launch span.
+  class ProfTagScope {
+   public:
+    explicit ProfTagScope(telemetry::ProfTag tag) {
+      if (!telemetry::detail::prof_enabled()) return;
+      telemetry::ProfSlot* slot = telemetry::detail::tl_prof_slot;
+      if (slot == nullptr) return;
+      const std::uint32_t d = slot->depth.load(std::memory_order_relaxed);
+      if (d < telemetry::kProfMaxDepth)
+        slot->tags[d].store(static_cast<std::uint8_t>(tag),
+                            std::memory_order_relaxed);
+      else
+        slot->truncated.fetch_add(1, std::memory_order_relaxed);
+      slot->depth.store(d + 1, std::memory_order_relaxed);
+      slot_ = slot;
+    }
+    ~ProfTagScope() {
+      if (slot_ == nullptr) return;
+      slot_->depth.store(slot_->depth.load(std::memory_order_relaxed) - 1,
+                         std::memory_order_relaxed);
+    }
+
+    ProfTagScope(const ProfTagScope&) = delete;
+    ProfTagScope& operator=(const ProfTagScope&) = delete;
+
+   private:
+    telemetry::ProfSlot* slot_ = nullptr;
+  };
+
+  BlockState& s_;
 };
+
+}  // namespace MOG_ISA_NS
 
 /// The simulated device: spec + global memory + launch entry point.
 class Device {
@@ -189,7 +236,10 @@ class Device {
   KernelStats launch(const LaunchConfig& config, KernelFn&& kernel) {
     validate(config);
     if (fault_hook_) fault_hook_->before_launch();
-    return run_blocks(config, [&kernel](BlockCtx& blk) { kernel(blk); });
+    using Fn = std::remove_reference_t<KernelFn>;
+    return run_blocks(
+        config, &run_block<Fn>,
+        const_cast<void*>(static_cast<const void*>(std::addressof(kernel))));
   }
 
   /// Worker count this device's launches resolve to.
@@ -201,9 +251,19 @@ class Device {
   void validate(const LaunchConfig& config) const;
 
   /// Type-erased launch body: per-worker state setup, block dispatch on the
-  /// process-wide BlockExecutor, deterministic reduction.
-  KernelStats run_blocks(const LaunchConfig& config,
-                         const std::function<void(BlockCtx&)>& block_fn);
+  /// process-wide BlockExecutor, deterministic reduction. `block_fn(kernel,
+  /// state)` runs one block. A plain function pointer rather than a
+  /// std::function, whose members would be one baseline copy serving every
+  /// x86-64 level's kernels.
+  using BlockFn = void (*)(void* kernel, BlockState& state);
+  KernelStats run_blocks(const LaunchConfig& config, BlockFn block_fn,
+                         void* kernel);
+
+  template <typename KernelFn>
+  static void run_block(void* kernel, BlockState& state) {
+    BlockCtx blk{state};
+    (*static_cast<KernelFn*>(kernel))(blk);
+  }
 
   std::vector<std::byte>& worker_arena(int worker);
 

@@ -16,6 +16,10 @@
 // thread-local accumulator that the launcher flushes into KernelStats at
 // warp end — see detail::charge for why this is bit-identical to charging
 // each op under the active-mask check.
+//
+// Everything here is inline and lives in the inline namespace MOG_ISA_NS:
+// the device kernels compile this layer once per x86-64 level, and each
+// level's copy must be its own set of symbols (see isa_ns.hpp).
 #pragma once
 
 #include <algorithm>
@@ -28,10 +32,12 @@
 #include "mog/common/error.hpp"
 #include "mog/gpusim/coalescer.hpp"
 #include "mog/gpusim/device_memory.hpp"
+#include "mog/gpusim/isa_ns.hpp"
 #include "mog/gpusim/stats.hpp"
 #include "mog/gpusim/timing_constants.hpp"
 
 namespace mog::gpusim {
+inline namespace MOG_ISA_NS {
 
 using Addr = std::int64_t;  ///< lane-level index/address arithmetic type
 
@@ -342,13 +348,14 @@ inline Vec<T> vsqrt(const Vec<T>& a) {
 namespace detail {
 
 /// Correctly-rounded per-lane fused multiply-add r[i] = fma(a[i],b[i],c[i]).
-/// Out of line with function multiversioning (see warp.cpp): on hosts with
-/// an FMA unit the clone inlines std::fma into vector vfmadd instructions —
-/// bit-identical to the libm call, since IEEE 754 defines exactly one
-/// correctly-rounded fma result — replacing 32 libm calls per vfma with a
-/// few vector ops. The default clone keeps the portable libm path.
-void fma_lanes(const float* a, const float* b, const float* c, float* r);
-void fma_lanes(const double* a, const double* b, const double* c, double* r);
+/// Each x86-64 level compiles its own copy: with an FMA unit (x86-64-v3 and
+/// up) std::fma inlines into vector vfmadd instructions, bit-identical to
+/// the libm call since IEEE 754 defines exactly one correctly-rounded fma
+/// result; the baseline level calls libm's fma once per lane.
+template <typename T>
+inline void fma_lanes(const T* a, const T* b, const T* c, T* r) {
+  for (int i = 0; i < kWarpSize; ++i) r[i] = std::fma(a[i], b[i], c[i]);
+}
 
 }  // namespace detail
 
@@ -458,8 +465,14 @@ struct SharedSpan {
 class WarpCtx {
  public:
   /// `active_lanes` < 32 models the ragged last warp of a grid.
-  WarpCtx(ExecEnv& env, std::int64_t global_thread_base, int active_lanes);
-  ~WarpCtx();
+  WarpCtx(ExecEnv& env, std::int64_t global_thread_base, int active_lanes)
+      : env_(env), global_base_(global_thread_base) {
+    MOG_CHECK(active_lanes >= 1 && active_lanes <= kWarpSize,
+              "warp must have 1..32 active lanes");
+    env_.active_mask = active_lanes == kWarpSize
+                           ? kFullMask
+                           : ((1u << active_lanes) - 1u);
+  }
 
   WarpCtx(const WarpCtx&) = delete;
   WarpCtx& operator=(const WarpCtx&) = delete;
@@ -751,4 +764,5 @@ void WarpCtx::charge_shared(const SharedSpan<T>& sh, const Vec<Addr>& idx) {
   detail::charge(kCyclesMemIssue);
 }
 
+}  // namespace MOG_ISA_NS
 }  // namespace mog::gpusim

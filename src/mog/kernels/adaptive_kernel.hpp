@@ -21,6 +21,7 @@
 
 #include "mog/cpu/adaptive_mog.hpp"
 #include "mog/gpusim/kernel_launch.hpp"
+#include "mog/kernels/isa.hpp"
 
 namespace mog::kernels {
 
@@ -99,6 +100,15 @@ class AdaptiveDeviceState {
 template <typename T>
 gpusim::KernelStats launch_adaptive_frame(
     gpusim::Device& device, AdaptiveDeviceState<T>& state,
+    const gpusim::DevSpan<std::uint8_t>& frame,
+    const gpusim::DevSpan<std::uint8_t>& foreground,
+    const TypedMogParams<T>& params, T prune_weight,
+    AdaptiveCounters* counters = nullptr, int threads_per_block = 128);
+
+/// The same, run by the build for `isa` (see launch_mog_frame).
+template <typename T>
+gpusim::KernelStats launch_adaptive_frame(
+    IsaLevel isa, gpusim::Device& device, AdaptiveDeviceState<T>& state,
     const gpusim::DevSpan<std::uint8_t>& frame,
     const gpusim::DevSpan<std::uint8_t>& foreground,
     const TypedMogParams<T>& params, T prune_weight,

@@ -1,8 +1,8 @@
-#include "mog/kernels/mog_kernels.hpp"
+#include "mog/kernels/level_kernels.hpp"
 
 #include <vector>
 
-namespace mog::kernels {
+namespace mog::kernels::MOG_ISA_NS {
 
 namespace {
 
@@ -300,4 +300,4 @@ template gpusim::KernelStats launch_mog_frame<double>(
     const gpusim::DevSpan<std::uint8_t>&, const gpusim::DevSpan<std::uint8_t>&,
     const TypedMogParams<double>&, OptLevel, int);
 
-}  // namespace mog::kernels
+}  // namespace mog::kernels::MOG_ISA_NS

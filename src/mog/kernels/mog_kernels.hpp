@@ -23,6 +23,7 @@
 #include "mog/cpu/mog_update.hpp"
 #include "mog/gpusim/kernel_launch.hpp"
 #include "mog/kernels/device_state.hpp"
+#include "mog/kernels/isa.hpp"
 #include "mog/kernels/opt_level.hpp"
 
 namespace mog::kernels {
@@ -32,10 +33,21 @@ inline constexpr int kDefaultThreadsPerBlock = 128;  // §IV-A
 /// Run the MoG kernel for one frame. `frame` and `foreground` are
 /// device-resident 8-bit buffers of state.num_pixels() elements. Returns the
 /// launch's profiler counters; the model update and foreground mask land in
-/// device memory.
+/// device memory. Runs the kernel build of active_isa().
 template <typename T>
 gpusim::KernelStats launch_mog_frame(
     gpusim::Device& device, DeviceMogState<T>& state,
+    const gpusim::DevSpan<std::uint8_t>& frame,
+    const gpusim::DevSpan<std::uint8_t>& foreground,
+    const TypedMogParams<T>& params, OptLevel level,
+    int threads_per_block = kDefaultThreadsPerBlock);
+
+/// The same, run by the build for `isa`, which this binary must contain and
+/// this CPU must support (throws mog::Error otherwise). Every kernel entry
+/// point has this overload, so tests can hold the levels side by side.
+template <typename T>
+gpusim::KernelStats launch_mog_frame(
+    IsaLevel isa, gpusim::Device& device, DeviceMogState<T>& state,
     const gpusim::DevSpan<std::uint8_t>& frame,
     const gpusim::DevSpan<std::uint8_t>& foreground,
     const TypedMogParams<T>& params, OptLevel level,

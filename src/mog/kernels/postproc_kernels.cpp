@@ -1,9 +1,9 @@
-#include "mog/kernels/postproc_kernels.hpp"
+#include "mog/kernels/level_kernels.hpp"
 
 #include <array>
 #include <cstdint>
 
-namespace mog::kernels {
+namespace mog::kernels::MOG_ISA_NS {
 
 namespace {
 
@@ -293,4 +293,4 @@ gpusim::KernelStats launch_fused_postproc(
   });
 }
 
-}  // namespace mog::kernels
+}  // namespace mog::kernels::MOG_ISA_NS

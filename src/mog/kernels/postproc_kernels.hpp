@@ -29,6 +29,7 @@
 #include <cstdint>
 
 #include "mog/gpusim/kernel_launch.hpp"
+#include "mog/kernels/isa.hpp"
 #include "mog/postproc/validation.hpp"
 
 namespace mog::kernels {
@@ -47,6 +48,12 @@ gpusim::KernelStats launch_mask_stage(gpusim::Device& device,
                                       const gpusim::DevSpan<std::uint8_t>& out,
                                       int width, int height, MaskStageOp op,
                                       int threads_per_block);
+/// The same, run by the build for `isa` (see launch_mog_frame).
+gpusim::KernelStats launch_mask_stage(IsaLevel isa, gpusim::Device& device,
+                                      const gpusim::DevSpan<std::uint8_t>& in,
+                                      const gpusim::DevSpan<std::uint8_t>& out,
+                                      int width, int height, MaskStageOp op,
+                                      int threads_per_block);
 
 /// Launch the fused epilogue: cleaned = close_1?(median3?(raw)) per
 /// `config` (which must satisfy config.validate_fused() and enable at least
@@ -54,6 +61,12 @@ gpusim::KernelStats launch_mask_stage(gpusim::Device& device,
 /// of 32; each block processes a 32 x (threads_per_block/32) pixel tile.
 gpusim::KernelStats launch_fused_postproc(
     gpusim::Device& device, const gpusim::DevSpan<std::uint8_t>& raw,
+    const gpusim::DevSpan<std::uint8_t>& cleaned, int width, int height,
+    const ValidationConfig& config, int threads_per_block);
+/// The same, run by the build for `isa` (see launch_mog_frame).
+gpusim::KernelStats launch_fused_postproc(
+    IsaLevel isa, gpusim::Device& device,
+    const gpusim::DevSpan<std::uint8_t>& raw,
     const gpusim::DevSpan<std::uint8_t>& cleaned, int width, int height,
     const ValidationConfig& config, int threads_per_block);
 

@@ -1,6 +1,6 @@
-#include "mog/kernels/tiled_kernel.hpp"
+#include "mog/kernels/level_kernels.hpp"
 
-namespace mog::kernels {
+namespace mog::kernels::MOG_ISA_NS {
 
 namespace {
 
@@ -208,4 +208,4 @@ template gpusim::KernelStats launch_tiled_group<double>(
     std::span<const gpusim::DevSpan<std::uint8_t>>,
     const TypedMogParams<double>&, const TiledConfig&);
 
-}  // namespace mog::kernels
+}  // namespace mog::kernels::MOG_ISA_NS

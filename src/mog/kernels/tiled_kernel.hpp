@@ -17,6 +17,7 @@
 #include "mog/cpu/mog_update.hpp"
 #include "mog/gpusim/kernel_launch.hpp"
 #include "mog/kernels/device_state.hpp"
+#include "mog/kernels/isa.hpp"
 
 namespace mog::kernels {
 
@@ -39,6 +40,14 @@ struct TiledConfig {
 template <typename T>
 gpusim::KernelStats launch_tiled_group(
     gpusim::Device& device, DeviceMogState<T>& state,
+    std::span<const gpusim::DevSpan<std::uint8_t>> frames,
+    std::span<const gpusim::DevSpan<std::uint8_t>> foregrounds,
+    const TypedMogParams<T>& params, const TiledConfig& config);
+
+/// The same, run by the build for `isa` (see launch_mog_frame).
+template <typename T>
+gpusim::KernelStats launch_tiled_group(
+    IsaLevel isa, gpusim::Device& device, DeviceMogState<T>& state,
     std::span<const gpusim::DevSpan<std::uint8_t>> frames,
     std::span<const gpusim::DevSpan<std::uint8_t>> foregrounds,
     const TypedMogParams<T>& params, const TiledConfig& config);

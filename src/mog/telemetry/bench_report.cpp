@@ -8,6 +8,7 @@
 
 #include "mog/common/strutil.hpp"
 #include "mog/gpusim/device_spec.hpp"
+#include "mog/kernels/isa.hpp"
 
 namespace mog::telemetry {
 
@@ -121,6 +122,10 @@ Json BenchReporter::to_json() const {
   Json env = Json::object();
   env.set("compiler", compiler_id());
   env.set("flags", compile_flags());
+  // `flags` is what the whole binary was compiled for; the device kernels
+  // also carry builds for higher x86-64 levels, and this is the one that
+  // runs on this host.
+  env.set("isa", kernels::to_string(kernels::active_isa()));
   env.set("hw_threads",
           static_cast<int>(std::thread::hardware_concurrency()));
   const char* executor_env = std::getenv("MOG_EXECUTOR_THREADS");

@@ -134,7 +134,6 @@ struct ProfSlotLease {
     slot->state.store(0, std::memory_order_release);
   }
 };
-inline thread_local ProfSlotLease tl_prof_lease{};
 
 inline void prof_store_name(ProfSlot& slot, const char* name) {
   int i = 0;
@@ -163,8 +162,11 @@ inline ProfSlot* prof_claim_slot() {
                              hw, i + 1, std::memory_order_release,
                              std::memory_order_relaxed)) {
     }
+    // Function-local, so only code that claims a slot carries the lease's
+    // thread_local init function (the per-level kernel code never does).
+    thread_local ProfSlotLease lease;
     tl_prof_slot = &slot;
-    tl_prof_lease.slot = &slot;
+    lease.slot = &slot;
     return &slot;
   }
   tl_prof_slot_denied = true;

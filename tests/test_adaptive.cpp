@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <vector>
 
+#include "isa_levels.hpp"
 #include "mog/cpu/adaptive_mog.hpp"
 #include "mog/kernels/adaptive_kernel.hpp"
 #include "mog/metrics/confusion.hpp"
@@ -118,8 +121,11 @@ struct AdaptiveGpuRun {
   TypedMogParams<double> tp;
   AdaptiveMogParams params;
   kernels::AdaptiveCounters counters;
+  std::optional<kernels::IsaLevel> isa;  ///< unset: the dispatched entry
 
-  AdaptiveGpuRun() : tp(TypedMogParams<double>::from(AdaptiveMogParams{}.base)) {
+  explicit AdaptiveGpuRun(std::optional<kernels::IsaLevel> level = {})
+      : tp(TypedMogParams<double>::from(AdaptiveMogParams{}.base)),
+        isa(level) {
     state = std::make_unique<kernels::AdaptiveDeviceState<double>>(
         device, kW, kH, params);
     frame_buf = device.memory().alloc<std::uint8_t>(kW * kH);
@@ -128,9 +134,13 @@ struct AdaptiveGpuRun {
 
   gpusim::KernelStats step(const FrameU8& frame, FrameU8& fg) {
     gpusim::copy_to_device(frame_buf, frame.data(), frame.size());
-    auto stats = kernels::launch_adaptive_frame<double>(
-        device, *state, frame_buf, fg_buf, tp,
-        static_cast<double>(params.prune_weight), &counters);
+    const double prune = static_cast<double>(params.prune_weight);
+    auto stats =
+        isa ? kernels::launch_adaptive_frame<double>(
+                  *isa, device, *state, frame_buf, fg_buf, tp, prune,
+                  &counters)
+            : kernels::launch_adaptive_frame<double>(
+                  device, *state, frame_buf, fg_buf, tp, prune, &counters);
     if (!fg.same_shape(frame)) fg = FrameU8(kW, kH);
     gpusim::copy_from_device(fg.data(), fg_buf, fg.size());
     return stats;
@@ -160,6 +170,37 @@ TEST(AdaptiveGpu, TracksCpuImplementation) {
   EXPECT_LT(static_cast<double>(count_diffs) /
                 static_cast<double>(cm.num_pixels()),
             0.02);
+
+  // Every x86-64 kernel level reproduces the dispatched run exactly: masks,
+  // launch counters, lockstep counters and the final model.
+  const auto metrics = [](const gpusim::KernelStats& stats) {
+    std::vector<double> values;
+    gpusim::visit_metrics(stats, [&](const char*, double v, bool) {
+      values.push_back(v);
+    });
+    return values;
+  };
+  test::for_each_runnable_level([&](kernels::IsaLevel isa) {
+    AdaptiveGpuRun ref, run{isa};
+    FrameU8 ref_fg, run_fg;
+    for (int t = 0; t < 15; ++t) {
+      const FrameU8 f = scene.frame(t);
+      const gpusim::KernelStats want = ref.step(f, ref_fg);
+      const gpusim::KernelStats got = run.step(f, run_fg);
+      EXPECT_EQ(run_fg, ref_fg) << "frame " << t;
+      EXPECT_EQ(metrics(got), metrics(want)) << "frame " << t;
+    }
+    EXPECT_EQ(run.counters.lane_iterations.load(),
+              ref.counters.lane_iterations.load());
+    EXPECT_EQ(run.counters.lockstep_iterations.load(),
+              ref.counters.lockstep_iterations.load());
+    const auto rm = run.state->download(run.params);
+    const auto fm = ref.state->download(ref.params);
+    EXPECT_EQ(rm.weights(), fm.weights());
+    EXPECT_EQ(rm.means(), fm.means());
+    EXPECT_EQ(rm.sds(), fm.sds());
+    EXPECT_EQ(rm.counts(), fm.counts());
+  });
 }
 
 TEST(AdaptiveGpu, LockstepWasteOnMixedWarps) {

@@ -284,6 +284,44 @@ TEST(DeviceFleet, RepeatedLaunchFailuresTriggerAutomaticFailover) {
     EXPECT_EQ(served[i], expected[i]) << "frame " << i;
 }
 
+TEST(DeviceFleet, SickCameraChargesNoDevice) {
+  // A stream under its own injector (a sick camera) fails on whichever
+  // device hosts it, so its degradations are no evidence against any
+  // device: it rides its own ladder to the CPU tier in place, and both
+  // devices stay up for everyone else.
+  FleetConfig cfg = fleet_config(2);
+  cfg.serve.resilience.retry.max_attempts = 2;
+  cfg.serve.resilience.degrade_after_failures = 1;
+  DeviceFleet<double> fleet{cfg};
+
+  fault::FaultConfig storm;
+  storm.launch_fault_prob = 1.0;
+  const int sick = fleet.open_stream(
+      gpu_config(), std::make_shared<fault::FaultInjector>(storm));
+  const int healthy = fleet.open_stream(gpu_config());
+
+  constexpr int kFrames = 8;
+  for (int t = 0; t < kFrames; ++t) {
+    ASSERT_TRUE(fleet.submit(sick, scene_for(41).frame(t)));
+    ASSERT_TRUE(fleet.submit(healthy, scene_for(42).frame(t)));
+  }
+  fleet.drain();
+
+  EXPECT_TRUE(fleet.device_alive(0));
+  EXPECT_TRUE(fleet.device_alive(1));
+  EXPECT_EQ(fleet.migration_stats().attempted, 0u);
+  EXPECT_EQ(fleet.stream_info(sick).tier, fault::ExecutionTier::kCpuSerial);
+  EXPECT_EQ(fleet.stream_info(sick).masks_delivered,
+            static_cast<std::uint64_t>(kFrames));
+  EXPECT_EQ(fleet.take_masks(sick).size(), static_cast<std::size_t>(kFrames));
+
+  const std::vector<FrameU8> expected = solo_masks(42, kFrames);
+  const std::vector<FrameU8> served = fleet.take_masks(healthy);
+  ASSERT_EQ(served.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i)
+    EXPECT_EQ(served[i], expected[i]) << "frame " << i;
+}
+
 TEST(DeviceFleet, SamplerCaptureDuringFailoverStaysBitIdentical) {
   // A profile capture running across a device failure must neither disturb
   // the failover (masks stay bit-identical) nor crash when the victim's

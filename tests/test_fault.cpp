@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "mog/common/crc32.hpp"
+#include "mog/common/rng.hpp"
 #include "mog/cpu/model_io.hpp"
 #include "mog/cpu/serial_mog.hpp"
 #include "mog/fault/fault_injector.hpp"
@@ -334,6 +336,50 @@ TEST(ModelIoCrc, Crc32MatchesKnownVector) {
   acc.update("1234", 4);
   acc.update("56789", 5);
   EXPECT_EQ(acc.value(), 0xcbf43926u);
+}
+
+TEST(ModelIoCrc, EightByteStepsMatchTheBytewiseOracle) {
+  // Random lengths 0..4 KiB from misaligned starts, fed whole and as two
+  // update() calls split at a random point: every checksum must equal the
+  // one-byte-per-step loop's.
+  Rng rng{20261019};
+  std::vector<std::uint8_t> buf(4096 + 8);
+  for (std::uint8_t& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (int trial = 0; trial < 500; ++trial) {
+    const std::size_t len = rng.next_u64() % 4097;
+    const std::size_t start = rng.next_u64() % 8;
+    const std::size_t split = len == 0 ? 0 : rng.next_u64() % (len + 1);
+    const std::uint8_t* p = buf.data() + start;
+    SCOPED_TRACE("len " + std::to_string(len) + " start " +
+                 std::to_string(start) + " split " + std::to_string(split));
+    const std::uint32_t want =
+        detail::crc32_bytewise(0xffffffffu, p, len) ^ 0xffffffffu;
+    EXPECT_EQ(crc32(p, len), want);
+    Crc32 acc;
+    acc.update(p, split);
+    acc.update(p + split, len - split);
+    EXPECT_EQ(acc.value(), want);
+  }
+}
+
+TEST(ModelIoCrc, PinnedModelImageChecksum) {
+  // A fixed MOGM v2 image: its embedded CRC and the checksum of the whole
+  // image are pinned (values from the bytewise CRC), so the faster CRC
+  // cannot change the format.
+  MogParams params;
+  params.num_components = 3;
+  MogModel<double> model(16, 8, params);
+  for (std::size_t i = 0; i < model.means().size(); ++i) {
+    model.means()[i] = static_cast<double>(i % 251) * 0.5;
+    model.sds()[i] = 4.0 + static_cast<double>(i % 7);
+    model.weights()[i] = 1.0 / 3.0;
+  }
+  const std::vector<std::uint8_t> image = serialize_model(model);
+  ASSERT_EQ(image.size(), 4u * 6 + 3u * 3 * 16 * 8 * 8 + 4);
+  std::uint32_t embedded;
+  std::memcpy(&embedded, image.data() + image.size() - 4, 4);
+  EXPECT_EQ(embedded, 0x38a97570u);
+  EXPECT_EQ(crc32(image.data(), image.size()), 0x94c1194fu);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "isa_levels.hpp"
 #include "mog/common/rng.hpp"
 #include "mog/kernels/postproc_kernels.hpp"
 #include "mog/postproc/morphology.hpp"
@@ -63,8 +64,8 @@ FrameU8 device_fused(const FrameU8& raw, const ValidationConfig& cfg,
   return cleaned;
 }
 
-FrameU8 device_stage(const FrameU8& mask, MaskStageOp op,
-                     int executor_threads) {
+FrameU8 device_stage(kernels::IsaLevel isa, const FrameU8& mask,
+                     MaskStageOp op, int executor_threads) {
   gpusim::DeviceSpec spec;
   spec.executor_threads = executor_threads;
   gpusim::Device device{spec};
@@ -72,8 +73,8 @@ FrameU8 device_stage(const FrameU8& mask, MaskStageOp op,
   const auto in = device.memory().alloc<std::uint8_t>(n);
   const auto out = device.memory().alloc<std::uint8_t>(n);
   gpusim::copy_to_device(in, mask.data(), n);
-  kernels::launch_mask_stage(device, in, out, mask.width(), mask.height(), op,
-                             128);
+  kernels::launch_mask_stage(isa, device, in, out, mask.width(), mask.height(),
+                             op, 128);
   FrameU8 result(mask.width(), mask.height());
   gpusim::copy_from_device(result.data(), out, n);
   return result;
@@ -129,18 +130,21 @@ TEST(FusedPostprocKernel, WideBlocksAndTiledShapeMatch) {
 }
 
 TEST(MaskStageKernel, StagesMatchHostOps) {
-  for (const auto& s : kShapes) {
-    const FrameU8 m = random_mask(s.w, s.h, 0.4,
-                                  static_cast<std::uint64_t>(s.h * 31 + 3));
-    const std::string shape =
-        std::to_string(s.w) + "x" + std::to_string(s.h);
-    expect_masks_equal(device_stage(m, MaskStageOp::kMedian3, 2), median3(m),
-                       shape + " median3");
-    expect_masks_equal(device_stage(m, MaskStageOp::kDilate1, 2), dilate(m, 1),
-                       shape + " dilate");
-    expect_masks_equal(device_stage(m, MaskStageOp::kErode1, 2), erode(m, 1),
-                       shape + " erode");
-  }
+  // At every x86-64 kernel level this host runs.
+  test::for_each_runnable_level([](kernels::IsaLevel isa) {
+    for (const auto& s : kShapes) {
+      const FrameU8 m = random_mask(s.w, s.h, 0.4,
+                                    static_cast<std::uint64_t>(s.h * 31 + 3));
+      const std::string shape =
+          std::to_string(s.w) + "x" + std::to_string(s.h);
+      expect_masks_equal(device_stage(isa, m, MaskStageOp::kMedian3, 2),
+                         median3(m), shape + " median3");
+      expect_masks_equal(device_stage(isa, m, MaskStageOp::kDilate1, 2),
+                         dilate(m, 1), shape + " dilate");
+      expect_masks_equal(device_stage(isa, m, MaskStageOp::kErode1, 2),
+                         erode(m, 1), shape + " erode");
+    }
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@
 // kernel, ragged last warps (grid not a warp multiple), a custom kernel with
 // a divergent while_any and every charge path (SP/DP/int arithmetic,
 // divides, sqrt, fma, select, compares, casts, vote, shuffle reduction,
-// shared-memory bank conflicts), each at 1, 2 and 8 executor threads.
-// Fast-path refactors of the interpreter must keep every value identical.
+// shared-memory bank conflicts), each at 1, 2 and 8 executor threads and
+// through every x86-64 level's own kernel build (mog/kernels/isa.hpp; the
+// divergent kernel is built per level from divergent_kernel.cpp). Fast-path
+// refactors of the interpreter must keep every value identical.
 //
 // Regenerating after an *intentional* accounting change:
 //   MOG_INTERP_GOLDEN_REGEN=1 ./test_interp_fastpath
@@ -28,7 +30,10 @@
 #include <string>
 #include <vector>
 
+#include "divergent_kernel.hpp"
+#include "isa_levels.hpp"
 #include "mog/gpusim/kernel_launch.hpp"
+#include "mog/kernels/isa.hpp"
 #include "mog/kernels/mog_kernels.hpp"
 #include "mog/kernels/postproc_kernels.hpp"
 #include "mog/kernels/tiled_kernel.hpp"
@@ -37,16 +42,11 @@
 namespace mog {
 namespace {
 
-using gpusim::Addr;
-using gpusim::BlockCtx;
 using gpusim::Device;
 using gpusim::DeviceSpec;
 using gpusim::KernelStats;
-using gpusim::LaunchConfig;
-using gpusim::Pred;
-using gpusim::Vec;
-using gpusim::WarpCtx;
 using kernels::DeviceMogState;
+using kernels::IsaLevel;
 using kernels::OptLevel;
 using kernels::ParamLayout;
 
@@ -116,7 +116,8 @@ SceneConfig scene_config(int w, int h) {
 
 /// Per-frame MoG launches at one optimization level; `w*h` need not be a
 /// multiple of the warp or block size (ragged scenarios rely on that).
-Snapshot run_mog(OptLevel level, int threads, int w, int h, int num_frames) {
+Snapshot run_mog(IsaLevel isa, OptLevel level, int threads, int w, int h,
+                 int num_frames) {
   Device device = make_device(threads);
   const MogParams params;
   const auto tp = TypedMogParams<double>::from(params);
@@ -133,7 +134,7 @@ Snapshot run_mog(OptLevel level, int threads, int w, int h, int num_frames) {
     const FrameU8 f = scene.frame(t);
     gpusim::copy_to_device(frame_buf, f.data(), f.size());
     const KernelStats stats = kernels::launch_mog_frame<double>(
-        device, state, frame_buf, fg_buf, tp, level);
+        isa, device, state, frame_buf, fg_buf, tp, level);
     gpusim::copy_from_device(fg.data(), fg_buf, fg.size());
     fold_stats(snap, stats);
     mix(snap, fg.data(), fg.size());
@@ -142,7 +143,7 @@ Snapshot run_mog(OptLevel level, int threads, int w, int h, int num_frames) {
 }
 
 /// One tiled frame-group launch (shared-memory parameter residency).
-Snapshot run_tiled(int threads) {
+Snapshot run_tiled(IsaLevel isa, int threads) {
   Device device = make_device(threads);
   const int w = 64, h = 48, group = 4;
   const MogParams params;
@@ -159,7 +160,7 @@ Snapshot run_tiled(int threads) {
     gpusim::copy_to_device(frames.back(), f.data(), f.size());
   }
   const KernelStats stats = kernels::launch_tiled_group<double>(
-      device, state, frames, fgs, tp, tcfg);
+      isa, device, state, frames, fgs, tp, tcfg);
   Snapshot snap;
   fold_stats(snap, stats);
   std::vector<std::uint8_t> fg(state.num_pixels());
@@ -170,13 +171,30 @@ Snapshot run_tiled(int threads) {
   return snap;
 }
 
-/// Custom kernel exercising every charge path the MoG kernels do not:
-/// a data-dependent while_any (lanes drop out at different trip counts),
-/// a divergent if_then_else, int/SP/DP arithmetic, both divide pipes,
-/// sqrt, fma, select, all comparison flavors, vcast in both directions,
-/// vote (any), shuffle reduction (lane_max), and conflicted shared-memory
-/// traffic — on a grid with a ragged last block and last warp.
-Snapshot run_divergent(int threads) {
+/// The custom kernel of divergent_kernel.cpp, at `isa`: every charge path
+/// the MoG kernels do not exercise, on a grid with a ragged last block and
+/// last warp.
+KernelStats launch_divergent(IsaLevel isa, Device& device,
+                             const gpusim::DevSpan<double>& in,
+                             const gpusim::DevSpan<double>& out) {
+  switch (isa) {
+    case IsaLevel::kBaseline:
+      return testkernels::isa_baseline::launch_divergent(device, in, out);
+#if MOG_HAVE_ISA_X86_64_V3
+    case IsaLevel::kX86_64_V3:
+      return testkernels::isa_x86_64_v3::launch_divergent(device, in, out);
+#endif
+#if MOG_HAVE_ISA_X86_64_V4
+    case IsaLevel::kX86_64_V4:
+      return testkernels::isa_x86_64_v4::launch_divergent(device, in, out);
+#endif
+    default: break;
+  }
+  ADD_FAILURE() << "no divergent kernel built for " << kernels::to_string(isa);
+  return {};
+}
+
+Snapshot run_divergent(IsaLevel isa, int threads) {
   Device device = make_device(threads);
   const std::int64_t n = 1000;  // 7 full blocks + 104-thread ragged block
   auto in = device.memory().alloc<double>(static_cast<std::size_t>(n));
@@ -188,43 +206,7 @@ Snapshot run_divergent(int threads) {
   std::fill(host.begin(), host.end(), 0.0);
   gpusim::copy_to_device(out, host.data(), host.size());
 
-  const KernelStats stats = device.launch(
-      LaunchConfig{n, 128}, [&](BlockCtx& blk) {
-        auto sh = blk.shared_alloc<double>(64);
-        blk.parallel([&](WarpCtx& warp) {
-          const Vec<Addr> gid = warp.global_ids();
-          Vec<double> x = warp.load<double>(in, gid);
-          Vec<std::int32_t> limit = vcast<std::int32_t>(x);
-          Vec<std::int32_t> i{0};
-          Vec<double> acc{0.0};
-          warp.while_any([&] { return vlt(i, limit); },
-                         [&] {
-                           warp.set(acc, vfma(acc, Vec<double>{0.5},
-                                              vsqrt(x)));
-                           warp.set(i, i + 1);
-                         });
-          warp.if_then_else(
-              vgt(x, Vec<double>{3.0}),
-              [&] { warp.set(acc, acc + x); },
-              [&] { warp.set(acc, acc * Vec<double>{1.5}); });
-          warp.if_then(veq(i, limit),
-                       [&] { warp.set(acc, acc + Vec<double>{1.0}); });
-          // SP pipes: cast down, sqrt + divide in float, cast back up.
-          const Vec<float> f = vsqrt(vcast<float>(x) + 1.0f) / 2.0f;
-          warp.set(acc, acc + vcast<double>(f));
-          warp.set(acc, vmin(vabs(acc), vmax(acc, x)));
-          const Pred p = vge(acc, x) | ~vle(acc, Vec<double>{4.0});
-          warp.set(acc, select(p, acc - x, acc));
-          // Stride-2 doubles: 4 distinct words per bank, 4-way conflict.
-          const Vec<Addr> sidx = Vec<Addr>::iota(0, 2);
-          warp.shared_store(sh, sidx, acc);
-          const Vec<double> y = warp.shared_load(sh, sidx);
-          (void)warp.any(vgt(y, Vec<double>{2.0}));
-          const std::int32_t m = warp.lane_max(limit);
-          warp.store(out, gid,
-                     y + Vec<double>{static_cast<double>(m)} / x);
-        });
-      });
+  const KernelStats stats = launch_divergent(isa, device, in, out);
 
   Snapshot snap;
   fold_stats(snap, stats);
@@ -236,7 +218,8 @@ Snapshot run_divergent(int threads) {
 /// Level-G epilogue: MoG frames at F, each raw mask cleaned by the fused
 /// postproc kernel; folds both launches' stats and the cleaned mask. The
 /// ragged variant overhangs the 32-wide tile on both axes.
-Snapshot run_fused_pp(int threads, int w, int h, int num_frames) {
+Snapshot run_fused_pp(IsaLevel isa, int threads, int w, int h,
+                      int num_frames) {
   Device device = make_device(threads);
   const MogParams params;
   const auto tp = TypedMogParams<double>::from(params);
@@ -252,10 +235,10 @@ Snapshot run_fused_pp(int threads, int w, int h, int num_frames) {
     const FrameU8 f = scene.frame(t);
     gpusim::copy_to_device(frame_buf, f.data(), f.size());
     const KernelStats mog_stats = kernels::launch_mog_frame<double>(
-        device, state, frame_buf, fg_buf, tp, OptLevel::kF);
+        isa, device, state, frame_buf, fg_buf, tp, OptLevel::kF);
     fold_stats(snap, mog_stats);
     const KernelStats pp_stats = kernels::launch_fused_postproc(
-        device, fg_buf, pp_buf, w, h, vcfg, 128);
+        isa, device, fg_buf, pp_buf, w, h, vcfg, 128);
     fold_stats(snap, pp_stats);
     gpusim::copy_from_device(fg.data(), pp_buf, fg.size());
     mix(snap, fg.data(), fg.size());
@@ -269,20 +252,23 @@ constexpr const char* kScenarios[] = {
     "fused_pp", "fused_pp_ragged",
 };
 
-Snapshot run_scenario(const std::string& name, int threads) {
-  if (name == "mog_A") return run_mog(OptLevel::kA, threads, 64, 48, 3);
-  if (name == "mog_B") return run_mog(OptLevel::kB, threads, 64, 48, 3);
-  if (name == "mog_C") return run_mog(OptLevel::kC, threads, 64, 48, 3);
-  if (name == "mog_D") return run_mog(OptLevel::kD, threads, 64, 48, 3);
-  if (name == "mog_E") return run_mog(OptLevel::kE, threads, 64, 48, 3);
-  if (name == "mog_F") return run_mog(OptLevel::kF, threads, 64, 48, 3);
-  if (name == "tiled") return run_tiled(threads);
+Snapshot run_scenario(const std::string& name, IsaLevel isa, int threads) {
+  if (name == "mog_A") return run_mog(isa, OptLevel::kA, threads, 64, 48, 3);
+  if (name == "mog_B") return run_mog(isa, OptLevel::kB, threads, 64, 48, 3);
+  if (name == "mog_C") return run_mog(isa, OptLevel::kC, threads, 64, 48, 3);
+  if (name == "mog_D") return run_mog(isa, OptLevel::kD, threads, 64, 48, 3);
+  if (name == "mog_E") return run_mog(isa, OptLevel::kE, threads, 64, 48, 3);
+  if (name == "mog_F") return run_mog(isa, OptLevel::kF, threads, 64, 48, 3);
+  if (name == "tiled") return run_tiled(isa, threads);
   // 61*17 = 1037 threads: 9 blocks, the last with 13 → a 13-lane warp.
-  if (name == "ragged_A") return run_mog(OptLevel::kA, threads, 61, 17, 3);
-  if (name == "ragged_E") return run_mog(OptLevel::kE, threads, 61, 17, 3);
-  if (name == "divergent") return run_divergent(threads);
-  if (name == "fused_pp") return run_fused_pp(threads, 64, 48, 3);
-  if (name == "fused_pp_ragged") return run_fused_pp(threads, 61, 17, 3);
+  if (name == "ragged_A")
+    return run_mog(isa, OptLevel::kA, threads, 61, 17, 3);
+  if (name == "ragged_E")
+    return run_mog(isa, OptLevel::kE, threads, 61, 17, 3);
+  if (name == "divergent") return run_divergent(isa, threads);
+  if (name == "fused_pp") return run_fused_pp(isa, threads, 64, 48, 3);
+  if (name == "fused_pp_ragged")
+    return run_fused_pp(isa, threads, 61, 17, 3);
   ADD_FAILURE() << "unknown scenario " << name;
   return {};
 }
@@ -422,23 +408,25 @@ class InterpGoldens : public ::testing::TestWithParam<int> {};
 
 TEST_P(InterpGoldens, BitIdenticalAcrossExecutorThreadCounts) {
   const Golden& golden = kGoldens[static_cast<std::size_t>(GetParam())];
-  for (const int threads : {1, 2, 8}) {
-    SCOPED_TRACE(std::string{golden.scenario} + " @ executor_threads=" +
-                 std::to_string(threads));
-    const Snapshot snap = run_scenario(golden.scenario, threads);
-    ASSERT_EQ(snap.last.size(), static_cast<std::size_t>(kMetricCount));
-    for (int i = 0; i < kMetricCount; ++i) {
-      EXPECT_EQ(snap.names[static_cast<std::size_t>(i)], kMetricNames[i]);
-      // Bit comparison: NaN-proof and immune to -0.0 vs 0.0 drift.
-      std::uint64_t got, want;
-      std::memcpy(&got, &snap.last[static_cast<std::size_t>(i)], 8);
-      std::memcpy(&want, &golden.last[i], 8);
-      EXPECT_EQ(got, want) << kMetricNames[i] << ": got "
-                           << snap.last[static_cast<std::size_t>(i)]
-                           << " want " << golden.last[i];
+  test::for_each_runnable_level([&](IsaLevel isa) {
+    for (const int threads : {1, 2, 8}) {
+      SCOPED_TRACE(std::string{golden.scenario} +
+                   " @ executor_threads=" + std::to_string(threads));
+      const Snapshot snap = run_scenario(golden.scenario, isa, threads);
+      ASSERT_EQ(snap.last.size(), static_cast<std::size_t>(kMetricCount));
+      for (int i = 0; i < kMetricCount; ++i) {
+        EXPECT_EQ(snap.names[static_cast<std::size_t>(i)], kMetricNames[i]);
+        // Bit comparison: NaN-proof and immune to -0.0 vs 0.0 drift.
+        std::uint64_t got, want;
+        std::memcpy(&got, &snap.last[static_cast<std::size_t>(i)], 8);
+        std::memcpy(&want, &golden.last[i], 8);
+        EXPECT_EQ(got, want) << kMetricNames[i] << ": got "
+                             << snap.last[static_cast<std::size_t>(i)]
+                             << " want " << golden.last[i];
+      }
+      EXPECT_EQ(snap.hash, golden.hash) << "per-launch stats or masks changed";
     }
-    EXPECT_EQ(snap.hash, golden.hash) << "per-launch stats or masks changed";
-  }
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -458,7 +446,7 @@ TEST(InterpGoldensTable, Regenerate) {
   if (std::getenv("MOG_INTERP_GOLDEN_REGEN") == nullptr)
     GTEST_SKIP() << "set MOG_INTERP_GOLDEN_REGEN=1 to print a fresh table";
   for (const char* name : kScenarios) {
-    const Snapshot snap = run_scenario(name, 1);
+    const Snapshot snap = run_scenario(name, IsaLevel::kBaseline, 1);
     ASSERT_EQ(snap.last.size(), static_cast<std::size_t>(kMetricCount));
     std::printf("    {\"%s\",\n     0x%016llxull,\n     {", name,
                 static_cast<unsigned long long>(snap.hash));

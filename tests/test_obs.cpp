@@ -658,7 +658,7 @@ TEST(ServerObs, HealthzFlipsTo503OnForcedDegradation) {
   const SyntheticScene scene{sc};
   for (int t = 0; t < 4; ++t) fleet.submit(id, scene.frame(t));
   fleet.drain();
-  // The lone device is lost on the first strike, with nowhere to migrate:
+  // The faults are the stream's own, so they charge the device nothing:
   // the stream rides its own ladder down to the CPU tier in place.
   ASSERT_EQ(fleet.stream_info(id).tier, fault::ExecutionTier::kCpuSerial);
 

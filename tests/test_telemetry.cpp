@@ -8,6 +8,7 @@
 #include <limits>
 
 #include "mog/gpusim/stats.hpp"
+#include "mog/kernels/isa.hpp"
 #include "mog/telemetry/bench_report.hpp"
 #include "mog/telemetry/counters.hpp"
 #include "mog/telemetry/trace.hpp"
@@ -307,6 +308,10 @@ TEST(BenchReporter, SchemaRoundTrip) {
   EXPECT_EQ(doc.find("host")->find("executor_threads"), nullptr);
   EXPECT_NE(doc.find("env")->find("compiler"), nullptr);
   EXPECT_NE(doc.find("env")->find("executor_threads"), nullptr);
+  // The kernel build that ran, next to the compile-time flags.
+  ASSERT_NE(doc.find("env")->find("isa"), nullptr);
+  EXPECT_EQ(doc.find("env")->find("isa")->as_string(),
+            kernels::to_string(kernels::active_isa()));
 }
 
 TEST(BenchReporter, CountersExpandWithPrefix) {
