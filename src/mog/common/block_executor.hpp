@@ -19,9 +19,10 @@
 // Blocks are claimed dynamically off a shared atomic cursor. That keeps the
 // slowest-block tail short and is safe for determinism because callers give
 // every worker private accumulation state and fold it with commutative,
-// order-independent reductions (integer sums / maxes plus a block-ordered
-// DRAM-row replay — see Device::run_blocks); which worker ran which block
-// can never show up in the results.
+// order-independent reductions (integer sums / maxes plus a block-order
+// DRAM row fix-up — see Device::run_blocks, whose "blocks" here are runs of
+// contiguous simulated blocks); which worker ran which block can never show
+// up in the results.
 #pragma once
 
 #include <atomic>

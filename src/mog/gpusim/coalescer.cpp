@@ -65,7 +65,6 @@ void Coalescer::begin_warp() {
 void Coalescer::reset() {
   l1_.clear();
   rows_ = DramRowLru{};
-  page_trace_ = nullptr;
 }
 
 void Coalescer::access(Kind kind, std::span<const std::uint64_t> addrs,
@@ -138,15 +137,11 @@ void Coalescer::access(Kind kind, std::span<const std::uint64_t> addrs,
                                    ? seg_base >> page_shift_
                                    : seg_base / page_bytes_;
     // The page just recorded is the open-row LRU's MRU entry: seeing it
-    // again is a hit that leaves the LRU as it was, so neither the inline
-    // LRU nor the block-order trace replay needs it (a 256-byte store would
-    // otherwise record its one page eight times).
+    // again is a hit that leaves the LRU as it was, so the LRU need not see
+    // it (a 256-byte store would otherwise look its one page up eight times).
     if (page == last_page) return;
     last_page = page;
-    if (page_trace_ != nullptr)
-      page_trace_->push_back(page);
-    else if (!rows_.access(page))
-      ++stats.dram_page_switches;
+    if (!rows_.access(page)) ++stats.dram_page_switches;
   };
 
   // Distinct 128-byte L1 lines touched, for the LSU instruction-replay
@@ -262,6 +257,43 @@ void Coalescer::access(Kind kind, std::span<const std::uint64_t> addrs,
     stats.bytes_transferred_store +=
         (transactions + rmw_reads) * seg_bytes;
   }
+}
+
+int DramRowLru::follow(const DramRowLru& run) {
+  // The run's k-th first miss p is its first touch of p, so p's last access
+  // came before the run. Since then came the rows above p here (its depth
+  // d) and the run's first k touches: p is still open iff fewer than 32
+  // distinct rows came between, d + k - |those d rows ∩ first k| < 32.
+  int depth[kOpenRows];
+  std::uint32_t touched = 0;  // bit d: the run touched this LRU's row d
+  int hits = 0;
+  for (int k = 0; k < run.open_count_; ++k) {
+    depth[k] = -1;
+    for (int d = 0; d < open_count_; ++d)
+      if (open_rows_[d] == run.first_misses_[k]) depth[k] = d;
+    if (depth[k] < 0) continue;
+    touched |= 1u << depth[k];
+    int shared = 0;
+    for (int j = 0; j < k; ++j) shared += depth[j] >= 0 && depth[j] < depth[k];
+    if (depth[k] + k - shared < kOpenRows) ++hits;
+  }
+
+  // Open rows: the run's, then this LRU's the run did not touch. A run that
+  // fills its LRU leaves no room; one that does not lists every row it
+  // touched, so `touched` marks them all.
+  std::uint64_t rows[kOpenRows];
+  int n = 0;
+  for (int i = 0; i < run.open_count_; ++i) rows[n++] = run.open_rows_[i];
+  for (int d = 0; d < open_count_ && n < kOpenRows; ++d)
+    if ((touched >> d & 1u) == 0) rows[n++] = open_rows_[d];
+  // First misses: while this LRU is not full it has evicted nothing, so the
+  // run's first touches of rows absent here are new to the whole sequence.
+  int filled = open_count_;
+  for (int k = 0; k < run.open_count_ && filled < kOpenRows; ++k)
+    if (depth[k] < 0) first_misses_[filled++] = run.first_misses_[k];
+  std::copy(rows, rows + n, open_rows_);
+  open_count_ = n;  // == filled: both count the distinct rows, up to 32
+  return hits;
 }
 
 }  // namespace mog::gpusim

@@ -19,7 +19,7 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
+#include <utility>
 
 #include "mog/gpusim/device_spec.hpp"
 #include "mog/gpusim/stats.hpp"
@@ -30,14 +30,19 @@ namespace mog::gpusim {
 /// many banks and channels; 32 concurrently-open rows means streaming
 /// patterns (a handful of array streams) pay almost nothing while wide
 /// gathers across many regions (e.g. large tiled frame groups) pay
-/// activations. Row state deliberately persists across warps *and* blocks —
-/// the parallel block executor preserves those serial-order semantics by
-/// replaying each block's recorded page sequence in block order (see
-/// Device::launch).
+/// activations. Row state deliberately persists across warps *and* blocks:
+/// a launch counts what one LRU would count over its transactions in block
+/// order.
+///
+/// A launch's runs of contiguous blocks each start their own empty LRU, and
+/// follow() stitches them together in block order (see Device::launch). Of a
+/// run's accesses, only the misses it takes while its LRU is still filling
+/// (at most 32, recorded as first_misses()) can be hits given the blocks
+/// before it; every later hit or miss is the same in one LRU.
 class DramRowLru {
  public:
   /// Returns true when `page` is already open; opens it (LRU) otherwise.
-  /// Inline: the serial launch path consults it once per DRAM transaction.
+  /// Inline: every launch consults it once per DRAM transaction.
   bool access(std::uint64_t page) {
     for (int i = 0; i < open_count_; ++i) {
       if (open_rows_[i] == page) {
@@ -46,16 +51,34 @@ class DramRowLru {
         return true;
       }
     }
-    if (open_count_ < kOpenRows) ++open_count_;
+    // While the LRU fills nothing is evicted, so this is the page's first
+    // touch here: rows left open before this LRU started might have held it.
+    if (open_count_ < kOpenRows) first_misses_[open_count_++] = page;
     for (int j = open_count_ - 1; j > 0; --j)
       open_rows_[j] = open_rows_[j - 1];
     open_rows_[0] = page;
     return false;
   }
 
+  /// Open rows, most recently used first.
+  std::span<const std::uint64_t> open_rows() const {
+    return {open_rows_, static_cast<std::size_t>(open_count_)};
+  }
+  /// The misses taken while the LRU filled from empty, in order; there are
+  /// as many as open rows.
+  std::span<const std::uint64_t> first_misses() const {
+    return {first_misses_, static_cast<std::size_t>(open_count_)};
+  }
+
+  /// Continue with the accesses `run` took from an empty LRU: returns how
+  /// many of its misses are hits given this LRU's rows, and leaves this LRU
+  /// as one LRU over both access sequences would.
+  int follow(const DramRowLru& run);
+
  private:
   static constexpr int kOpenRows = 32;
-  std::uint64_t open_rows_[kOpenRows];
+  std::uint64_t open_rows_[kOpenRows] = {};
+  std::uint64_t first_misses_[kOpenRows] = {};
   int open_count_ = 0;
 };
 
@@ -104,22 +127,15 @@ class Coalescer {
   /// Reset per-warp state (segment cache) at warp start.
   void begin_warp();
 
-  /// Restore construction state (cold caches, inline row accounting) so a
+  /// Restore construction state (cold caches, no open DRAM rows) so a
   /// persistent per-worker Coalescer can be reused across launches without
   /// reallocating — equivalent to destroying and rebuilding it.
   void reset();
 
-  /// Deferred row accounting for the parallel block executor: while a trace
-  /// is installed, DRAM-bound transactions append their page id to it
-  /// instead of consulting the local open-row LRU, and dram_page_switches is
-  /// *not* incremented inline. The launcher replays the per-block traces in
-  /// block order through one DramRowLru afterwards, reproducing the serial
-  /// execution's counts exactly regardless of which host worker ran which
-  /// block. Pass nullptr to restore inline accounting (the standalone-use
-  /// default, e.g. unit tests and the coalescing ablation bench).
-  void set_page_trace(std::vector<std::uint64_t>* trace) {
-    page_trace_ = trace;
-  }
+  /// Hand over the open-row LRU the DRAM-bound transactions since the last
+  /// take_rows() or reset() built, leaving an empty one. Device::run_blocks
+  /// takes it at the end of each block run for the block-order fix-up.
+  DramRowLru take_rows() { return std::exchange(rows_, DramRowLru{}); }
 
  private:
   int load_segment_bytes_;
@@ -135,7 +151,6 @@ class Coalescer {
   int page_shift_;
   SegmentCache l1_;
   DramRowLru rows_;
-  std::vector<std::uint64_t>* page_trace_ = nullptr;
 };
 
 }  // namespace mog::gpusim

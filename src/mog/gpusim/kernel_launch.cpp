@@ -5,6 +5,13 @@
 
 namespace mog::gpusim {
 
+namespace {
+
+/// Block runs per executor worker in one launch (see run_blocks).
+constexpr std::int64_t kRunsPerWorker = 16;
+
+}  // namespace
+
 Device::Device(DeviceSpec spec) : spec_(std::move(spec)), memory_() {
   worker_arena(0);  // the launching thread's arena always exists
 }
@@ -52,27 +59,21 @@ KernelStats Device::run_blocks(const LaunchConfig& config, BlockFn block_fn,
   for (int w = 0; w < pool; ++w) {
     WorkerState& ws = workers_[static_cast<std::size_t>(w)];
     ws.stats = KernelStats{};
-    ws.coalescer.reset();  // cold caches + inline row accounting
+    ws.coalescer.reset();  // cold caches, no open DRAM rows
     ws.peak_reg_words = 0;
-    ws.page_trace.clear();
   }
 
-  // DRAM open-row state spans blocks in the serial model. A parallel launch
-  // therefore never counts switches inline: each worker records the page id
-  // of every DRAM-bound transaction in its flat trace arena, block_spans_
-  // remembers which slice each block produced, and the traces replay below
-  // in block order through one DramRowLru — reproducing the serial counts
-  // exactly regardless of thread count or block-to-worker assignment. A
-  // serial launch (pool == 1) skips tracing entirely: its single worker
-  // visits blocks in block order with a freshly reset open-row LRU, so
-  // inline accounting already sees the transactions in replay order.
-  const bool traced = pool > 1;
-  if (traced) {
-    block_spans_.assign(static_cast<std::size_t>(blocks), TraceSpan{});
-    for (int w = 0; w < pool; ++w)
-      workers_[static_cast<std::size_t>(w)].coalescer.set_page_trace(
-          &workers_[static_cast<std::size_t>(w)].page_trace);
-  }
+  // Workers claim runs of contiguous blocks, about 16 per worker: a worker
+  // then walks contiguous device memory, as a warp does under the SoA
+  // layout, and the last runs still balance the load. Grids of under 32
+  // blocks per worker, like the tiled launches, get one-block runs. A
+  // one-thread launch is one run on the launching thread: a run boundary
+  // restarts the open rows, which only a launch split across workers needs.
+  const std::int64_t run_length =
+      pool == 1 ? blocks
+                : std::max<std::int64_t>(1, blocks / (kRunsPerWorker * pool));
+  const std::int64_t runs = (blocks + run_length - 1) / run_length;
+  run_rows_.resize(static_cast<std::size_t>(runs));
 
   // Per-block counter deltas are only assembled when a sink asks (heatmap
   // capture); the common path pays one bool. The callbacks run on whichever
@@ -81,34 +82,38 @@ KernelStats Device::run_blocks(const LaunchConfig& config, BlockFn block_fn,
   const bool block_stats =
       stats_sink_ != nullptr && stats_sink_->wants_block_stats();
 
-  const auto run_one = [&](std::int64_t b, int w) {
+  const auto run_one = [&](std::int64_t run, int w) {
     WorkerState& ws = workers_[static_cast<std::size_t>(w)];
-    const int threads_in_block = static_cast<int>(std::min<std::int64_t>(
-        config.threads_per_block,
-        config.num_threads - b * config.threads_per_block));
-    const std::size_t trace_begin = ws.page_trace.size();
-    KernelStats before;
-    if (block_stats) before = ws.stats;
-    BlockState blk{b, threads_in_block, config.threads_per_block, ws.stats,
-                   ws.coalescer, worker_arenas_[static_cast<std::size_t>(w)]};
-    block_fn(kernel, blk);
-    if (traced)
-      block_spans_[static_cast<std::size_t>(b)] =
-          TraceSpan{w, trace_begin, ws.page_trace.size()};
-    if (blk.peak_reg_words > ws.peak_reg_words)
-      ws.peak_reg_words = blk.peak_reg_words;
-    if (block_stats) {
-      BlockStats record;
-      record.block_id = b;
-      record.first_thread = b * config.threads_per_block;
-      record.threads = threads_in_block;
-      record.delta = ws.stats.counters_since(before);
-      record.delta.num_blocks = 1;
-      stats_sink_->on_block_stats(record);
+    const std::int64_t end = std::min(blocks, (run + 1) * run_length);
+    for (std::int64_t b = run * run_length; b < end; ++b) {
+      const int threads_in_block = static_cast<int>(std::min<std::int64_t>(
+          config.threads_per_block,
+          config.num_threads - b * config.threads_per_block));
+      KernelStats before;
+      if (block_stats) before = ws.stats;
+      BlockState blk{b, threads_in_block, config.threads_per_block, ws.stats,
+                     ws.coalescer,
+                     worker_arenas_[static_cast<std::size_t>(w)]};
+      block_fn(kernel, blk);
+      if (blk.peak_reg_words > ws.peak_reg_words)
+        ws.peak_reg_words = blk.peak_reg_words;
+      if (block_stats) {
+        BlockStats record;
+        record.block_id = b;
+        record.first_thread = b * config.threads_per_block;
+        record.threads = threads_in_block;
+        record.delta = ws.stats.counters_since(before);
+        record.delta.num_blocks = 1;
+        record.delta.dram_page_switches = 0;  // the launch's, not the block's
+        stats_sink_->on_block_stats(record);
+      }
     }
+    // The run's rows started empty: the worker's coalescer was reset at
+    // launch entry or handed its rows over at the end of its previous run.
+    run_rows_[static_cast<std::size_t>(run)] = ws.coalescer.take_rows();
   };
 
-  BlockExecutor::shared().run(blocks, pool, run_one);
+  BlockExecutor::shared().run(runs, pool, run_one);
 
   // Deterministic reduction: fold per-worker stats in worker order. Every
   // merged field is an integer sum or max, so the totals are independent of
@@ -122,17 +127,13 @@ KernelStats Device::run_blocks(const LaunchConfig& config, BlockFn block_fn,
       if (ws.peak_reg_words > peak_reg_words)
         peak_reg_words = ws.peak_reg_words;
     }
-  }
-
-  if (traced) {
-    const telemetry::ProfSpan replay_span{telemetry::ProfTag::kDramRowReplay};
+    // Each run counted its DRAM row switches from an empty open-row LRU.
+    // Carried across the runs in block order, the LRU turns back into hits
+    // the first misses that rows left open by earlier blocks serve, which
+    // gives exactly the count of one LRU over the whole launch.
     DramRowLru rows;
-    for (const TraceSpan& span : block_spans_) {
-      const auto& trace =
-          workers_[static_cast<std::size_t>(span.worker)].page_trace;
-      for (std::size_t i = span.begin; i < span.end; ++i)
-        if (!rows.access(trace[i])) ++stats.dram_page_switches;
-    }
+    for (const DramRowLru& run : run_rows_)
+      stats.dram_page_switches -= static_cast<std::uint64_t>(rows.follow(run));
   }
 
   stats.regs_per_thread = std::min(

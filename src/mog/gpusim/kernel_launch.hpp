@@ -224,14 +224,15 @@ class Device {
   ///
   /// Blocks execute on up to spec().executor_threads threads of the
   /// process-wide BlockExecutor (resolved by resolved_executor_threads;
-  /// 1 = serial, on the launching thread); launches on different devices
-  /// take turns on that pool. Results are bit-identical at
-  /// any thread count: blocks are independent, each worker accumulates into
-  /// private state (KernelStats, Coalescer, shared-memory arena), the
-  /// per-worker stats merge in fixed worker order with commutative integer
-  /// reductions, and DRAM open-row accounting is replayed in block order
-  /// (see run_blocks). Telemetry delivery (the StatsSink) stays on the
-  /// launching thread.
+  /// 1 = serial, on the launching thread), which hands them out as runs of
+  /// contiguous blocks; launches on different devices take turns on that
+  /// pool. Results are bit-identical at any thread count: blocks are
+  /// independent, each worker accumulates into private state (KernelStats,
+  /// Coalescer, shared-memory arena), the per-worker stats merge in fixed
+  /// worker order with commutative integer reductions, and each run counts
+  /// DRAM row switches from its own empty open-row LRU, stitched together
+  /// in block order after the runs finish (DramRowLru::follow). Telemetry
+  /// delivery (the StatsSink) stays on the launching thread.
   template <typename KernelFn>
   KernelStats launch(const LaunchConfig& config, KernelFn&& kernel) {
     validate(config);
@@ -269,25 +270,16 @@ class Device {
 
   /// Per-worker accumulation state, persistent across launches so the
   /// steady-state frame loop performs no per-launch allocation: stats and
-  /// caches are reset at launch entry instead of rebuilt, and each worker's
-  /// flat page-trace arena keeps its high-water capacity. Defined out of
+  /// caches are reset at launch entry instead of rebuilt. Defined out of
   /// line (ctor needs timing constants private to kernel_launch.cpp).
   /// Cache-line aligned (a literal 64: gcc warns on
   /// std::hardware_destructive_interference_size in a header) so no two
-  /// workers' hot stats, segment caches and trace end pointers share a line.
+  /// workers' hot stats, segment caches and open-row LRUs share a line.
   struct alignas(64) WorkerState {
     explicit WorkerState(const DeviceSpec& spec);
     KernelStats stats;
     Coalescer coalescer;
     int peak_reg_words = 0;
-    std::vector<std::uint64_t> page_trace;  ///< parallel launches only
-  };
-  /// Block id → the slice of its worker's page_trace it produced, so the
-  /// block-order DRAM replay can walk traces without per-block vectors.
-  struct TraceSpan {
-    int worker = 0;
-    std::size_t begin = 0;
-    std::size_t end = 0;
   };
 
   DeviceSpec spec_;
@@ -296,7 +288,8 @@ class Device {
   /// grown lazily so a serial device never pays for a pool's worth.
   std::vector<std::vector<std::byte>> worker_arenas_;
   std::vector<WorkerState> workers_;
-  std::vector<TraceSpan> block_spans_;
+  /// Each block run's open-row LRU, by run index, for the fix-up.
+  std::vector<DramRowLru> run_rows_;
   FaultHook* fault_hook_ = nullptr;
   StatsSink* stats_sink_ = nullptr;
 };

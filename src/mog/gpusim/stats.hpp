@@ -200,10 +200,9 @@ void visit_metrics(const KernelStats& s, Fn&& fn) {
 }
 
 /// Per-block execution record for spatial attribution (telemetry::HeatmapSink).
-/// `delta` holds the counters this block contributed; DRAM page switches
-/// are absent from parallel-launch deltas (row locality is a launch-order
-/// property replayed after the blocks finish, not attributable to one
-/// block).
+/// `delta` holds the counters this block contributed, except DRAM page
+/// switches, which are 0 at every thread count: open rows persist across
+/// blocks, so a switch belongs to the launch's block order, not to a block.
 struct BlockStats {
   std::int64_t block_id = 0;
   std::int64_t first_thread = 0;  ///< block_id * threads_per_block

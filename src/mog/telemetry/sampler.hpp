@@ -22,7 +22,7 @@
 //    events per second the error is statistical noise.
 //
 // The hot-path primitives are header-only on purpose: gpusim's interpreter
-// places tags (warp dispatch, Coalescer::access, DRAM row replay) but must
+// places tags (warp dispatch, Coalescer::access, stats merge) but must
 // not link mog_telemetry — everything a tag site touches is an inline global.
 #pragma once
 
@@ -48,8 +48,7 @@ enum class ProfTag : std::uint8_t {
   kWarpDispatch,     ///< BlockCtx::parallel — interpreting a block's warps
   kCoalescerAccess,  ///< Coalescer::access — one warp memory instruction
   kChargeFlush,      ///< per-warp issue-charge fold into KernelStats
-  kDramRowReplay,    ///< block-order page-trace replay after a parallel launch
-  kStatsMerge,       ///< per-worker stats fold + StatsSink delivery
+  kStatsMerge,       ///< per-worker stats fold + block-order DRAM row fix-up
   kQueueWait,        ///< executor worker / serve pump waiting for work
   kPump,             ///< serve scheduling round (ingest/deliver/compute)
   kUpload,           ///< host->device frame upload
@@ -66,7 +65,6 @@ inline const char* to_string(ProfTag tag) {
     case ProfTag::kWarpDispatch: return "warp_dispatch";
     case ProfTag::kCoalescerAccess: return "coalescer_access";
     case ProfTag::kChargeFlush: return "charge_flush";
-    case ProfTag::kDramRowReplay: return "dram_row_replay";
     case ProfTag::kStatsMerge: return "stats_merge";
     case ProfTag::kQueueWait: return "queue_wait";
     case ProfTag::kPump: return "pump";

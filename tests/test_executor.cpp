@@ -7,12 +7,14 @@
 // keeps a throwing kernel from leaving a dangling thread-local behind.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <latch>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -151,11 +153,120 @@ std::pair<KernelStats, std::vector<double>> raw_device_workload(int threads) {
 
 TEST(ExecutorDeterminism, RawDeviceLaunchBitIdenticalAcrossThreadCounts) {
   const auto [s1, out1] = raw_device_workload(1);
-  ASSERT_GT(s1.dram_page_switches, 0u);  // the replay path is exercised
+  ASSERT_GT(s1.dram_page_switches, 0u);  // the row fix-up has work to do
   for (const int threads : {2, 8}) {
     const auto [st, outt] = raw_device_workload(threads);
     EXPECT_EQ(metric_vector(s1), metric_vector(st)) << threads << " threads";
     EXPECT_EQ(out1, outt) << threads << " threads";
+  }
+}
+
+/// Collects a launch's per-block records. Executor workers deliver them
+/// concurrently and in no particular order, so the sink locks and the test
+/// sorts by block id.
+class BlockRecorder final : public gpusim::StatsSink {
+ public:
+  void on_kernel_launch(const KernelStats&) override {}
+  bool wants_block_stats() const override { return true; }
+  void on_block_stats(const gpusim::BlockStats& block) override {
+    const std::lock_guard lock{mu_};
+    blocks_.push_back(block);
+  }
+  std::vector<gpusim::BlockStats> by_block_id() const {
+    std::vector<gpusim::BlockStats> sorted = blocks_;
+    std::sort(sorted.begin(), sorted.end(),
+              [](const auto& a, const auto& b) {
+                return a.block_id < b.block_id;
+              });
+    return sorted;
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<gpusim::BlockStats> blocks_;
+};
+
+struct LargeGridRun {
+  KernelStats stats;
+  std::vector<double> out;
+  std::vector<gpusim::BlockStats> blocks;  ///< by block id
+};
+
+/// 601 blocks, enough that a launch hands the executor runs of several
+/// blocks at every thread count tested. Each warp streams its slice of
+/// `buf` and gathers 32 lanes 512 bytes apart from a table window that
+/// moves with the block id over 44 DRAM pages, more than the 32 open rows:
+/// whether a run's first row misses are hits depends on the blocks before
+/// it, both ways.
+LargeGridRun large_grid_workload(int threads) {
+  DeviceSpec spec;
+  spec.executor_threads = threads;
+  Device dev{spec};
+  BlockRecorder recorder;
+  dev.set_stats_sink(&recorder);
+  constexpr std::int64_t kN = 128 * 600 + 80;  // ragged last block
+  constexpr std::int64_t kPageDoubles = 4096 / 8;
+  auto buf = dev.memory().alloc<double>(kN);
+  auto table = dev.memory().alloc<double>(48 * kPageDoubles);
+  for (std::int64_t i = 0; i < kN; ++i)
+    buf.data[i] = static_cast<double>(i % 97);
+  for (std::int64_t i = 0; i < 48 * kPageDoubles; ++i)
+    table.data[i] = static_cast<double>(i % 13);
+
+  LaunchConfig cfg;
+  cfg.num_threads = kN;
+  cfg.threads_per_block = 128;
+  LargeGridRun run;
+  run.stats = dev.launch(cfg, [&](BlockCtx& blk) {
+    const Addr window = blk.block_id() * 11 % 40 * kPageDoubles;
+    blk.parallel([&](WarpCtx& w) {
+      const Vec<Addr> gid = w.global_ids();
+      const Vec<double> x = w.load<double>(buf, gid);
+      const Vec<double> t =
+          w.load<double>(table, Vec<Addr>::iota(window, kPageDoubles / 8));
+      w.store(buf, gid, x + t);
+    });
+  });
+  run.out.assign(buf.data, buf.data + kN);
+  run.blocks = recorder.by_block_id();
+  return run;
+}
+
+TEST(ExecutorDeterminism, LargeGridRowCountsMatchOneSerialLru) {
+  // 2618 is the count of one open-row LRU walked over every transaction of
+  // the launch in block order, recorded from an executor that kept one LRU
+  // across all blocks of a serial launch.
+  const LargeGridRun serial = large_grid_workload(1);
+  EXPECT_EQ(serial.stats.dram_page_switches, 2618u);
+  EXPECT_EQ(serial.stats.num_blocks, 601u);
+  for (const int threads : {2, 8}) {
+    const LargeGridRun par = large_grid_workload(threads);
+    EXPECT_EQ(metric_vector(par.stats), metric_vector(serial.stats))
+        << threads << " threads";
+    EXPECT_EQ(par.out, serial.out) << threads << " threads";
+  }
+}
+
+TEST(ExecutorDeterminism, PerBlockRecordsIdenticalAcrossThreadCounts) {
+  // Row locality spans blocks, so a block's DRAM row switches are the
+  // launch's, not the block's: every record carries 0 for them, whatever
+  // the thread count and however blocks were grouped.
+  const LargeGridRun serial = large_grid_workload(1);
+  ASSERT_EQ(serial.blocks.size(), 601u);
+  for (const gpusim::BlockStats& b : serial.blocks)
+    EXPECT_EQ(b.delta.dram_page_switches, 0u) << "block " << b.block_id;
+  for (const int threads : {2, 8}) {
+    const LargeGridRun par = large_grid_workload(threads);
+    ASSERT_EQ(par.blocks.size(), serial.blocks.size()) << threads << " threads";
+    for (std::size_t i = 0; i < serial.blocks.size(); ++i) {
+      const gpusim::BlockStats& want = serial.blocks[i];
+      const gpusim::BlockStats& got = par.blocks[i];
+      ASSERT_EQ(got.block_id, want.block_id) << threads << " threads";
+      EXPECT_EQ(got.first_thread, want.first_thread);
+      EXPECT_EQ(got.threads, want.threads);
+      ASSERT_EQ(metric_vector(got.delta), metric_vector(want.delta))
+          << threads << " threads, block " << want.block_id;
+    }
   }
 }
 

@@ -217,12 +217,11 @@ TEST(Coalescer, RejectsSegmentsUnderEightBytes) {
 }
 
 /// Oracle for the unit-stride closed form: the coalescer's per-lane
-/// monotone walk, segment by segment, recording every DRAM-bound page
-/// (repeats included) inline or into a trace.
+/// monotone walk, segment by segment, passing every DRAM-bound page
+/// (repeats included) through the open-row LRU.
 class LaneWalkReference {
  public:
   void begin_warp() { l1_.clear(); }
-  void set_page_trace(std::vector<std::uint64_t>* trace) { trace_ = trace; }
 
   void access(Coalescer::Kind kind, const std::vector<std::uint64_t>& addrs,
               unsigned bytes_per_lane, KernelStats& stats) {
@@ -267,10 +266,7 @@ class LaneWalkReference {
       ++transactions;
       if (!is_load && covered[i] != full) ++rmw_reads;
       const std::uint64_t page = segs[i] * seg_bytes / page_bytes;
-      if (trace_ != nullptr)
-        trace_->push_back(page);
-      else if (!rows_.access(page))
-        ++stats.dram_page_switches;
+      if (!rows_.access(page)) ++stats.dram_page_switches;
     }
     if (replay_lines > 1)
       stats.issue_cycles +=
@@ -293,7 +289,6 @@ class LaneWalkReference {
  private:
   SegmentCache l1_{kEffectiveL1SegmentsPerWarp};
   DramRowLru rows_;
-  std::vector<std::uint64_t>* trace_ = nullptr;
 };
 
 /// Every exported counter plus the raw requested bytes, as "name=value"
@@ -308,36 +303,20 @@ std::string stats_text(const KernelStats& s) {
   return out.str();
 }
 
-std::uint64_t replay_switches(const std::vector<std::uint64_t>& trace) {
-  DramRowLru rows;
-  std::uint64_t switches = 0;
-  for (const std::uint64_t page : trace)
-    if (!rows.access(page)) ++switches;
-  return switches;
-}
-
 TEST(Coalescer, UnitStrideClosedFormMatchesLaneWalk) {
   // Seeded random unit-stride runs (1-32 lanes of 1/2/4/8 bytes, loads and
   // stores) whose bases sit at random offsets around 32-, 128- and
   // 4096-byte boundaries, so runs straddle store segments, load segments /
   // replay lines and DRAM pages. The L1 window and open rows carry across
-  // accesses; every counter must match the per-lane walk after every access,
-  // inline or with the page trace replayed through one DramRowLru.
+  // accesses; every counter must match the per-lane walk after every access.
   constexpr unsigned kLaneBytes[] = {1, 2, 4, 8};
   constexpr std::uint64_t kBoundaries[] = {32, 128, 4096};
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
-    const bool traced = seed % 2 == 0;
     std::mt19937_64 rng{seed};
     const auto pick = [&rng](std::uint64_t n) { return rng() % n; };
     DeviceSpec spec;
     Coalescer fast{spec, kEffectiveL1SegmentsPerWarp};
     LaneWalkReference ref;
-    std::vector<std::uint64_t> fast_trace;
-    std::vector<std::uint64_t> ref_trace;
-    if (traced) {
-      fast.set_page_trace(&fast_trace);
-      ref.set_page_trace(&ref_trace);
-    }
     fast.begin_warp();
     ref.begin_warp();
     KernelStats fast_stats;
@@ -365,14 +344,56 @@ TEST(Coalescer, UnitStrideClosedFormMatchesLaneWalk) {
       ASSERT_EQ(stats_text(fast_stats), stats_text(ref_stats))
           << "seed " << seed << " case " << c << ": "
           << (kind == Coalescer::Kind::kLoad ? "load" : "store") << " of "
-          << lanes << " x " << bytes << " B at 0x" << std::hex << base
-          << (traced ? " (traced)" : " (inline)");
+          << lanes << " x " << bytes << " B at 0x" << std::hex << base;
     }
-    if (traced) {
-      EXPECT_EQ(replay_switches(fast_trace), replay_switches(ref_trace))
-          << "seed " << seed;
-      EXPECT_LE(fast_trace.size(), ref_trace.size()) << "seed " << seed;
+  }
+}
+
+TEST(DramRowLru, RunsFollowedInOrderMatchOneLru) {
+  // Seeded page sequences of three shapes (uniform over up to 100 pages,
+  // streams that stay on a page or step to the next with an occasional
+  // jump, and repeats within a few pages), each cut at random points into
+  // runs that start from an empty LRU, as a launch's block runs do. Following the runs in order must give
+  // what one LRU over the whole sequence gives: the same misses, open rows
+  // and first misses.
+  for (std::uint64_t seed = 1; seed <= 20000; ++seed) {
+    std::mt19937_64 rng{seed};
+    const auto pick = [&rng](std::uint64_t n) { return rng() % n; };
+    const std::uint64_t shape = seed % 3;
+    const std::uint64_t pages = 1 + pick(shape == 2 ? 8 : 100);
+    std::vector<std::uint64_t> seq(pick(300));
+    std::uint64_t page = pick(pages);
+    for (std::uint64_t& p : seq) {
+      if (shape == 0)
+        page = pick(pages);
+      else if (shape == 1)
+        page = pick(8) == 0 ? pick(4 * pages) : page + pick(2);
+      else
+        page = 1000 + pick(pages);
+      p = page;
     }
+
+    DramRowLru whole;
+    int whole_misses = 0;
+    for (const std::uint64_t p : seq) whole_misses += whole.access(p) ? 0 : 1;
+
+    DramRowLru carried;
+    int misses = 0;
+    std::size_t begin = 0;
+    while (begin < seq.size()) {
+      const std::size_t end = std::min(seq.size(), begin + 1 + pick(80));
+      DramRowLru run;
+      for (std::size_t i = begin; i < end; ++i)
+        misses += run.access(seq[i]) ? 0 : 1;
+      misses -= carried.follow(run);
+      begin = end;
+    }
+    ASSERT_EQ(misses, whole_misses) << "seed " << seed;
+    ASSERT_TRUE(std::ranges::equal(carried.open_rows(), whole.open_rows()))
+        << "seed " << seed;
+    ASSERT_TRUE(
+        std::ranges::equal(carried.first_misses(), whole.first_misses()))
+        << "seed " << seed;
   }
 }
 

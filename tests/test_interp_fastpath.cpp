@@ -5,6 +5,9 @@
 // (b) every output mask byte into an FNV-1a hash, recorded here as a golden.
 // The final launch's metric vector is additionally recorded field-by-field
 // so a mismatch names the counter that moved instead of just "hash differs".
+// A second golden hashes the floating-point state the kernels leave behind
+// (the MoG model, or the divergent kernel's output), bit for bit: a rounding
+// change that flips no mask within a scenario's few frames still moves it.
 //
 // The table pins the interpreter's observable behavior across the surfaces
 // an optimization could plausibly disturb: all six optimization levels A-F
@@ -73,13 +76,14 @@ struct Snapshot {
   std::vector<std::string> names;  ///< metric names of the final launch
   std::vector<double> last;        ///< metric values of the final launch
   std::uint64_t hash = 14695981039346656037ull;  ///< FNV-1a over everything
+  std::uint64_t model_hash = 14695981039346656037ull;  ///< final model state
 };
 
-void mix(Snapshot& snap, const void* p, std::size_t n) {
+void mix(std::uint64_t& hash, const void* p, std::size_t n) {
   const auto* bytes = static_cast<const unsigned char*>(p);
   for (std::size_t i = 0; i < n; ++i) {
-    snap.hash ^= bytes[i];
-    snap.hash *= 1099511628211ull;
+    hash ^= bytes[i];
+    hash *= 1099511628211ull;
   }
 }
 
@@ -91,13 +95,23 @@ void fold_stats(Snapshot& snap, const KernelStats& stats) {
     snap.last.push_back(v);
     std::uint64_t bits;
     std::memcpy(&bits, &v, sizeof bits);
-    mix(snap, &bits, sizeof bits);
+    mix(snap.hash, &bits, sizeof bits);
   });
   // Requested bytes feed the gated efficiency metric but are not exported
   // individually; pin the raw counters too.
   const std::uint64_t raw[2] = {stats.bytes_requested_load,
                                 stats.bytes_requested_store};
-  mix(snap, raw, sizeof raw);
+  mix(snap.hash, raw, sizeof raw);
+}
+
+/// Fold the device model's weights, means and sds (in MogModel order, so
+/// the AoS and SoA layouts hash alike) into the model hash.
+void fold_model(Snapshot& snap, const DeviceMogState<double>& state,
+                const MogParams& params) {
+  const MogModel<double> model = state.download(params);
+  for (const std::vector<double>* v :
+       {&model.weights(), &model.means(), &model.sds()})
+    mix(snap.model_hash, v->data(), v->size() * sizeof(double));
 }
 
 Device make_device(int executor_threads) {
@@ -137,8 +151,9 @@ Snapshot run_mog(IsaLevel isa, OptLevel level, int threads, int w, int h,
         isa, device, state, frame_buf, fg_buf, tp, level);
     gpusim::copy_from_device(fg.data(), fg_buf, fg.size());
     fold_stats(snap, stats);
-    mix(snap, fg.data(), fg.size());
+    mix(snap.hash, fg.data(), fg.size());
   }
+  fold_model(snap, state, params);
   return snap;
 }
 
@@ -166,8 +181,9 @@ Snapshot run_tiled(IsaLevel isa, int threads) {
   std::vector<std::uint8_t> fg(state.num_pixels());
   for (const auto& buf : fgs) {
     gpusim::copy_from_device(fg.data(), buf, fg.size());
-    mix(snap, fg.data(), fg.size());
+    mix(snap.hash, fg.data(), fg.size());
   }
+  fold_model(snap, state, params);
   return snap;
 }
 
@@ -211,7 +227,8 @@ Snapshot run_divergent(IsaLevel isa, int threads) {
   Snapshot snap;
   fold_stats(snap, stats);
   gpusim::copy_from_device(host.data(), out, host.size());
-  mix(snap, host.data(), host.size() * sizeof(double));
+  mix(snap.hash, host.data(), host.size() * sizeof(double));
+  mix(snap.model_hash, host.data(), host.size() * sizeof(double));
   return snap;
 }
 
@@ -241,8 +258,9 @@ Snapshot run_fused_pp(IsaLevel isa, int threads, int w, int h,
         isa, device, fg_buf, pp_buf, w, h, vcfg, 128);
     fold_stats(snap, pp_stats);
     gpusim::copy_from_device(fg.data(), pp_buf, fg.size());
-    mix(snap, fg.data(), fg.size());
+    mix(snap.hash, fg.data(), fg.size());
   }
+  fold_model(snap, state, params);
   return snap;
 }
 
@@ -277,10 +295,12 @@ struct Golden {
   const char* scenario;
   std::uint64_t hash;
   double last[kMetricCount];
+  std::uint64_t model_hash;
 };
 
-// Recorded from the interpreter before the fast-path refactor (regenerate
-// only for an intentional accounting change; see file header).
+// Recorded from the interpreter before the fast-path refactor; the model
+// hashes, added later, read the same at every level and thread count
+// (regenerate only for an intentional accounting change; see file header).
 constexpr Golden kGoldens[] = {
     {"mog_A",
      0xfd2d3e6ae2f9d6d3ull,
@@ -291,7 +311,8 @@ constexpr Golden kGoldens[] = {
       0x0p+0, 0x0p+0, 0x0p+0,
       0x1.8p+4, 0x1.8p+6, 0x1.3p+5,
       0x1p+7, 0x0p+0, 0x1.e03a55f0e52d1p-4,
-      0x1.ce9ffcc171db5p-1, 0x1.8b0019f471258p-4,}},
+      0x1.ce9ffcc171db5p-1, 0x1.8b0019f471258p-4,},
+     0xafdf34c2008b0a4eull},
     {"mog_B",
      0xf09c7b9a11eb5cbeull,
      {0x1.ep+9, 0x1.ddp+9, 0x1.c8p+10,
@@ -301,7 +322,8 @@ constexpr Golden kGoldens[] = {
       0x0p+0, 0x0p+0, 0x0p+0,
       0x1.8p+4, 0x1.8p+6, 0x1.3p+5,
       0x1p+7, 0x0p+0, 0x1.8683169fe3c37p-1,
-      0x1.ce9ffcc171db5p-1, 0x1.8b0019f471258p-4,}},
+      0x1.ce9ffcc171db5p-1, 0x1.8b0019f471258p-4,},
+     0xafdf34c2008b0a4eull},
     {"mog_C",
      0xf09c7b9a11eb5cbeull,
      {0x1.ep+9, 0x1.ddp+9, 0x1.c8p+10,
@@ -311,7 +333,8 @@ constexpr Golden kGoldens[] = {
       0x0p+0, 0x0p+0, 0x0p+0,
       0x1.8p+4, 0x1.8p+6, 0x1.3p+5,
       0x1p+7, 0x0p+0, 0x1.8683169fe3c37p-1,
-      0x1.ce9ffcc171db5p-1, 0x1.8b0019f471258p-4,}},
+      0x1.ce9ffcc171db5p-1, 0x1.8b0019f471258p-4,},
+     0xafdf34c2008b0a4eull},
     {"mog_D",
      0xd19db8481347ee3aull,
      {0x1.ep+9, 0x1.ddp+9, 0x1.c8p+10,
@@ -321,7 +344,8 @@ constexpr Golden kGoldens[] = {
       0x0p+0, 0x0p+0, 0x0p+0,
       0x1.8p+4, 0x1.8p+6, 0x1.18p+5,
       0x1p+7, 0x0p+0, 0x1.8683169fe3c37p-1,
-      0x1.d326607b4c998p-1, 0x1.66ccfc259b34p-4,}},
+      0x1.d326607b4c998p-1, 0x1.66ccfc259b34p-4,},
+     0xafdf34c2008b0a4eull},
     {"mog_E",
      0xeba36875f6f5b93dull,
      {0x1.ep+9, 0x1.18p+10, 0x1.c8p+10,
@@ -331,7 +355,8 @@ constexpr Golden kGoldens[] = {
       0x0p+0, 0x0p+0, 0x0p+0,
       0x1.8p+4, 0x1.8p+6, 0x1.38p+5,
       0x1p+7, 0x0p+0, 0x1.e76e3552c0565p-1,
-      0x1.f151821c036p-1, 0x1.d5cfbc7f94p-6,}},
+      0x1.f151821c036p-1, 0x1.d5cfbc7f94p-6,},
+     0xafdf34c2008b0a4eull},
     {"mog_F",
      0x74d01b4a380a5680ull,
      {0x1.ep+9, 0x1.18p+10, 0x1.c8p+10,
@@ -341,7 +366,8 @@ constexpr Golden kGoldens[] = {
       0x0p+0, 0x0p+0, 0x0p+0,
       0x1.8p+4, 0x1.8p+6, 0x1.18p+5,
       0x1p+7, 0x0p+0, 0x1.e76e3552c0565p-1,
-      0x1.f151821c036p-1, 0x1.d5cfbc7f94p-6,}},
+      0x1.f151821c036p-1, 0x1.d5cfbc7f94p-6,},
+     0xafdf34c2008b0a4eull},
     {"tiled",
      0x59b6b36d4884d1a7ull,
      {0x1.38p+10, 0x1.38p+10, 0x1.08p+11,
@@ -351,7 +377,8 @@ constexpr Golden kGoldens[] = {
       0x1.db68p+13, 0x1.c398p+15, 0x1.4cbep+15,
       0x1.4p+2, 0x1.2p+9, 0x1p+5,
       0x1.4p+9, 0x1.68p+15, 0x1.da895da895da9p-1,
-      0x1.e79f516b862e4p-1, 0x1.860ae9479d1cp-5,}},
+      0x1.e79f516b862e4p-1, 0x1.860ae9479d1cp-5,},
+     0xdeae09bd48b091bbull},
     {"ragged_A",
      0x0342147094f13520ull,
      {0x1.4ap+8, 0x1.4cp+8, 0x1.4a5p+12,
@@ -361,7 +388,8 @@ constexpr Golden kGoldens[] = {
       0x0p+0, 0x0p+0, 0x0p+0,
       0x1.2p+3, 0x1.08p+5, 0x1.3p+5,
       0x1p+7, 0x0p+0, 0x1.e0062bf9505c9p-4,
-      0x1.ce679123bce68p-1, 0x1.8cc376e218ccp-4,}},
+      0x1.ce679123bce68p-1, 0x1.8cc376e218ccp-4,},
+     0xfa15b08fb96261fdull},
     {"ragged_E",
      0xfe276c2f75127fbaull,
      {0x1.4ap+8, 0x1.82p+8, 0x1.98p+9,
@@ -371,7 +399,8 @@ constexpr Golden kGoldens[] = {
       0x0p+0, 0x0p+0, 0x0p+0,
       0x1.2p+3, 0x1.08p+5, 0x1.38p+5,
       0x1p+7, 0x0p+0, 0x1.7b4da81a74e74p-1,
-      0x1.f204d2331a842p-1, 0x1.bf65b99caf7cp-6,}},
+      0x1.f204d2331a842p-1, 0x1.bf65b99caf7cp-6,},
+     0xfa15b08fb96261fdull},
     {"divergent",
      0x829ec023cb2d3142ull,
      {0x1p+5, 0x1p+5, 0x1.f8p+5,
@@ -381,7 +410,8 @@ constexpr Golden kGoldens[] = {
       0x1p+6, 0x1.f4p+8, 0x1.b4p+8,
       0x1p+3, 0x1p+5, 0x1.4p+4,
       0x1p+7, 0x1p+9, 0x1.fdf5cd0105198p-1,
-      0x1.c71c71c71c71cp-3, 0x1.8e38e38e38e39p-1,}},
+      0x1.c71c71c71c71cp-3, 0x1.8e38e38e38e39p-1,},
+     0x19af7fc9f6bba1faull},
     {"fused_pp",
      0x6fbd8005376705baull,
      {0x1.14p+8, 0x1.8p+6, 0x1.78p+8,
@@ -391,7 +421,8 @@ constexpr Golden kGoldens[] = {
       0x1.38p+12, 0x1.dap+12, 0x1.44p+11,
       0x1.8p+4, 0x1.8p+8, 0x1.ap+4,
       0x1p+7, 0x1.b4p+11, 0x1.ba147ae147ae1p-3,
-      0x1.bcc0ed7303b5dp-1, 0x1.0cfc4a33f128cp-3,}},
+      0x1.bcc0ed7303b5dp-1, 0x1.0cfc4a33f128cp-3,},
+     0xafdf34c2008b0a4eull},
     {"fused_pp_ragged",
      0x4869cabba3573eccull,
      {0x1.8p+6, 0x1.1p+5, 0x1.02p+7,
@@ -401,7 +432,8 @@ constexpr Golden kGoldens[] = {
       0x1.fa8p+10, 0x1.844p+11, 0x1.0ep+10,
       0x1.4p+3, 0x1.4p+7, 0x1.ap+4,
       0x1p+7, 0x1.b4p+11, 0x1.6a2ba8aea2ba9p-3,
-      0x1.b9e0d5b45023ap-1, 0x1.187ca92ebf718p-3,}},
+      0x1.b9e0d5b45023ap-1, 0x1.187ca92ebf718p-3,},
+     0xfa15b08fb96261fdull},
 };
 
 class InterpGoldens : public ::testing::TestWithParam<int> {};
@@ -425,6 +457,7 @@ TEST_P(InterpGoldens, BitIdenticalAcrossExecutorThreadCounts) {
                              << " want " << golden.last[i];
       }
       EXPECT_EQ(snap.hash, golden.hash) << "per-launch stats or masks changed";
+      EXPECT_EQ(snap.model_hash, golden.model_hash) << "model state changed";
     }
   });
 }
@@ -452,7 +485,9 @@ TEST(InterpGoldensTable, Regenerate) {
                 static_cast<unsigned long long>(snap.hash));
     for (int i = 0; i < kMetricCount; ++i)
       std::printf("%a,%s", snap.last[static_cast<std::size_t>(i)],
-                  i + 1 == kMetricCount ? "}},\n" : i % 3 == 2 ? "\n      " : " ");
+                  i + 1 == kMetricCount ? "},\n" : i % 3 == 2 ? "\n      " : " ");
+    std::printf("     0x%016llxull},\n",
+                static_cast<unsigned long long>(snap.model_hash));
   }
 }
 
