@@ -203,11 +203,13 @@ PumpRound StreamServer<T>::pump() {
   std::vector<int> order;
   order.reserve(static_cast<std::size_t>(n));
   for (int k = 0; k < n; ++k) order.push_back((cursor_ + k) % n);
-  cursor_ = (cursor_ + 1) % n;
 
   // Phase 1 — ingest: pop at most one frame per stream and reserve the copy
-  // engine for its upload. Round r's uploads go ahead of round r-1's
-  // downloads in the DMA FIFO (the simulate_overlapped enqueue order).
+  // engine for its upload. The copy engine takes requests in ready-time
+  // order: every owed download that was ready by the frame's arrival goes
+  // first, so how often the pump runs never delays a mask. The rest of
+  // round r-1's downloads follow round r's uploads in the DMA FIFO (the
+  // simulate_overlapped enqueue order).
   struct Popped {
     int id;
     QueuedFrame qf;
@@ -219,6 +221,9 @@ PumpRound StreamServer<T>::pump() {
     QueuedFrame qf;
     if (!s.queue->pop(qf)) continue;
     if (s.pipeline->gpu_pipeline() != nullptr) {
+      for (const int other : order)
+        deliver_pending(*streams_[static_cast<std::size_t>(other)],
+                        qf.arrival_seconds);
       const gpusim::FrameSchedule sched = s.pipeline->frame_schedule();
       const gpusim::SharedTimeline::Window w = timeline_.schedule_upload(
           s.lane, qf.arrival_seconds, sched.upload_seconds);
@@ -229,8 +234,11 @@ PumpRound StreamServer<T>::pump() {
     }
     popped.push_back(Popped{id, std::move(qf)});
   }
+  // Only a round that moves a frame rotates the start: idle rounds leave the
+  // upload order of the next frames alone.
+  if (!popped.empty()) cursor_ = (cursor_ + 1) % n;
 
-  // Phase 2 — deliver: the previous round's pending downloads.
+  // Phase 2 — deliver: the previous rounds' remaining pending downloads.
   for (const int id : order)
     deliver_pending(*streams_[static_cast<std::size_t>(id)]);
 
@@ -335,11 +343,15 @@ void StreamServer<T>::finish_group(Stream& s, std::vector<FrameU8> masks) {
 }
 
 template <typename T>
-void StreamServer<T>::deliver_pending(Stream& s) {
+void StreamServer<T>::deliver_pending(Stream& s, double ready_by) {
   if (s.pending.empty()) return;
   std::vector<PendingDownload> pending = std::move(s.pending);
   s.pending.clear();
   for (PendingDownload& d : pending) {
+    if (d.ready_seconds > ready_by) {
+      s.pending.push_back(std::move(d));
+      continue;
+    }
     const std::size_t count = d.arrivals.size();
     double end = d.ready_seconds;
     const GpuMogPipeline<T>* gpu =

@@ -12,12 +12,15 @@
 // model of Fig. 5 generalized to incremental multi-stream arrival.
 //
 // Scheduling is a synchronous round pump. Each pump() round, in round-robin
-// order starting from a rotating cursor (fairness: no stream moves two
-// frames before another ready stream moves one):
+// order starting from a cursor that rotates after every round that ingests a
+// frame (fairness: no stream moves two frames before another ready stream
+// moves one):
 //
 //   1. ingest  — pop at most one frame per stream from its bounded queue and
-//                reserve the copy engine for its upload;
-//   2. deliver — reserve the copy engine for the *previous* round's pending
+//                reserve the copy engine for its upload, after every pending
+//                download on the device that was ready by the frame's
+//                arrival (so the pump's cadence never delays a mask);
+//   2. deliver — reserve the copy engine for the earlier rounds' remaining
 //                mask downloads and complete their end-to-end latencies.
 //                Ordering uploads ahead of the older downloads is the
 //                double-buffered FIFO order simulate_overlapped() drives a
@@ -48,6 +51,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -253,7 +257,10 @@ class StreamServer {
 
   Stream& stream_at(int id);
   const Stream& stream_at(int id) const;
-  void deliver_pending(Stream& s);
+  /// Reserve the downloads of `s` that were ready by `ready_by`, oldest
+  /// first, and complete their masks.
+  void deliver_pending(
+      Stream& s, double ready_by = std::numeric_limits<double>::infinity());
   void complete_masks(Stream& s, PendingDownload&& d, double end_seconds);
   void finish_group(Stream& s, std::vector<FrameU8> masks);
   void flush_locked(Stream& s);

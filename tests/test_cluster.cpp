@@ -605,6 +605,78 @@ TEST(DeviceFleet, TraceRowsFollowFleetStreamIds) {
   }
 }
 
+/// Each stream's modeled latency rollup (count, min, p50, p90, p99, max,
+/// total), then the fleet's makespan.
+std::vector<double> modeled_clock(const DeviceFleet<double>& fleet,
+                                  int streams) {
+  std::vector<double> out;
+  for (int s = 0; s < streams; ++s) {
+    const telemetry::Rollup r = fleet.latency_rollup(s);
+    out.insert(out.end(), {static_cast<double>(r.count), r.min, r.p50, r.p90,
+                           r.p99, r.max, r.total});
+  }
+  out.push_back(fleet.makespan_seconds());
+  return out;
+}
+
+TEST(DeviceFleet, ModeledLatencyIgnoresPumpCadence) {
+  // A mask's modeled latency is the paper's clock: how often the host pumps
+  // must not move it. Frames are stamped at 30 fps, the second stream's 1 ms
+  // after the first's. After each frame time's submissions the caller pumps
+  // 1, 2 or 3 times, or pumps only in the final drain().
+  constexpr int kFrames = 4;
+  constexpr double kPeriod = 1.0 / 30;
+  for (const int streams : {1, 2}) {
+    const auto run = [streams](int pumps) {
+      DeviceFleet<double> fleet{fleet_config(1)};
+      for (int s = 0; s < streams; ++s) fleet.open_stream(gpu_config());
+      for (int t = 0; t < kFrames; ++t) {
+        for (int s = 0; s < streams; ++s)
+          EXPECT_TRUE(fleet.submit(s, scene_for(700 + s).frame(t),
+                                   t * kPeriod + s * 1e-3));
+        for (int k = 0; k < pumps; ++k) fleet.pump();
+      }
+      fleet.drain();
+      return modeled_clock(fleet, streams);
+    };
+    const std::vector<double> drained = run(0);
+    for (int s = 0; s < streams; ++s) {
+      EXPECT_EQ(drained[static_cast<std::size_t>(7 * s)], kFrames);
+      // No mask waits for the next frame's arrival (max latency).
+      EXPECT_LT(drained[static_cast<std::size_t>(7 * s + 5)], kPeriod);
+    }
+    for (const int pumps : {1, 2, 3})
+      EXPECT_EQ(run(pumps), drained)
+          << streams << " stream(s), " << pumps << " pump(s) per frame time";
+  }
+}
+
+TEST(DeviceFleet, LivePumpLatencyMatchesDrainedBurst) {
+  // start() mode: the device's pump thread runs rounds whenever it is woken
+  // while a burst of frames stamped at 30 fps arrives. The modeled clock
+  // must read exactly what a synchronous drain of the same frames reads.
+  constexpr int kFrames = 8;
+  const auto run = [](bool live) {
+    DeviceFleet<double> fleet{fleet_config(1)};
+    fleet.open_stream(gpu_config());
+    if (live) fleet.start();
+    for (int t = 0; t < kFrames; ++t)
+      EXPECT_TRUE(fleet.submit(0, scene_for(710).frame(t), t / 30.0));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (live &&
+           fleet.masks_delivered() < static_cast<std::uint64_t>(kFrames) &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    fleet.stop();
+    fleet.drain();
+    return modeled_clock(fleet, 1);
+  };
+  const std::vector<double> drained = run(false);
+  EXPECT_EQ(drained[0], kFrames);
+  EXPECT_EQ(run(true), drained);
+}
+
 TEST(DeviceFleet, ConcurrentSubmitWithLivePumpsAndFailover) {
   // Live mode: the fleet's pump threads running, capture threads
   // submitting, one device failed mid-flight. Nothing may be lost.
