@@ -9,7 +9,7 @@
 // throughput on the single copy engine — the serving-layer analogue of the
 // paper's transfer/kernel overlap story. The d<D>s<N> cases extend the
 // surface to devices x streams: the same backlog sharded across D
-// single-device planes, plus device-loss runs where device 0 dies
+// device nodes, plus device-loss runs where device 0 dies
 // mid-backlog and its streams fail over live (model checkpoint carried
 // across, queued frames requeued).
 #include "bench_util.hpp"
@@ -279,7 +279,7 @@ void epilogue() {
         {"devices", "streams", "agg_fps", "p50_ms", "p99_ms", "makespan_ms"},
         surface,
         "cluster::DeviceFleet, least-loaded placement; each device is one "
-        "full serve plane with its own DMA + compute engines.");
+        "node with its own DMA + compute engines.");
   if (!loss.empty())
     print_table(
         "Device fleet — device 0 lost at half the backlog",

@@ -18,6 +18,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -166,8 +167,7 @@ class Registry {
     results_[key] = result;
   }
   /// The recorded result, or nullptr when that case did not run (a
-  /// --benchmark_filter subset or --benchmark_list_tests); epilogues skip
-  /// such rows.
+  /// --benchmark_filter subset); epilogues skip such rows.
   const ExperimentResult* find(const std::string& key) const {
     const auto it = results_.find(key);
     return it != results_.end() ? &it->second : nullptr;
@@ -278,21 +278,51 @@ inline bool output_formats_known(int argc, char** argv) {
   return true;
 }
 
+/// True when google-benchmark will only list the cases, not run them: the
+/// BENCHMARK_LIST_TESTS environment value, overridden by the last
+/// --benchmark_list_tests[=value] flag, each read as the library reads a
+/// bool (empty is true; "0", "f", "n", "false", "no" and "off" are false).
+inline bool listing_cases(int argc, char** argv) {
+  const auto truthy = [](std::string_view v) {
+    if (v.size() == 1)
+      return std::isalnum(static_cast<unsigned char>(v[0])) != 0 &&
+             std::string_view{"0fFnN"}.find(v[0]) == std::string_view::npos;
+    std::string lower{v};
+    for (char& c : lower)
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    return lower != "false" && lower != "no" && lower != "off";
+  };
+  const char* env = std::getenv("BENCHMARK_LIST_TESTS");
+  bool listing = env != nullptr && truthy(env);
+  constexpr std::string_view kFlag = "--benchmark_list_tests";
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg{argv[i]};
+    if (arg == kFlag) listing = true;
+    if (arg.starts_with(kFlag) && arg.size() > kFlag.size() &&
+        arg[kFlag.size()] == '=')
+      listing = truthy(arg.substr(kFlag.size() + 1));
+  }
+  return listing;
+}
+
 /// Standard main: name the report, run benchmarks (profiled when
 /// MOG_BENCH_PROFILE is set), run the bench-specific epilogue, then write
-/// BENCH_<name>.json plus any PROF_/HEAT_ sidecars. An unknown flag, an
-/// unknown output format, or a --benchmark_filter that selects no case
-/// (including one that does not compile), exits 2 after a one-line reason,
-/// and writes no report.
+/// BENCH_<name>.json plus any PROF_/HEAT_ sidecars. Listing the cases runs
+/// none of that and writes nothing, so it never overwrites a report. An
+/// unknown flag, an unknown output format, or a --benchmark_filter that
+/// selects no case (including one that does not compile), exits 2 after a
+/// one-line reason, and writes no report.
 #define MOG_BENCH_MAIN(bench_name, epilogue)                            \
   int main(int argc, char** argv) {                                     \
     ::mog::bench::reporter().set_name(bench_name);                      \
     if (!::mog::bench::output_formats_known(argc, argv)) return 2;      \
+    const bool listing = ::mog::bench::listing_cases(argc, argv);       \
     ::benchmark::Initialize(&argc, argv);                               \
     if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 2; \
-    ::mog::bench::begin_bench_profile();                                \
+    if (!listing) ::mog::bench::begin_bench_profile();                  \
     if (::benchmark::RunSpecifiedBenchmarks() == 0) return 2;           \
     ::benchmark::Shutdown();                                            \
+    if (listing) return 0;                                              \
     epilogue();                                                         \
     ::mog::bench::finish_bench_profile();                               \
     return ::mog::bench::finish_bench_report();                         \

@@ -17,7 +17,7 @@ namespace mog::cluster {
 namespace {
 
 /// Degradation strikes (streams stepping down the recovery ladder) charged
-/// to a device before it is declared lost and evacuated.
+/// to a device before it is declared lost and its streams migrate.
 constexpr int kDeviceLossStrikes = 1;
 
 /// Recovery actions exported per stream, as `action=` labels.
@@ -45,26 +45,22 @@ std::string MigrationStats::summary() const {
   return strprintf(
       "migrations: %llu attempted, %llu completed, %llu checkpoint-rejected "
       "(%llu retried, %llu reset), %llu capacity-exhausted, "
-      "%llu frames requeued (%llu dropped in transit)",
+      "%llu frames requeued",
       static_cast<unsigned long long>(attempted),
       static_cast<unsigned long long>(completed),
       static_cast<unsigned long long>(checkpoint_rejected),
       static_cast<unsigned long long>(snapshot_retries),
       static_cast<unsigned long long>(models_reset),
       static_cast<unsigned long long>(capacity_exhausted),
-      static_cast<unsigned long long>(frames_requeued),
-      static_cast<unsigned long long>(frames_dropped_in_transit));
+      static_cast<unsigned long long>(frames_requeued));
 }
 
 template <typename T>
 DeviceFleet<T>::DeviceFleet(const FleetConfig& config) : config_(config) {
   config_.validate();
-  // Sized once: a node is neither copyable nor movable (its pump thread
-  // holds its address).
-  nodes_ = std::vector<DeviceNode>(static_cast<std::size_t>(config_.devices));
   for (int d = 0; d < config_.devices; ++d) {
-    nodes_[static_cast<std::size_t>(d)].server =
-        std::unique_ptr<StreamServer<T>>(new StreamServer<T>(config_.serve));
+    nodes_.push_back(
+        std::unique_ptr<DeviceNode<T>>(new DeviceNode<T>(*this, d)));
     scheduler_.add_device(d);
   }
   start_obs_server();
@@ -111,9 +107,7 @@ template <typename T>
 void DeviceFleet<T>::set_device_injector(
     int d, std::shared_ptr<fault::FaultInjector> injector) {
   std::lock_guard<std::mutex> lock(mu_);
-  MOG_CHECK(d >= 0 && d < static_cast<int>(nodes_.size()),
-            "unknown device id");
-  nodes_[static_cast<std::size_t>(d)].injector = std::move(injector);
+  node_at(d).injector_ = std::move(injector);
 }
 
 template <typename T>
@@ -122,33 +116,32 @@ std::vector<DeviceLoad> DeviceFleet<T>::loads_locked(
   std::vector<DeviceLoad> loads;
   loads.reserve(nodes_.size());
   for (std::size_t d = 0; d < nodes_.size(); ++d) {
-    const DeviceNode& node = nodes_[d];
+    const DeviceNode<T>& node = *nodes_[d];
     DeviceLoad l;
     l.device = static_cast<int>(d);
-    l.alive = node.alive && l.device != exclude_device;
-    l.open_streams = node.server->open_streams();
-    l.bytes_in_use = node.server->device_bytes_in_use();
+    l.alive = node.alive_ && l.device != exclude_device;
+    l.open_streams = node.open_streams();
+    l.bytes_in_use = node.device_bytes_in_use();
     loads.push_back(l);
   }
   return loads;
 }
 
 template <typename T>
-int DeviceFleet<T>::open_on_some_device_locked(int id, StreamRec& rec,
-                                               std::string& refusal,
-                                               int exclude_device) {
+int DeviceFleet<T>::admit_locked(StreamRec<T>& rec,
+                                 typename DeviceNode<T>::Admission& admission,
+                                 std::string& refusal, int exclude_device) {
   std::vector<DeviceLoad> loads = loads_locked(exclude_device);
   while (true) {
     const int d = scheduler_.pick(rec.key, loads);
     if (d < 0) return -1;
-    DeviceNode& node = nodes_[static_cast<std::size_t>(d)];
+    DeviceNode<T>& node = node_at(d);
     // A stream-scoped injector (sick camera) travels with the stream;
     // otherwise the stream joins the hosting device's fault domain.
     std::shared_ptr<fault::FaultInjector> inj =
-        rec.own_injector != nullptr ? rec.own_injector : node.injector;
+        rec.own_injector != nullptr ? rec.own_injector : node.injector_;
     try {
-      rec.local_id = node.server->open_stream(rec.gpu, std::move(inj), id);
-      rec.device = d;
+      admission = node.admit(rec, std::move(inj));
       return d;
     } catch (const AdmissionError& e) {
       // This device is full; strike it from the candidate set and retry.
@@ -165,49 +158,47 @@ int DeviceFleet<T>::open_stream(const GpuConfig& gpu_config,
                                 std::string placement_key) {
   std::lock_guard<std::mutex> lock(mu_);
   const int id = static_cast<int>(recs_.size());
-  StreamRec rec;
-  rec.gpu = gpu_config;
-  rec.own_injector = std::move(injector);
-  rec.key = placement_key.empty() ? strprintf("stream-%d", id)
-                                  : std::move(placement_key);
+  auto rec = std::make_unique<StreamRec<T>>(
+      id, gpu_config, std::move(injector),
+      placement_key.empty() ? strprintf("stream-%d", id)
+                            : std::move(placement_key),
+      config_.serve);
+  typename DeviceNode<T>::Admission admission;
   std::string refusal;
-  const int d = open_on_some_device_locked(id, rec, refusal);
-  if (d < 0) {
-    int alive = 0;
-    for (const DeviceNode& node : nodes_) alive += node.alive ? 1 : 0;
+  const int d = admit_locked(*rec, admission, refusal);
+  if (d < 0)
     throw AdmissionError{strprintf(
         "stream refused: every alive device is at capacity (%d devices, "
         "%d alive)%s%s",
-        static_cast<int>(nodes_.size()), alive, refusal.empty() ? "" : "; ",
-        refusal.c_str())};
-  }
+        static_cast<int>(nodes_.size()), alive_locked(),
+        refusal.empty() ? "" : "; ", refusal.c_str())};
   recs_.push_back(std::move(rec));
+  node_at(d).host(*recs_.back(), std::move(admission), nullptr);
   log_.info("stream placed",
-            {{"stream", id}, {"device", d}, {"key", recs_.back().key}});
+            {{"stream", id}, {"device", d}, {"key", recs_.back()->key}});
   return id;
 }
 
 template <typename T>
 void DeviceFleet<T>::close_stream(int id) {
   std::lock_guard<std::mutex> lock(mu_);
-  StreamRec& rec = rec_at(id);
+  StreamRec<T>& rec = rec_at(id);
   MOG_CHECK(rec.open, "stream already closed");
-  nodes_[static_cast<std::size_t>(rec.device)].server->close_stream(
-      rec.local_id);
+  node_at(rec.device).release(rec, false);
   rec.open = false;
 }
 
 template <typename T>
 bool DeviceFleet<T>::submit(int id, FrameU8 frame, double arrival_seconds,
                             std::uint64_t ticket) {
-  // Hold the fleet lock through the member call so the stream cannot be
+  // Hold the fleet lock through the node call so the stream cannot be
   // mid-migration between the routing decision and the enqueue.
   std::lock_guard<std::mutex> lock(mu_);
-  StreamRec& rec = rec_at(id);
+  StreamRec<T>& rec = rec_at(id);
   MOG_CHECK(rec.open, "submit to a closed stream");
-  DeviceNode& node = nodes_[static_cast<std::size_t>(rec.device)];
-  const bool accepted = node.server->submit(rec.local_id, std::move(frame),
-                                            arrival_seconds, ticket);
+  DeviceNode<T>& node = node_at(rec.device);
+  const bool accepted =
+      node.submit(rec, std::move(frame), arrival_seconds, ticket);
   node.wake();
   return accepted;
 }
@@ -218,7 +209,7 @@ int DeviceFleet<T>::pump() {
   int ingested = 0;
   std::vector<std::vector<int>> degraded(nodes_.size());
   for (std::size_t d = 0; d < nodes_.size(); ++d) {
-    PumpRound round = nodes_[d].server->pump();
+    PumpRound round = nodes_[d]->pump();
     ingested += round.ingested;
     degraded[d] = std::move(round.degraded);
   }
@@ -229,8 +220,8 @@ int DeviceFleet<T>::pump() {
 
 template <typename T>
 void DeviceFleet<T>::drain() {
-  // Two consecutive idle rounds: a migration at the end of a round can
-  // requeue frames after the round's ingest phase already ran, so one idle
+  // Two consecutive idle rounds: a migration at the end of a round can move
+  // queued frames onto a device whose ingest phase already ran, so one idle
   // round is not proof the fleet is dry.
   int idle = 0;
   while (idle < 2) idle = pump() > 0 ? 0 : idle + 1;
@@ -245,18 +236,19 @@ void DeviceFleet<T>::start() {
   stop_requested_.store(false);
   running_ = true;
   for (std::size_t d = 0; d < nodes_.size(); ++d)
-    nodes_[d].pump = std::thread([this, d] { pump_loop(static_cast<int>(d)); });
+    nodes_[d]->pump_thread_ =
+        std::thread([this, d] { pump_loop(static_cast<int>(d)); });
 }
 
 template <typename T>
 void DeviceFleet<T>::pump_loop(int d) {
   telemetry::prof_set_thread_name(strprintf("dev%d.pump", d).c_str());
-  DeviceNode& node = nodes_[static_cast<std::size_t>(d)];
+  DeviceNode<T>& node = node_at(d);
   while (true) {
     // Read before the round: a wake() from here on makes wait() return.
-    const std::uint32_t seen = node.wakeups.load();
+    const std::uint32_t seen = node.wakeups_.load();
     if (stop_requested_.load()) return;
-    const PumpRound round = node.server->pump();
+    const PumpRound round = node.pump();
     if (!round.degraded.empty()) {
       std::lock_guard<std::mutex> lock(mu_);
       charge_strikes_locked(d, round.degraded);
@@ -265,7 +257,7 @@ void DeviceFleet<T>::pump_loop(int d) {
     // idle round owes nothing, so sleeping after it strands no mask.
     if (round.ingested > 0) continue;
     const telemetry::ProfSpan wait_span{telemetry::ProfTag::kQueueWait};
-    node.wakeups.wait(seen);
+    node.wakeups_.wait(seen);
   }
 }
 
@@ -276,8 +268,8 @@ void DeviceFleet<T>::stop() {
     if (!running_) return;
     stop_requested_.store(true);
   }
-  for (DeviceNode& node : nodes_) node.wake();
-  for (DeviceNode& node : nodes_) node.pump.join();
+  for (const auto& node : nodes_) node->wake();
+  for (const auto& node : nodes_) node->pump_thread_.join();
   std::lock_guard<std::mutex> lock(mu_);
   running_ = false;
 }
@@ -285,8 +277,6 @@ void DeviceFleet<T>::stop() {
 template <typename T>
 void DeviceFleet<T>::fail_device(int d) {
   std::lock_guard<std::mutex> lock(mu_);
-  MOG_CHECK(d >= 0 && d < static_cast<int>(nodes_.size()),
-            "unknown device id");
   declare_lost_locked(d, "fail_device");
 }
 
@@ -301,65 +291,68 @@ void DeviceFleet<T>::charge_strikes_locked(int d,
   // its own ladder in place. Charging only changes this device's count, so
   // charging and declaring device by device migrates exactly as charging
   // every device first would.
-  DeviceNode& node = nodes_[static_cast<std::size_t>(d)];
-  if (!node.alive) return;
+  DeviceNode<T>& node = node_at(d);
+  if (!node.alive_) return;
   int charged = 0;
   for (const int id : degraded)
     if (rec_at(id).own_injector == nullptr) ++charged;
   if (charged == 0) return;
-  node.strikes += charged;
+  node.strikes_ += charged;
   log_.warn("degradation strike",
             {{"device", d},
              {"streams_degraded", charged},
-             {"strikes", node.strikes}});
-  if (node.strikes >= kDeviceLossStrikes)
+             {"strikes", node.strikes_}});
+  if (node.strikes_ >= kDeviceLossStrikes)
     declare_lost_locked(d, "degradation strikes");
 }
 
 template <typename T>
 void DeviceFleet<T>::declare_lost_locked(int d, const char* reason) {
-  DeviceNode& node = nodes_[static_cast<std::size_t>(d)];
-  if (!node.alive) return;
-  node.alive = false;
+  DeviceNode<T>& node = node_at(d);
+  if (!node.alive_) return;
+  node.alive_ = false;
   log_.error("device lost",
-             {{"device", d}, {"reason", reason}, {"strikes", node.strikes}});
+             {{"device", d}, {"reason", reason}, {"strikes", node.strikes_}});
   for (std::size_t i = 0; i < recs_.size(); ++i)
-    if (recs_[i].open && recs_[i].device == d)
+    if (recs_[i]->open && recs_[i]->device == d)
       migrate_stream_locked(static_cast<int>(i));
 }
 
 template <typename T>
 bool DeviceFleet<T>::migrate_stream_locked(int id) {
   ++migration_stats_.attempted;
-  StreamRec& rec = recs_[static_cast<std::size_t>(id)];
+  StreamRec<T>& rec = *recs_[static_cast<std::size_t>(id)];
   const int src_d = rec.device;
-  const int local = rec.local_id;
+  DeviceNode<T>& src = node_at(src_d);
 
-  // 1. Reserve a slot on a healthy device first: when nobody can take the
-  //    stream it stays untouched and rides its per-stream ladder in place.
+  // 1. Reserve on a healthy device first: build the stream's new pipeline
+  //    and charge that device's budget. When nobody can take the stream it
+  //    stays untouched and rides its per-stream ladder in place.
+  typename DeviceNode<T>::Admission admission;
   std::string refusal;
-  const int dst_d = open_on_some_device_locked(id, rec, refusal, src_d);
+  const int dst_d = admit_locked(rec, admission, refusal, src_d);
   if (dst_d < 0) {
     ++migration_stats_.capacity_exhausted;
     log_.warn("migration refused: no device has capacity",
               {{"stream", id}, {"device", src_d}, {"refusal", refusal}});
     return false;
   }
+  DeviceNode<T>& dst = node_at(dst_d);
 
-  // 2. Freeze the victim in one plane step: steal its queued frames (arrival
-  //    stamps and trace tickets preserved), flush its partial tiled group,
-  //    copy its model to the host and close it. The closed incarnation keeps
-  //    the masks, latencies and counters it produced; the fleet reads them
-  //    through `retired`.
-  auto victim = nodes_[static_cast<std::size_t>(src_d)].server->evacuate(local);
-  rec.retired.push_back(Placement{src_d, local});
+  // 2. Flush the stream on the source in one node step: its partial tiled
+  //    group and owed masks are delivered, its model is copied to the host,
+  //    and its pipeline leaves the source. Its queued frames wait in its
+  //    queue, in order.
+  MogModel<T> host_copy = src.release(rec, true);
+  const fault::ExecutionTier victim_tier = rec.tier;  // as the source left it
+  const std::size_t queued = rec.queue.size();
 
   // 3. Snapshot the host copy through the MOGM v2 CRC checkpoint encoding. A
   //    corrupt payload is rejected by type; retry once by re-encoding the
   //    host copy before falling back to a fresh model.
   std::unique_ptr<MogModel<T>> model;
   const auto snapshot = [&] {
-    std::vector<std::uint8_t> payload = serialize_model(victim.model);
+    std::vector<std::uint8_t> payload = serialize_model(host_copy);
     if (snapshot_corruptor_) snapshot_corruptor_(payload);
     try {
       model = std::make_unique<MogModel<T>>(deserialize_model<T>(
@@ -377,32 +370,29 @@ bool DeviceFleet<T>::migrate_stream_locked(int id) {
     ++migration_stats_.snapshot_retries;
     snapshot();
   }
-  victim.model = MogModel<T>{};  // free the host copy before adopt() uploads
+  host_copy = MogModel<T>{};  // free the host copy before the target upload
   if (model == nullptr) {
     ++migration_stats_.models_reset;
     log_.error("snapshot unrecoverable; stream resumes with a fresh model",
                {{"stream", id}});
   }
 
-  // 4. Resume on the target: adopt the restored model, then requeue the
-  //    stolen frames, oldest first.
-  const std::size_t requeued = victim.frames.size();
-  rec.requeued += requeued;
-  migration_stats_.frames_requeued += requeued;
-  migration_stats_.frames_dropped_in_transit +=
-      nodes_[static_cast<std::size_t>(dst_d)].server->adopt(
-          rec.local_id, model.get(), std::move(victim.frames));
-  nodes_[static_cast<std::size_t>(dst_d)].wake();
+  // 4. Resume on the target: load the restored model and re-point the
+  //    stream, whose lane there turns live; wake the target's pump.
+  dst.host(rec, std::move(admission), model.get());
+  dst.wake();
 
-  ++nodes_[static_cast<std::size_t>(src_d)].migrations_out;
-  ++nodes_[static_cast<std::size_t>(dst_d)].migrations_in;
+  ++rec.migrations;
+  migration_stats_.frames_requeued += queued;
+  ++src.migrations_out_;
+  ++dst.migrations_in_;
   ++migration_stats_.completed;
   log_.info("stream migrated",
             {{"stream", id},
              {"from", src_d},
              {"to", dst_d},
-             {"frames_requeued", static_cast<std::int64_t>(requeued)},
-             {"victim_tier", fault::to_string(victim.tier)},
+             {"frames_requeued", static_cast<std::int64_t>(queued)},
+             {"victim_tier", fault::to_string(victim_tier)},
              {"model", model != nullptr ? "restored" : "reset"}});
   return true;
 }
@@ -415,17 +405,20 @@ int DeviceFleet<T>::devices() const {
 template <typename T>
 int DeviceFleet<T>::alive_devices() const {
   std::lock_guard<std::mutex> lock(mu_);
-  int n = 0;
-  for (const DeviceNode& node : nodes_) n += node.alive ? 1 : 0;
-  return n;
+  return alive_locked();
+}
+
+template <typename T>
+int DeviceFleet<T>::alive_locked() const {
+  return static_cast<int>(
+      std::count_if(nodes_.begin(), nodes_.end(),
+                    [](const auto& node) { return node->alive_; }));
 }
 
 template <typename T>
 bool DeviceFleet<T>::device_alive(int d) const {
   std::lock_guard<std::mutex> lock(mu_);
-  MOG_CHECK(d >= 0 && d < static_cast<int>(nodes_.size()),
-            "unknown device id");
-  return nodes_[static_cast<std::size_t>(d)].alive;
+  return node_at(d).alive_;
 }
 
 template <typename T>
@@ -437,28 +430,21 @@ int DeviceFleet<T>::stream_device(int id) const {
 template <typename T>
 std::vector<FrameU8> DeviceFleet<T>::take_masks(int id) {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<FrameU8> out;
-  for (const Placement& p : incarnations(rec_at(id))) {
-    std::vector<FrameU8> masks = plane(p).take_masks(p.local_id);
-    out.insert(out.end(), std::make_move_iterator(masks.begin()),
-               std::make_move_iterator(masks.end()));
-  }
-  return out;
+  StreamRec<T>& rec = rec_at(id);
+  return node_at(rec.device).take_masks(rec);
 }
 
 template <typename T>
 FleetStreamInfo DeviceFleet<T>::stream_info(int id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const StreamRec& rec = rec_at(id);
+  const StreamRec<T>& rec = rec_at(id);
   FleetStreamInfo info;
   info.device = rec.device;
   info.open = rec.open;
-  info.migrations = rec.retired.size();
-  for (const Placement& p : incarnations(rec)) {
-    info.serve = plane(p).stream_stats(p.local_id);  // the current one last
-    info.masks_delivered += info.serve.masks_delivered;
-  }
+  info.migrations = rec.migrations;
+  info.serve = node_at(rec.device).stats(rec);
   info.tier = info.serve.tier;
+  info.masks_delivered = info.serve.masks_delivered;
   return info;
 }
 
@@ -469,60 +455,33 @@ MigrationStats DeviceFleet<T>::migration_stats() const {
 }
 
 template <typename T>
-StreamStats DeviceFleet<T>::totals_locked(const StreamRec& rec) const {
-  StreamStats sum;
-  for (const Placement& p : incarnations(rec)) {
-    const StreamStats st = plane(p).stream_stats(p.local_id);
-    sum.queue.submitted += st.queue.submitted;
-    sum.queue.dropped += st.queue.dropped;
-    sum.queue.high_water = std::max(sum.queue.high_water, st.queue.high_water);
-    sum.queue_depth += st.queue_depth;
-    sum.frames_scheduled += st.frames_scheduled;
-    sum.masks_delivered += st.masks_delivered;
-    for (const auto& action : kRecoveryActions)
-      sum.recovery.*action.second += st.recovery.*action.second;
-    sum.tier = st.tier;  // the current incarnation is last
-  }
-  // A requeued frame was offered once, whichever queues it passed through.
-  sum.queue.submitted -= rec.requeued;
-  return sum;
+telemetry::Rollup DeviceFleet<T>::latency_rollup(int id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const StreamRec<T>& rec = rec_at(id);
+  return telemetry::make_rollup(node_at(rec.device).latencies(rec));
 }
 
 template <typename T>
-std::vector<double> DeviceFleet<T>::latencies_locked(
-    const StreamRec& rec) const {
+std::vector<double> DeviceFleet<T>::all_latencies_locked() const {
   std::vector<double> all;
-  for (const Placement& p : incarnations(rec)) {
-    const std::vector<double> lat = plane(p).latency_samples(p.local_id);
+  for (const auto& node : nodes_) {
+    const std::vector<double> lat = node->resident_latencies();
     all.insert(all.end(), lat.begin(), lat.end());
   }
   return all;
 }
 
 template <typename T>
-telemetry::Rollup DeviceFleet<T>::latency_rollup(int id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return telemetry::make_rollup(latencies_locked(rec_at(id)));
-}
-
-template <typename T>
 telemetry::Rollup DeviceFleet<T>::aggregate_latency_rollup() const {
   std::lock_guard<std::mutex> lock(mu_);
-  // Every incarnation lives on exactly one plane, so the planes' aggregates
-  // count each delivered mask once.
-  std::vector<double> all;
-  for (const DeviceNode& node : nodes_) {
-    const std::vector<double> lat = node.server->aggregate_latencies();
-    all.insert(all.end(), lat.begin(), lat.end());
-  }
-  return telemetry::make_rollup(all);
+  return telemetry::make_rollup(all_latencies_locked());
 }
 
 template <typename T>
 std::uint64_t DeviceFleet<T>::masks_delivered() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t total = 0;
-  for (const DeviceNode& node : nodes_) total += node.server->masks_delivered();
+  for (const auto& node : nodes_) total += node->totals().masks_delivered;
   return total;
 }
 
@@ -530,7 +489,7 @@ template <typename T>
 std::uint64_t DeviceFleet<T>::frames_dropped() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t total = 0;
-  for (const DeviceNode& node : nodes_) total += node.server->frames_dropped();
+  for (const auto& node : nodes_) total += node->totals().frames_dropped;
   return total;
 }
 
@@ -538,16 +497,14 @@ template <typename T>
 double DeviceFleet<T>::makespan_seconds() const {
   std::lock_guard<std::mutex> lock(mu_);
   double span = 0;
-  for (const DeviceNode& node : nodes_)
-    span = std::max(span, node.server->makespan_seconds());
+  for (const auto& node : nodes_)
+    span = std::max(span, node->totals().makespan_seconds);
   return span;
 }
 
 template <typename T>
-const StreamServer<T>& DeviceFleet<T>::device_server(int d) const {
-  MOG_CHECK(d >= 0 && d < static_cast<int>(nodes_.size()),
-            "unknown device id");
-  return *nodes_[static_cast<std::size_t>(d)].server;
+const DeviceNode<T>& DeviceFleet<T>::device_server(int d) const {
+  return node_at(d);
 }
 
 template <typename T>
@@ -558,150 +515,106 @@ void DeviceFleet<T>::set_snapshot_corruptor(
 }
 
 template <typename T>
-typename DeviceFleet<T>::StreamRec& DeviceFleet<T>::rec_at(int id) {
+StreamRec<T>& DeviceFleet<T>::rec_at(int id) const {
   MOG_CHECK(id >= 0 && id < static_cast<int>(recs_.size()),
             "unknown stream id");
-  return recs_[static_cast<std::size_t>(id)];
+  return *recs_[static_cast<std::size_t>(id)];
 }
 
 template <typename T>
-const typename DeviceFleet<T>::StreamRec& DeviceFleet<T>::rec_at(
-    int id) const {
-  MOG_CHECK(id >= 0 && id < static_cast<int>(recs_.size()),
-            "unknown stream id");
-  return recs_[static_cast<std::size_t>(id)];
-}
-
-template <typename T>
-std::vector<typename DeviceFleet<T>::Placement> DeviceFleet<T>::incarnations(
-    const StreamRec& rec) const {
-  std::vector<Placement> all = rec.retired;
-  all.push_back(Placement{rec.device, rec.local_id});
-  return all;
-}
-
-template <typename T>
-StreamServer<T>& DeviceFleet<T>::plane(const Placement& p) const {
-  return *nodes_[static_cast<std::size_t>(p.device)].server;
+DeviceNode<T>& DeviceFleet<T>::node_at(int d) const {
+  MOG_CHECK(d >= 0 && d < static_cast<int>(nodes_.size()),
+            "unknown device id");
+  return *nodes_[static_cast<std::size_t>(d)];
 }
 
 template <typename T>
 std::string DeviceFleet<T>::metrics_text() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return metrics_text_locked();
-}
-
-template <typename T>
-std::string DeviceFleet<T>::metrics_text_locked() const {
   using telemetry::MetricFamily;
   using telemetry::MetricType;
   std::vector<MetricFamily> families;
-
+  const auto add = [&families](const char* name, const char* help,
+                               MetricType type) -> MetricFamily& {
+    return families.emplace_back(MetricFamily{name, help, type, {}, {}});
+  };
   const auto device_label = [](std::size_t d) {
     return telemetry::LabelSet{{"device", strprintf("%zu", d)}};
   };
+  const auto stream_label = [](std::size_t i) {
+    return telemetry::LabelSet{{"stream", strprintf("%zu", i)}};
+  };
+  // A family of one sample per device (per stream), labelled by its index.
+  const auto per_device = [&](const char* name, const char* help,
+                              MetricType type, const auto& value) {
+    MetricFamily& f = add(name, help, type);
+    for (std::size_t d = 0; d < nodes_.size(); ++d)
+      f.samples.push_back({device_label(d), static_cast<double>(value(d))});
+  };
+  const auto per_stream = [&](const char* name, const char* help,
+                              MetricType type, const auto& value) {
+    MetricFamily& f = add(name, help, type);
+    for (std::size_t i = 0; i < recs_.size(); ++i)
+      f.samples.push_back({stream_label(i), static_cast<double>(value(i))});
+  };
+  std::vector<typename DeviceNode<T>::Totals> totals;
+  for (const auto& node : nodes_) totals.push_back(node->totals());
+  std::vector<StreamStats> stats;
+  for (const auto& rec : recs_)
+    stats.push_back(node_at(rec->device).stats(*rec));
 
   {
-    MetricFamily f;
-    f.name = "mog_fleet_devices";
-    f.help = "Device nodes by liveness state";
-    int alive = 0;
-    for (const DeviceNode& node : nodes_) alive += node.alive ? 1 : 0;
-    f.samples.push_back(
-        {{{"state", "alive"}}, static_cast<double>(alive)});
+    MetricFamily& f = add("mog_fleet_devices", "Device nodes by liveness state",
+                          MetricType::kGauge);
+    const int alive = alive_locked();
+    f.samples.push_back({{{"state", "alive"}}, static_cast<double>(alive)});
     f.samples.push_back(
         {{{"state", "lost"}},
          static_cast<double>(static_cast<int>(nodes_.size()) - alive)});
-    families.push_back(std::move(f));
   }
+  per_device("mog_fleet_device_up",
+             "1 while the device node is alive, 0 once declared lost",
+             MetricType::kGauge,
+             [&](std::size_t d) { return nodes_[d]->alive_ ? 1 : 0; });
+  per_device("mog_fleet_open_streams", "Streams currently admitted per device",
+             MetricType::kGauge,
+             [&](std::size_t d) { return nodes_[d]->open_streams(); });
+  per_device("mog_fleet_device_memory_bytes",
+             "Device memory held by admitted streams per device",
+             MetricType::kGauge,
+             [&](std::size_t d) { return nodes_[d]->device_bytes_in_use(); });
+  per_device("mog_fleet_device_strikes",
+             "Degradation strikes charged against each device",
+             MetricType::kGauge,
+             [&](std::size_t d) { return nodes_[d]->strikes_; });
+  per_device("mog_fleet_masks_delivered_total",
+             "Masks completed end to end per device", MetricType::kCounter,
+             [&](std::size_t d) { return totals[d].masks_delivered; });
+  per_device("mog_fleet_frames_dropped_total",
+             "Frames lost to queue drop policies per device",
+             MetricType::kCounter,
+             [&](std::size_t d) { return totals[d].frames_dropped; });
   {
-    MetricFamily f;
-    f.name = "mog_fleet_device_up";
-    f.help = "1 while the device node is alive, 0 once declared lost";
-    for (std::size_t d = 0; d < nodes_.size(); ++d)
-      f.samples.push_back({device_label(d), nodes_[d].alive ? 1.0 : 0.0});
-    families.push_back(std::move(f));
-  }
-  {
-    MetricFamily f;
-    f.name = "mog_fleet_open_streams";
-    f.help = "Streams currently admitted per device";
-    for (std::size_t d = 0; d < nodes_.size(); ++d)
-      f.samples.push_back(
-          {device_label(d),
-           static_cast<double>(nodes_[d].server->open_streams())});
-    families.push_back(std::move(f));
-  }
-  {
-    MetricFamily f;
-    f.name = "mog_fleet_device_memory_bytes";
-    f.help = "Device memory held by admitted streams per device";
-    for (std::size_t d = 0; d < nodes_.size(); ++d)
-      f.samples.push_back(
-          {device_label(d),
-           static_cast<double>(nodes_[d].server->device_bytes_in_use())});
-    families.push_back(std::move(f));
-  }
-  {
-    MetricFamily f;
-    f.name = "mog_fleet_device_strikes";
-    f.help = "Degradation strikes charged against each device";
-    for (std::size_t d = 0; d < nodes_.size(); ++d)
-      f.samples.push_back(
-          {device_label(d), static_cast<double>(nodes_[d].strikes)});
-    families.push_back(std::move(f));
-  }
-  {
-    MetricFamily f;
-    f.name = "mog_fleet_masks_delivered_total";
-    f.help = "Masks completed end to end per device";
-    f.type = MetricType::kCounter;
-    for (std::size_t d = 0; d < nodes_.size(); ++d)
-      f.samples.push_back(
-          {device_label(d),
-           static_cast<double>(nodes_[d].server->masks_delivered())});
-    families.push_back(std::move(f));
-  }
-  {
-    MetricFamily f;
-    f.name = "mog_fleet_frames_dropped_total";
-    f.help = "Frames lost to queue drop policies per device";
-    f.type = MetricType::kCounter;
-    for (std::size_t d = 0; d < nodes_.size(); ++d)
-      f.samples.push_back(
-          {device_label(d),
-           static_cast<double>(nodes_[d].server->frames_dropped())});
-    families.push_back(std::move(f));
-  }
-  {
-    MetricFamily f;
-    f.name = "mog_fleet_engine_busy_seconds";
-    f.help = "Cumulative busy time of each device's shared engines";
+    MetricFamily& f =
+        add("mog_fleet_engine_busy_seconds",
+            "Cumulative busy time of each device's shared engines",
+            MetricType::kGauge);
     for (std::size_t d = 0; d < nodes_.size(); ++d) {
-      const StreamServer<T>& server = *nodes_[d].server;
       telemetry::LabelSet dma = device_label(d);
       dma.emplace_back("engine", "dma");
-      f.samples.push_back({std::move(dma), server.dma_busy_seconds()});
+      f.samples.push_back({std::move(dma), totals[d].dma_busy_seconds});
       telemetry::LabelSet kernel = device_label(d);
       kernel.emplace_back("engine", "kernel");
-      f.samples.push_back({std::move(kernel), server.kernel_busy_seconds()});
+      f.samples.push_back({std::move(kernel), totals[d].kernel_busy_seconds});
     }
-    families.push_back(std::move(f));
   }
+  per_device("mog_fleet_device_makespan_seconds",
+             "Modeled completion time per device", MetricType::kGauge,
+             [&](std::size_t d) { return totals[d].makespan_seconds; });
   {
-    MetricFamily f;
-    f.name = "mog_fleet_device_makespan_seconds";
-    f.help = "Modeled completion time per device";
-    for (std::size_t d = 0; d < nodes_.size(); ++d)
-      f.samples.push_back(
-          {device_label(d), nodes_[d].server->makespan_seconds()});
-    families.push_back(std::move(f));
-  }
-  {
-    MetricFamily f;
-    f.name = "mog_fleet_migrations_total";
-    f.help = "Live-migration protocol actions";
-    f.type = MetricType::kCounter;
+    MetricFamily& f = add("mog_fleet_migrations_total",
+                          "Live-migration protocol actions",
+                          MetricType::kCounter);
     const std::pair<const char*, std::uint64_t> events[] = {
         {"attempted", migration_stats_.attempted},
         {"completed", migration_stats_.completed},
@@ -710,118 +623,66 @@ std::string DeviceFleet<T>::metrics_text_locked() const {
         {"model_reset", migration_stats_.models_reset},
         {"capacity_exhausted", migration_stats_.capacity_exhausted},
         {"frame_requeued", migration_stats_.frames_requeued},
-        {"frame_dropped_in_transit",
-         migration_stats_.frames_dropped_in_transit},
     };
     for (const auto& [event, count] : events)
-      f.samples.push_back(
-          {{{"event", event}}, static_cast<double>(count)});
-    families.push_back(std::move(f));
+      f.samples.push_back({{{"event", event}}, static_cast<double>(count)});
   }
-  {
-    MetricFamily f;
-    f.name = "mog_fleet_stream_device";
-    f.help = "Current device hosting each fleet stream";
-    for (std::size_t i = 0; i < recs_.size(); ++i)
-      f.samples.push_back({{{"stream", strprintf("%zu", i)}},
-                           static_cast<double>(recs_[i].device)});
-    families.push_back(std::move(f));
-  }
-  {
-    MetricFamily f;
-    f.name = "mog_fleet_stream_migrations_total";
-    f.help = "Completed failovers per fleet stream";
-    f.type = MetricType::kCounter;
-    for (std::size_t i = 0; i < recs_.size(); ++i)
-      f.samples.push_back({{{"stream", strprintf("%zu", i)}},
-                           static_cast<double>(recs_[i].retired.size())});
-    families.push_back(std::move(f));
-  }
-  {
-    MetricFamily f;
-    f.name = "mog_fleet_latency_seconds";
-    f.help = "End-to-end modeled latency across every device";
-    f.type = MetricType::kHistogram;
-    std::vector<double> all;
-    for (const DeviceNode& node : nodes_) {
-      const std::vector<double> lat = node.server->aggregate_latencies();
-      all.insert(all.end(), lat.begin(), lat.end());
-    }
-    f.histograms.push_back(telemetry::make_histogram(all, {}));
-    families.push_back(std::move(f));
-  }
+  per_stream("mog_fleet_stream_device",
+             "Current device hosting each fleet stream", MetricType::kGauge,
+             [&](std::size_t i) { return recs_[i]->device; });
+  per_stream("mog_fleet_stream_migrations_total",
+             "Completed failovers per fleet stream", MetricType::kCounter,
+             [&](std::size_t i) { return recs_[i]->migrations; });
+  add("mog_fleet_latency_seconds",
+      "End-to-end modeled latency across every device",
+      MetricType::kHistogram)
+      .histograms.push_back(
+          telemetry::make_histogram(all_latencies_locked(), {}));
 
   // Per-stream families, keyed by fleet stream id.
-  std::vector<StreamStats> totals;
-  for (const StreamRec& rec : recs_) totals.push_back(totals_locked(rec));
-  const auto stream_label = [](std::size_t i) {
-    return telemetry::LabelSet{{"stream", strprintf("%zu", i)}};
-  };
-  struct StreamSpec {
-    const char* name;
-    const char* help;
-    MetricType type;
-    std::uint64_t (*value)(const StreamStats&);
-  };
-  const StreamSpec specs[] = {
-      {"mog_serve_frames_submitted_total", "Frames offered to submit()",
-       MetricType::kCounter,
-       [](const StreamStats& s) { return s.queue.submitted; }},
-      {"mog_serve_frames_dropped_total",
-       "Frames lost to the queue drop policy", MetricType::kCounter,
-       [](const StreamStats& s) { return s.queue.dropped; }},
-      {"mog_serve_frames_scheduled_total", "Frames popped into the pipeline",
-       MetricType::kCounter,
-       [](const StreamStats& s) { return s.frames_scheduled; }},
-      {"mog_serve_masks_delivered_total", "Masks completed end to end",
-       MetricType::kCounter,
-       [](const StreamStats& s) { return s.masks_delivered; }},
-      {"mog_serve_queue_depth",
-       "Frames currently waiting in the ingress queue", MetricType::kGauge,
-       [](const StreamStats& s) { return s.queue_depth; }},
-      {"mog_serve_queue_high_water", "Maximum ingress queue depth observed",
-       MetricType::kGauge,
-       [](const StreamStats& s) { return s.queue.high_water; }},
-      {"mog_serve_stream_tier",
-       "Degradation-ladder tier (0 tiled GPU, 1 direct GPU, 2 CPU)",
-       MetricType::kGauge,
-       [](const StreamStats& s) {
-         return static_cast<std::uint64_t>(s.tier);
-       }},
-  };
-  for (const StreamSpec& spec : specs) {
-    MetricFamily f;
-    f.name = spec.name;
-    f.help = spec.help;
-    f.type = spec.type;
-    for (std::size_t i = 0; i < totals.size(); ++i)
-      f.samples.push_back(
-          {stream_label(i), static_cast<double>(spec.value(totals[i]))});
-    families.push_back(std::move(f));
-  }
+  per_stream("mog_serve_frames_submitted_total", "Frames offered to submit()",
+             MetricType::kCounter,
+             [&](std::size_t i) { return stats[i].queue.submitted; });
+  per_stream("mog_serve_frames_dropped_total",
+             "Frames lost to the queue drop policy", MetricType::kCounter,
+             [&](std::size_t i) { return stats[i].queue.dropped; });
+  per_stream("mog_serve_frames_scheduled_total",
+             "Frames popped into the pipeline", MetricType::kCounter,
+             [&](std::size_t i) { return stats[i].frames_scheduled; });
+  per_stream("mog_serve_masks_delivered_total", "Masks completed end to end",
+             MetricType::kCounter,
+             [&](std::size_t i) { return stats[i].masks_delivered; });
+  per_stream("mog_serve_queue_depth",
+             "Frames currently waiting in the ingress queue",
+             MetricType::kGauge,
+             [&](std::size_t i) { return stats[i].queue_depth; });
+  per_stream("mog_serve_queue_high_water",
+             "Maximum ingress queue depth observed", MetricType::kGauge,
+             [&](std::size_t i) { return stats[i].queue.high_water; });
+  per_stream("mog_serve_stream_tier",
+             "Degradation-ladder tier (0 tiled GPU, 1 direct GPU, 2 CPU)",
+             MetricType::kGauge,
+             [&](std::size_t i) { return static_cast<int>(stats[i].tier); });
   {
-    MetricFamily f;
-    f.name = "mog_serve_latency_seconds";
-    f.help = "End-to-end modeled latency per delivered mask";
-    f.type = MetricType::kHistogram;
+    MetricFamily& f = add("mog_serve_latency_seconds",
+                          "End-to-end modeled latency per delivered mask",
+                          MetricType::kHistogram);
     for (std::size_t i = 0; i < recs_.size(); ++i)
       f.histograms.push_back(telemetry::make_histogram(
-          latencies_locked(recs_[i]), stream_label(i)));
-    families.push_back(std::move(f));
+          node_at(recs_[i]->device).latencies(*recs_[i]), stream_label(i)));
   }
   {
-    MetricFamily f;
-    f.name = "mog_serve_recovery_actions_total";
-    f.help = "Recovery actions taken by each stream's resilient pipeline";
-    f.type = MetricType::kCounter;
-    for (std::size_t i = 0; i < totals.size(); ++i)
+    MetricFamily& f =
+        add("mog_serve_recovery_actions_total",
+            "Recovery actions taken by each stream's resilient pipeline",
+            MetricType::kCounter);
+    for (std::size_t i = 0; i < stats.size(); ++i)
       for (const auto& [action, field] : kRecoveryActions) {
         telemetry::LabelSet labels = stream_label(i);
         labels.emplace_back("action", action);
-        const double count = static_cast<double>(totals[i].recovery.*field);
+        const double count = static_cast<double>(stats[i].recovery.*field);
         f.samples.push_back({std::move(labels), count});
       }
-    families.push_back(std::move(f));
   }
 
   // Global telemetry sinks, when installed: kernel-counter rollups and
@@ -837,32 +698,28 @@ std::string DeviceFleet<T>::metrics_text_locked() const {
 template <typename T>
 bool DeviceFleet<T>::healthz(std::string& detail) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return healthz_locked(detail);
-}
-
-template <typename T>
-bool DeviceFleet<T>::healthz_locked(std::string& detail) const {
-  int alive = 0;
-  for (const DeviceNode& node : nodes_) alive += node.alive ? 1 : 0;
-  bool ok = alive > 0;
+  bool ok = alive_locked() > 0;
   const fault::ResilienceConfig& res = config_.serve.resilience;
   for (std::size_t d = 0; d < nodes_.size(); ++d) {
-    const DeviceNode& node = nodes_[d];
+    const DeviceNode<T>& node = *nodes_[d];
     detail += strprintf("device %zu: %s, %d stream(s), %d strike(s)\n", d,
-                        node.alive ? "alive" : "LOST",
-                        node.server->open_streams(), node.strikes);
+                        node.alive_ ? "alive" : "LOST", node.open_streams(),
+                        node.strikes_);
     for (std::size_t i = 0; i < recs_.size(); ++i) {
-      const StreamRec& rec = recs_[i];
+      const StreamRec<T>& rec = *recs_[i];
       if (!rec.open || rec.device != static_cast<int>(d)) continue;
-      const fault::ExecutionTier tier =
-          node.server->stream_stats(rec.local_id).tier;
+      const fault::ExecutionTier tier = node.stats(rec).tier;
       // Subsampled watchdog scan — same check the rollback machinery uses.
       const fault::ModelHealth health = fault::validate_model(
-          node.server->stream_model(rec.local_id), res.health_check_stride);
+          node.model(rec), res.health_check_stride);
       const bool model_ok = health.healthy(res.weight_drift_tolerance);
-      // A stream stranded on a lost device (capacity exhausted fleet-wide)
-      // keeps the fleet unhealthy until it is back on a GPU tier somewhere.
-      ok = ok && tier != fault::ExecutionTier::kCpuSerial && model_ok;
+      // A stream stranded on the CPU tier by its device (a lost device and
+      // no capacity fleet-wide) keeps the fleet unhealthy until it is back
+      // on a GPU tier somewhere. A sick camera's own injector put it there
+      // wherever it runs, so only its model counts.
+      const bool tier_ok = tier != fault::ExecutionTier::kCpuSerial ||
+                           rec.own_injector != nullptr;
+      ok = ok && tier_ok && model_ok;
       detail += strprintf("  stream %zu: tier=%s model=%s\n", i,
                           fault::to_string(tier),
                           model_ok ? "healthy" : health.summary().c_str());
@@ -874,51 +731,46 @@ bool DeviceFleet<T>::healthz_locked(std::string& detail) const {
 template <typename T>
 std::string DeviceFleet<T>::statusz() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return statusz_locked();
-}
-
-template <typename T>
-std::string DeviceFleet<T>::statusz_locked() const {
-  int alive = 0;
-  for (const DeviceNode& node : nodes_) alive += node.alive ? 1 : 0;
   std::string out = "== fleet ==\n";
   out += strprintf("devices: %zu (%d alive), streams: %zu\n", nodes_.size(),
-                   alive, recs_.size());
+                   alive_locked(), recs_.size());
   out += migration_stats_.summary() + "\n";
   for (std::size_t d = 0; d < nodes_.size(); ++d) {
-    const DeviceNode& node = nodes_[d];
+    const DeviceNode<T>& node = *nodes_[d];
+    const typename DeviceNode<T>::Totals totals = node.totals();
     out += strprintf(
         "-- device %zu [%s, %d strike(s), %llu in / %llu out migrations]: "
         "%d open stream(s), makespan %.3f s, device memory %s, "
         "engines dma %.3f s + kernel %.3f s busy\n",
-        d, node.alive ? "alive" : "LOST", node.strikes,
-        static_cast<unsigned long long>(node.migrations_in),
-        static_cast<unsigned long long>(node.migrations_out),
-        node.server->open_streams(), node.server->makespan_seconds(),
-        human_bytes(static_cast<double>(node.server->device_bytes_in_use()))
-            .c_str(),
-        node.server->dma_busy_seconds(), node.server->kernel_busy_seconds());
+        d, node.alive_ ? "alive" : "LOST", node.strikes_,
+        static_cast<unsigned long long>(node.migrations_in_),
+        static_cast<unsigned long long>(node.migrations_out_),
+        node.open_streams(), totals.makespan_seconds,
+        human_bytes(static_cast<double>(node.device_bytes_in_use())).c_str(),
+        totals.dma_busy_seconds, totals.kernel_busy_seconds);
   }
   out += "== streams ==\n";
   for (std::size_t i = 0; i < recs_.size(); ++i) {
-    const StreamRec& rec = recs_[i];
-    const StreamStats sum = totals_locked(rec);
-    const telemetry::Rollup lat =
-        telemetry::make_rollup(latencies_locked(rec));
+    const StreamRec<T>& rec = *recs_[i];
+    const DeviceNode<T>& host = node_at(rec.device);
+    const StreamStats st = host.stats(rec);
+    const telemetry::Rollup lat = telemetry::make_rollup(host.latencies(rec));
     out += strprintf(
-        "stream %zu [%s%s] on device %d, %zu migration(s): %llu in / %llu "
+        "stream %zu [%s%s] on device %d, %llu migration(s): %llu in / %llu "
         "masks / %llu dropped, latency p50 %.3f ms p99 %.3f ms\n",
-        i, fault::to_string(sum.tier), rec.open ? "" : ", closed", rec.device,
-        rec.retired.size(),
-        static_cast<unsigned long long>(sum.queue.submitted),
-        static_cast<unsigned long long>(sum.masks_delivered),
-        static_cast<unsigned long long>(sum.queue.dropped), lat.p50 * 1e3,
+        i, fault::to_string(st.tier), rec.open ? "" : ", closed", rec.device,
+        static_cast<unsigned long long>(rec.migrations),
+        static_cast<unsigned long long>(st.queue.submitted),
+        static_cast<unsigned long long>(st.masks_delivered),
+        static_cast<unsigned long long>(st.queue.dropped), lat.p50 * 1e3,
         lat.p99 * 1e3);
-    // The full recovery digest of the current incarnation's pipeline.
-    const StreamStats cur =
-        plane({rec.device, rec.local_id}).stream_stats(rec.local_id);
-    out += strprintf("  on device %d: %s\n", rec.device,
-                     cur.recovery.summary().c_str());
+    // The full recovery digest of the pipeline serving the stream now (of
+    // its whole life, once closed).
+    out += strprintf(
+        "  on device %d: %s\n", rec.device,
+        (rec.open ? host.stream_recovery_stats(rec.lane) : st.recovery)
+            .summary()
+            .c_str());
   }
   if (const telemetry::CounterRegistry* reg = telemetry::counters()) {
     out += "== kernel counters ==\n";

@@ -1,20 +1,20 @@
 // Multi-device fleet: N simulated devices behind one serving front end.
 //
-// DeviceFleet is the serving API (devices = 1 for a single GPU). It owns N
-// device nodes. Each node is a single-device serving plane — a StreamServer
-// (stream_server.hpp) with its own gpusim::SharedTimeline (DMA + compute
-// engines), its own device-memory admission budget, its own pump, and
-// optionally its own fault::FaultInjector. The fleet alone constructs and
-// drives its planes; device_server() hands out a read-only view. The
+// DeviceFleet is the serving API (devices = 1 for a single GPU). It owns
+// each stream's StreamRec (device_node.hpp), which holds the stream's queue,
+// pipeline, counters, latency samples and masks for its whole life, and N
+// DeviceNodes, each one device that only schedules the streams placed on
+// it: a gpusim::SharedTimeline (DMA + compute engines), a device-memory
+// admission budget, a pump, and optionally a fault::FaultInjector. The
 // injector makes the node a *fault domain*: every stream placed on the node
-// shares it, so an injected device failure correlates across exactly the
-// streams that live there and no others — the "one device dies, its cameras
-// fail over, the rest of the fleet never notices" production story.
+// without its own injector shares it, so an injected device failure
+// correlates across exactly the streams that live there and no others — the
+// "one device dies, its cameras fail over, the rest of the fleet never
+// notices" production story.
 //
-// Placement: streams are admitted through a ClusterScheduler —
-// least-loaded first with a consistent-hash tiebreak (placement.hpp) — and
-// rebalance naturally on admission because every open_stream() consults the
-// live load vector.
+// Streams are admitted through a ClusterScheduler — least-loaded first with
+// a consistent-hash tiebreak (placement.hpp) — and rebalance naturally on
+// admission because every open_stream() consults the live load vector.
 //
 // Live migration (the headline robustness mechanism): when a device is
 // declared lost — explicitly via fail_device(), or automatically on the
@@ -22,18 +22,21 @@
 // it steps down the recovery ladder after repeated launch/transfer
 // failures — every stream it hosts is moved to a healthy device:
 //
-//   1. reserve  — open a stream on the target (same GPU config, so a
-//                 degraded victim returns to its full tier);
-//   2. freeze   — evacuate() the victim in one plane step: steal its queued
-//                 frames (stamps and trace tickets preserved), flush its
-//                 partial tiled group, copy its model to the host, close it;
+//   1. reserve  — admit the stream on the target: build its new pipeline
+//                 (same GPU config, so a degraded victim returns to its full
+//                 tier) and charge the target's budget;
+//   2. flush    — on the source, in one locked step: deliver the stream's
+//                 partial tiled group and owed masks, copy its model to the
+//                 host, and release its pipeline. Its queued frames stay in
+//                 its queue, in order, stamps and trace tickets intact;
 //   3. snapshot — round-trip that host copy through the MOGM v2 CRC
 //                 checkpoint encoding (serialize_model/deserialize_model).
 //                 A corrupt snapshot is *rejected by type* (ModelIoError),
 //                 retried by re-encoding the host copy, and only as a last
 //                 resort replaced by a fresh model;
-//   4. resume   — adopt() on the target: the restored model, then the
-//                 stolen frames requeued in order.
+//   4. resume   — load the restored model into the new pipeline and
+//                 re-point the stream at the target, whose pump sees it
+//                 from now on.
 //
 // Degradation order, fleet-wide: healthy GPU tier -> migrate to another
 // device -> (no capacity anywhere) ride the per-stream ladder down to CPU
@@ -44,21 +47,19 @@
 // renders every page once: /metrics (per-device mog_fleet_* families, fleet
 // migration counters, a devices-spanning latency histogram, and the
 // per-stream mog_serve_* families labelled by fleet stream id), /healthz
-// (per-device and per-stream verdicts; 503 while any admitted stream is
-// off-GPU or model-drifted), and /statusz. A migrated stream leaves a closed
-// incarnation, counters intact, on each device it left; the per-stream
-// families sum over a stream's incarnations, so a failover never resets a
-// counter.
+// (per-device and per-stream verdicts; 503 while a stream is off-GPU through
+// its device's faults or model-drifted), and /statusz. A stream's record
+// outlives its migrations, so a failover never resets a counter.
 //
-// Threads and locking: public methods lock the fleet mutex; member servers
-// have their own locks, always acquired after the fleet's, never the
-// reverse. The fleet owns every serving thread. start() runs one pump
-// thread per device ("dev<i>.pump"); it pumps its plane under the plane
+// Threads and locking: public methods lock the fleet mutex; a node's lock
+// is always acquired after the fleet's, never the reverse, and a queue's
+// after its node's. The fleet owns every serving thread. start() runs one
+// pump thread per device ("dev<i>.pump"); it pumps its node under the node
 // lock only, and takes the fleet lock only after a round that degraded a
 // stream, to charge the strikes and declare the device lost. An idle pump
-// sleeps until a submit(), a migration that requeues frames onto its
-// device, or stop() wakes it. stop() joins the pumps without holding the
-// fleet lock. Deterministic callers use pump()/drain() synchronously.
+// sleeps until a submit(), a migration onto its device, or stop() wakes it.
+// stop() joins the pumps without holding the fleet lock. Deterministic
+// callers use pump()/drain() synchronously.
 #pragma once
 
 #include <atomic>
@@ -66,18 +67,17 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "mog/cluster/device_node.hpp"
 #include "mog/cluster/placement.hpp"
-#include "mog/cluster/stream_server.hpp"
 #include "mog/telemetry/counters.hpp"
 #include "mog/telemetry/http_server.hpp"
 
 namespace mog::cluster {
 
 struct FleetConfig {
-  int devices = 2;  ///< device nodes (each a single-device serving plane)
+  int devices = 2;  ///< device nodes (each one simulated GPU)
 
   /// Template applied to every device node.
   ServeConfig serve;
@@ -99,8 +99,7 @@ struct MigrationStats {
   std::uint64_t snapshot_retries = 0;     ///< re-read after a rejection
   std::uint64_t models_reset = 0;         ///< last resort: fresh model
   std::uint64_t capacity_exhausted = 0;   ///< no healthy device could admit
-  std::uint64_t frames_requeued = 0;      ///< queued frames moved along
-  std::uint64_t frames_dropped_in_transit = 0;  ///< refused by target queue
+  std::uint64_t frames_requeued = 0;      ///< frames queued at migration
 
   bool operator==(const MigrationStats&) const = default;
   std::string summary() const;
@@ -112,14 +111,14 @@ struct FleetStreamInfo {
   bool open = true;
   std::uint64_t migrations = 0;     ///< times this stream failed over
   fault::ExecutionTier tier = fault::ExecutionTier::kTiledGpu;
-  std::uint64_t masks_delivered = 0;  ///< across all incarnations
-  StreamStats serve;                  ///< current incarnation's stats
+  std::uint64_t masks_delivered = 0;
+  StreamStats serve;  ///< over the stream's whole life
 };
 
 template <typename T>
 class DeviceFleet {
  public:
-  using GpuConfig = typename StreamServer<T>::GpuConfig;
+  using GpuConfig = typename StreamRec<T>::GpuConfig;
 
   explicit DeviceFleet(const FleetConfig& config);
   ~DeviceFleet();
@@ -148,7 +147,7 @@ class DeviceFleet {
   /// Offer one frame to stream `id`. Thread-safe; routes to the stream's
   /// current device (atomically with respect to migration). A nonzero
   /// `ticket` is a pre-minted trace ticket from a decode front end
-  /// (see StreamServer::submit).
+  /// (see DeviceNode::submit).
   bool submit(int id, FrameU8 frame, double arrival_seconds = 0,
               std::uint64_t ticket = 0);
 
@@ -162,11 +161,11 @@ class DeviceFleet {
   void drain();
 
   /// Live mode: one pump thread per device, each pumping as long as its
-  /// plane has work and sleeping until woken otherwise. stop() joins them.
+  /// node has work and sleeping until woken otherwise. stop() joins them.
   void start();
   void stop();
 
-  /// Operator/chaos entry point: declare device `d` lost now and evacuate
+  /// Operator/chaos entry point: declare device `d` lost now and migrate
   /// its streams.
   void fail_device(int d);
 
@@ -187,11 +186,10 @@ class DeviceFleet {
   std::uint64_t frames_dropped() const;   ///< fleet-wide queue drops
   double makespan_seconds() const;        ///< slowest device's clock
 
-  /// Read-only view of device `d`'s plane (benches, tests). Never hold it
-  /// across pump()/migration.
-  const StreamServer<T>& device_server(int d) const;
+  /// Read-only view of device `d` (benches, tests).
+  const DeviceNode<T>& device_server(int d) const;
 
-  // --- observability plane (the /metrics, /healthz, /statusz bodies; also
+  // --- observability pages (the /metrics, /healthz, /statusz bodies; also
   // callable directly so tests and embedders need no socket) ---------------
 
   /// Prometheus text exposition: the mog_fleet_* families, the per-stream
@@ -200,9 +198,10 @@ class DeviceFleet {
   std::string metrics_text() const;
 
   /// Liveness verdict: true while some device is alive and every open
-  /// stream is on a GPU tier with a model that passes
-  /// fault::validate_model(). `detail` gets one line per device and per
-  /// open stream either way (the /healthz body).
+  /// stream has a model that passes fault::validate_model() and is on a GPU
+  /// tier (unless its own injector, not a device, put it on the CPU tier).
+  /// `detail` gets one line per device and per open stream either way (the
+  /// /healthz body).
   bool healthz(std::string& detail) const;
 
   /// Human-readable status page: devices, migrations, and per-stream
@@ -218,73 +217,30 @@ class DeviceFleet {
       std::function<void(std::vector<std::uint8_t>&)> corruptor);
 
  private:
-  struct DeviceNode {
-    std::unique_ptr<StreamServer<T>> server;
-    std::shared_ptr<fault::FaultInjector> injector;  ///< fault domain
-    bool alive = true;
-    int strikes = 0;
-    std::uint64_t migrations_in = 0;
-    std::uint64_t migrations_out = 0;
-    /// Bumped by every wake(); the live pump reads it before a round and
-    /// sleeps until it changes, so a wake-up during a round is never lost.
-    /// 32 bits: the width a futex waits on directly, where a 64-bit atomic
-    /// waits through a waiter table shared with other addresses.
-    std::atomic<std::uint32_t> wakeups{0};
-    std::thread pump;  ///< live mode only
+  friend class DeviceNode<T>;
 
-    void wake() {
-      wakeups.fetch_add(1);
-      wakeups.notify_one();
-    }
-  };
-
-  /// Where one incarnation of a fleet stream lives.
-  struct Placement {
-    int device = -1;
-    int local_id = -1;  ///< stream id on that device's plane
-  };
-
-  struct StreamRec {
-    bool open = true;
-    int device = -1;
-    int local_id = -1;
-    GpuConfig gpu;
-    std::shared_ptr<fault::FaultInjector> own_injector;
-    std::string key;
-    /// Closed incarnations a migration left behind, oldest first; their
-    /// planes keep their masks, latencies and counters.
-    std::vector<Placement> retired;
-    std::uint64_t requeued = 0;  ///< frames migrations moved between queues
-  };
-
-  StreamRec& rec_at(int id);
-  const StreamRec& rec_at(int id) const;
-  /// Every incarnation of `rec`, oldest first; the current one is last.
-  std::vector<Placement> incarnations(const StreamRec& rec) const;
-  StreamServer<T>& plane(const Placement& p) const;
+  StreamRec<T>& rec_at(int id) const;
+  DeviceNode<T>& node_at(int d) const;  ///< checks `d`
+  int alive_locked() const;
   std::vector<DeviceLoad> loads_locked(int exclude_device = -1) const;
-  /// Open `rec` on the least-loaded alive device that admits it, never
-  /// `exclude_device`; returns it, or -1 with the last refusing device's
-  /// reason in `refusal` (empty when no device was eligible).
-  int open_on_some_device_locked(int id, StreamRec& rec, std::string& refusal,
-                                 int exclude_device = -1);
+  /// Admit `rec` on the least-loaded alive device that takes it, never
+  /// `exclude_device`; returns that device, or -1 with the last refusing
+  /// device's reason in `refusal` (empty when no device was eligible).
+  int admit_locked(StreamRec<T>& rec,
+                   typename DeviceNode<T>::Admission& admission,
+                   std::string& refusal, int exclude_device = -1);
   void pump_loop(int d);
   void charge_strikes_locked(int d, const std::vector<int>& degraded);
   void declare_lost_locked(int d, const char* reason);
   bool migrate_stream_locked(int id);
   void start_obs_server();
-  /// `rec`'s counters summed over its incarnations (tier: the current one's;
-  /// recovery: the exported action counts only).
-  StreamStats totals_locked(const StreamRec& rec) const;
-  std::vector<double> latencies_locked(const StreamRec& rec) const;
-  std::string metrics_text_locked() const;
-  bool healthz_locked(std::string& detail) const;
-  std::string statusz_locked() const;
+  /// Every delivered mask's latency, device by device.
+  std::vector<double> all_latencies_locked() const;
 
   FleetConfig config_;
   mutable std::mutex mu_;
-  std::vector<DeviceNode> nodes_;
-  std::vector<StreamRec> recs_;
+  std::vector<std::unique_ptr<DeviceNode<T>>> nodes_;
+  std::vector<std::unique_ptr<StreamRec<T>>> recs_;
   ClusterScheduler scheduler_;
   MigrationStats migration_stats_;
   std::function<void(std::vector<std::uint8_t>&)> snapshot_corruptor_;

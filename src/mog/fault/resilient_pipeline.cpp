@@ -67,6 +67,26 @@ void ResilienceConfig::validate() const {
             "frame_deadline_seconds must be >= 0");
 }
 
+RecoveryStats& RecoveryStats::operator+=(const RecoveryStats& o) {
+  frames_in += o.frames_in;
+  frames_absorbed += o.frames_absorbed;
+  masks_delivered += o.masks_delivered;
+  frames_dropped += o.frames_dropped;
+  frames_truncated += o.frames_truncated;
+  frames_corrupt += o.frames_corrupt;
+  masks_reused += o.masks_reused;
+  transfer_faults += o.transfer_faults;
+  launch_faults += o.launch_faults;
+  retries += o.retries;
+  frames_lost += o.frames_lost;
+  checkpoints += o.checkpoints;
+  rollbacks += o.rollbacks;
+  degradations += o.degradations;
+  deadline_exceeded += o.deadline_exceeded;
+  backoff_seconds += o.backoff_seconds;
+  return *this;
+}
+
 std::string RecoveryStats::summary() const {
   return strprintf(
       "%llu/%llu frames absorbed, %llu masks (%llu reused); faults: "

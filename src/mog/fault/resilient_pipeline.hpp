@@ -94,6 +94,8 @@ struct RecoveryStats {
   double backoff_seconds = 0.0;        ///< modeled retry delay, total
 
   bool operator==(const RecoveryStats&) const = default;
+  /// Field-wise sum: the counters of several pipelines (one stream's life).
+  RecoveryStats& operator+=(const RecoveryStats& o);
   std::string summary() const;
 };
 

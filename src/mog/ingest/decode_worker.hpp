@@ -8,7 +8,7 @@
 // hop of the frame's flow chain, and submits the decoded frame through the
 // caller-supplied SubmitFn — in practice DeviceFleet::submit, the serving
 // API, with the pre-minted ticket, which lands the frame in the stream's
-// BoundedFrameQueue on its current device plane. Everything downstream —
+// BoundedFrameQueue for its current device to pump. Everything downstream —
 // backpressure, admission control, CPU degradation, fleet failover — applies
 // unchanged, because by the queue the frame is indistinguishable from a
 // synthetic one.

@@ -49,8 +49,8 @@ std::string render_flame_table(const FlameProfile& profile, int top_n = 20);
 ///   ?hz=M       sampling rate, [1, 10000], default 997
 ///   ?format=    collapsed (default) | speedscope | table
 /// Out-of-range or unknown values get 400; a capture already in flight
-/// gets 503. The sampler is process-global, so every device plane's
-/// threads ("dev<i>.pump", "exec<w>") appear in one capture.
+/// gets 503. The sampler is process-global, so every device's threads
+/// ("dev<i>.pump", "exec<w>") appear in one capture.
 HttpResponse profilez_response(const HttpRequest& request);
 
 }  // namespace mog::telemetry

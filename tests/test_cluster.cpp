@@ -219,7 +219,6 @@ TEST(DeviceFleet, DeviceLossMovesQueuedFramesWithZeroLoss) {
   const MigrationStats& m = fleet.migration_stats();
   EXPECT_EQ(m.completed, 2u);
   EXPECT_EQ(m.frames_requeued, static_cast<std::uint64_t>(2 * kFrames));
-  EXPECT_EQ(m.frames_dropped_in_transit, 0u);
 
   fleet.drain();
   for (int s = 0; s < kStreams; ++s) {
@@ -233,6 +232,27 @@ TEST(DeviceFleet, DeviceLossMovesQueuedFramesWithZeroLoss) {
   EXPECT_EQ(fleet.frames_dropped(), 0u);
   EXPECT_EQ(fleet.masks_delivered(),
             static_cast<std::uint64_t>(kStreams * kFrames));
+
+  // The same loss after the victims have served two frames each: a stream's
+  // stats cover its whole life, not only its stay on the device it moved to.
+  DeviceFleet<double> served_first{fleet_config(2)};
+  for (int s = 0; s < kStreams; ++s) served_first.open_stream(gpu_config());
+  for (int t = 0; t < kFrames; ++t)
+    for (int s = 0; s < kStreams; ++s)
+      ASSERT_TRUE(served_first.submit(s, scene_for(200 + s).frame(t)));
+  served_first.pump();
+  served_first.pump();
+  served_first.fail_device(0);
+  served_first.drain();
+  for (int s = 0; s < kStreams; ++s) {
+    const FleetStreamInfo info = served_first.stream_info(s);
+    EXPECT_EQ(info.serve.queue.submitted, static_cast<std::uint64_t>(kFrames))
+        << "stream " << s;
+    EXPECT_EQ(info.serve.masks_delivered, info.masks_delivered)
+        << "stream " << s;
+    EXPECT_EQ(served_first.take_masks(s), solo_masks(200 + s, kFrames))
+        << "stream " << s;
+  }
 }
 
 TEST(DeviceFleet, RepeatedLaunchFailuresTriggerAutomaticFailover) {
@@ -314,6 +334,13 @@ TEST(DeviceFleet, SickCameraChargesNoDevice) {
   EXPECT_EQ(fleet.stream_info(sick).masks_delivered,
             static_cast<std::uint64_t>(kFrames));
   EXPECT_EQ(fleet.take_masks(sick).size(), static_cast<std::size_t>(kFrames));
+  // The camera, not the fleet, is sick: /healthz stays up and still shows
+  // the stream's tier.
+  std::string detail;
+  EXPECT_TRUE(fleet.healthz(detail)) << detail;
+  EXPECT_NE(detail.find(strprintf("stream %d: tier=cpu-serial", sick)),
+            std::string::npos)
+      << detail;
 
   const std::vector<FrameU8> expected = solo_masks(42, kFrames);
   const std::vector<FrameU8> served = fleet.take_masks(healthy);
@@ -460,7 +487,7 @@ TEST(DeviceFleet, MetricsHealthzStatuszReflectFleetState) {
   const ScopedGlobalSinks sinks;
   DeviceFleet<double> fleet{fleet_config(2)};
   const int id = fleet.open_stream(gpu_config());
-  // The second stream lands on the other device as that plane's stream 0,
+  // The second stream lands on the other device, on that device's lane 0,
   // so only fleet ids tell the two streams apart.
   const int other = fleet.open_stream(gpu_config());
   ASSERT_NE(fleet.stream_device(id), fleet.stream_device(other));
@@ -554,10 +581,10 @@ TEST(DeviceFleet, MetricsHealthzStatuszReflectFleetState) {
 }
 
 TEST(DeviceFleet, TraceRowsFollowFleetStreamIds) {
-  // Each device plane hosts its first stream as its local stream 0, so
-  // plane ids would draw both fleet streams on one row. Before and after a
-  // migration, every serve window and flow event of a fleet stream sits on
-  // the row of its fleet id and carries that id.
+  // Each device hosts its first stream on its lane 0, so lane ids would
+  // draw both fleet streams on one row. Before and after a migration, every
+  // serve window and flow event of a fleet stream sits on the row of its
+  // fleet id and carries that id.
   constexpr int kStreams = 2, kFrames = 3;
   const ScopedGlobalSinks sinks;
   DeviceFleet<double> fleet{fleet_config(2)};

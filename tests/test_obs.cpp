@@ -647,7 +647,9 @@ TEST(ServerObs, HealthzFlipsTo503OnForcedDegradation) {
   cluster::DeviceFleet<double>::GpuConfig gpu;
   gpu.width = 48;
   gpu.height = 36;
-  const int id = fleet.open_stream(gpu, injector);
+  // The device's fault domain, not the camera, is sick.
+  fleet.set_device_injector(0, injector);
+  const int id = fleet.open_stream(gpu);
 
   EXPECT_NE(http_get(fleet.obs_port(), "/healthz").find("HTTP/1.1 200"),
             std::string::npos);
@@ -658,7 +660,7 @@ TEST(ServerObs, HealthzFlipsTo503OnForcedDegradation) {
   const SyntheticScene scene{sc};
   for (int t = 0; t < 4; ++t) fleet.submit(id, scene.frame(t));
   fleet.drain();
-  // The faults are the stream's own, so they charge the device nothing:
+  // The lone device is lost on the first strike, with nowhere to migrate:
   // the stream rides its own ladder down to the CPU tier in place.
   ASSERT_EQ(fleet.stream_info(id).tier, fault::ExecutionTier::kCpuSerial);
 

@@ -1,8 +1,8 @@
-// Tests for the per-device serving plane: bounded-queue backpressure,
+// Tests for a device node's serving: bounded-queue backpressure,
 // round-robin fairness, admission control, per-stream mask parity with solo
 // pipelines, modeled device-time sharing, and the degradations a pump round
 // reports. Each test drives a one-device DeviceFleet, the only code that can
-// build or drive a plane; producers racing live pumps: test_cluster.cpp.
+// build or drive a node; producers racing live pumps: test_cluster.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -30,7 +30,7 @@ using cluster::DropPolicy;
 using cluster::FleetConfig;
 using cluster::QueueStats;
 using cluster::ServeConfig;
-using cluster::StreamServer;
+using cluster::DeviceNode;
 
 constexpr int kW = 48, kH = 36;
 
@@ -57,7 +57,7 @@ DeviceFleet<double>::GpuConfig gpu_config(bool tiled = false,
   return cfg;
 }
 
-/// A fleet of one device: its plane is the plane under test.
+/// A fleet of one device: its node is the node under test.
 FleetConfig one_device() {
   FleetConfig cfg;
   cfg.devices = 1;
@@ -65,14 +65,14 @@ FleetConfig one_device() {
 }
 
 TEST(StreamServer, PlaneBelongsToTheFleet) {
-  // Checked at compile time: nothing outside DeviceFleet can build a plane,
-  // and the fleet hands out only a read-only view of one.
-  static_assert(
-      !std::is_constructible_v<StreamServer<double>, const ServeConfig&>);
+  // Checked at compile time: nothing outside DeviceFleet can build a device
+  // node, and the fleet hands out only a read-only view of one.
+  static_assert(!std::is_constructible_v<DeviceNode<double>,
+                                         const DeviceFleet<double>&, int>);
   static_assert(
       std::is_same_v<decltype(std::declval<DeviceFleet<double>&>()
                                   .device_server(0)),
-                     const StreamServer<double>&>);
+                     const DeviceNode<double>&>);
 }
 
 TEST(StreamServer, EightStreamMasksMatchSoloPipelines) {
@@ -174,7 +174,7 @@ TEST(StreamServer, RoundRobinPumpIsFair) {
   for (int s = 0; s < kStreams; ++s)
     EXPECT_EQ(fleet.stream_info(s).masks_delivered,
               static_cast<std::uint64_t>(kFrames));
-  // Healthy untiled streams start and stay on the direct GPU tier: the plane
+  // Healthy untiled streams start and stay on the direct GPU tier: the node
   // must not report a degradation they never had.
   for (const telemetry::LogRecord& r : log.snapshot())
     EXPECT_NE(r.message, "stream degraded") << telemetry::format_jsonl(r);
